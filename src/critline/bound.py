@@ -92,6 +92,19 @@ def _stationarity(A, N, ks, single: bool):
     return -0.5 * A * A - 4.0 * N * c1p * A + 12.0 * N * (c1v + c2v)
 
 
+def _stationarity_slope(A, N, ks, single: bool):
+    """d g / d ln A of _stationarity, in closed form."""
+    c1v = cst.c1_from_set(A, ks)
+    p = A * cst.c1_prime_from_set(A, ks)                  # d c1 / d ln A
+    k1, _k2, k3, _k4, v5 = cst._unpack(ks)
+    dp = p + 8.0 * v5 ** 2 * (k1 * A - k3)                # d p / d ln A
+    if single:
+        c2v = ks.c2 if isinstance(ks, ConstantSet) else ks["c2"]
+        ratio = np.sqrt(c2v / c1v)
+        return -A * A + 0.5 * ratio * p * p / c1v + (1.0 + ratio) * (3.0 * p - dp)
+    return -A * A + 4.0 * N * (3.0 * p - dp)
+
+
 def lower_bound_general(p: Params, n_rect: int = 100) -> float:
     """2 pi (1/(2A) - 4N (c1(A) + c2)/A^3); total on A > 1/kappa."""
     _require_window(p)
@@ -192,46 +205,84 @@ def _theta_grid_table(kappa: float, n_rect: int, grid_size: int) -> dict[str, np
     return table
 
 
+def _scan(N: int, kappa: float, sub: dict[str, np.ndarray]):
+    """The ln A grid and the stationarity function g on it, one row per theta.
+
+    g is one matrix product: a (rows x 5) coefficient matrix times the
+    fixed basis [A^2, A ln A, A, ln A, 1].  For general N,
+    g = -A^2/2 + q [2 k1 A ln A + (2 k2 - k1) A + 3 k3 ln A + 3 k4 - k3]
+        + 12 N c2,  q = 32 N c5^2.
+    For N = 1, c1 and A c1'(A) come from the same basis and the single-L
+    formula combines them elementwise.
+    """
+    grid = np.linspace(math.log(1.0 / kappa) + 1e-9, _LN_A_MAX, _N_SCAN)
+    a_grid = np.exp(grid)
+    basis = np.stack([a_grid * a_grid, a_grid * grid, a_grid, grid,
+                      np.ones_like(grid)])
+    k1, k2, k3, k4, v5 = cst._unpack(sub)
+    if N == 1:
+        m = 8.0 * v5 ** 2
+        zero = np.zeros_like(k1)
+        c1v = np.stack([zero, m * k1, m * k2, m * k3, m * k4], axis=1) @ basis
+        c1pa = np.stack([zero, m * k1, m * (k1 + k2), zero, m * k3],
+                        axis=1) @ basis
+        c2v = sub["c2"][:, None]
+        with np.errstate(invalid="ignore"):
+            g = (-0.5 * a_grid * a_grid - (1.0 + np.sqrt(c2v / c1v)) * c1pa
+                 + 3.0 * (np.sqrt(c1v) + np.sqrt(c2v)) ** 2)
+        return grid, g
+    q = 32.0 * N * v5 ** 2
+    coef = np.stack([np.full_like(k1, -0.5), 2.0 * q * k1, q * (2.0 * k2 - k1),
+                     3.0 * q * k3, q * (3.0 * k4 - k3) + 12.0 * N * sub["c2"]],
+                    axis=1)
+    return grid, coef @ basis
+
+
+def _last_transition(g: np.ndarray) -> np.ndarray:
+    """Per row, the last i with g[i] > 0 > g[i+1] (towards large A, where
+    the maximum sits), or -1 where g has no such transition."""
+    trans = (g[:, :-1] > 0) & (g[:, 1:] < 0)
+    last = trans.shape[1] - 1 - np.argmax(trans[:, ::-1], axis=1)
+    return np.where(trans.any(axis=1), last, -1)
+
+
 def _optimize_A_vec(N: int, kappa: float, table: dict[str, np.ndarray],
                     chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized stationary-A search across the whole theta grid.
 
-    Returns (A_star, bound) arrays with -inf bound marking rows where no
-    stationary point exists (infeasible, discarded silently).
+    The stationarity function is scanned on _N_SCAN points in ln A as one
+    matrix product per chunk, and the last +/- transition of each row is
+    refined by safeguarded Newton in ln A.  Returns (A_star, bound) arrays
+    with -inf bound marking rows where no stationary point exists
+    (infeasible, discarded silently).
     """
     single = N == 1
     size = table["theta"].size
     a_out = np.full(size, np.nan)
     b_out = np.full(size, -np.inf)
-    ln_lo = math.log(1.0 / kappa) + 1e-9
-    grid = np.linspace(ln_lo, _LN_A_MAX, _N_SCAN)
-    a_grid = np.exp(grid)
     for lo in range(0, size, chunk):
-        sub = {k: v[lo:lo + chunk, None] for k, v in table.items()}
-        with np.errstate(invalid="ignore", over="ignore"):
-            g = _stationarity(a_grid[None, :], N, sub, single)
-        sign = np.sign(g)
-        trans = (sign[:, :-1] > 0) & (sign[:, 1:] < 0)
-        has = trans.any(axis=1)
-        if not has.any():
+        sub = {k: v[lo:lo + chunk] for k, v in table.items()}
+        grid, g = _scan(N, kappa, sub)
+        last = _last_transition(g)
+        rows = np.nonzero(last >= 0)[0]
+        if rows.size == 0:
             continue
-        # last +/- transition per row (towards large A, where the max sits)
-        last = trans.shape[1] - 1 - np.argmax(trans[:, ::-1], axis=1)
-        rows = np.nonzero(has)[0]
-        la_lo = grid[last[rows]][:, None]
-        la_hi = grid[last[rows] + 1][:, None]
         subr = {k: v[rows] for k, v in sub.items()}
 
-        def g_of(la):
-            with np.errstate(invalid="ignore", over="ignore"):
-                return _stationarity(np.exp(la), N, subr, single)
+        def neg_g(la, i):
+            a_i = np.exp(la)
+            sub_i = {k: subr[k][i] for k in ("k1", "k2", "k3", "k4", "c5", "c2")}
+            with np.errstate(invalid="ignore"):
+                return (-_stationarity(a_i, N, sub_i, single),
+                        -_stationarity_slope(a_i, N, sub_i, single))
 
-        la_root = roots._bisect_vec(g_of, la_lo, la_hi)
+        la_hi = grid[last[rows] + 1]
+        la_root = roots._newton_vec(neg_g, grid[last[rows]], la_hi, la_hi)
         a_root = np.exp(la_root)
         with np.errstate(invalid="ignore", over="ignore"):
             b_root = _bound_value(a_root, N, subr, single)
-        a_out[lo + rows] = a_root.ravel()
-        b_out[lo + rows] = b_root.ravel()
+        a_out[lo + rows] = a_root
+        b_out[lo + rows] = b_root
     b_out[~np.isfinite(b_out)] = -np.inf
     return a_out, b_out
 

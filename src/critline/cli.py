@@ -339,7 +339,12 @@ def _config_from_args(parser: argparse.ArgumentParser,
 # ----------------------------------------------------------------- dispatch
 
 def run(cfg: RunConfig) -> int:
-    """Execute one parsed invocation; returns the process exit code."""
+    """Execute one parsed invocation; returns the process exit code.
+
+    A --prime-cutoff value is set in CRITLINE_PRIME_CUTOFF only for the
+    duration of the handler; the previous value is restored afterwards.
+    """
+    previous = os.environ.get("CRITLINE_PRIME_CUTOFF")
     if cfg.prime_cutoff is not None:
         os.environ["CRITLINE_PRIME_CUTOFF"] = str(cfg.prime_cutoff)
     try:
@@ -350,6 +355,11 @@ def run(cfg: RunConfig) -> int:
     except CritlineError as exc:
         _diagnostic(exc)
         return 3
+    finally:
+        if previous is None:
+            os.environ.pop("CRITLINE_PRIME_CUTOFF", None)
+        else:
+            os.environ["CRITLINE_PRIME_CUTOFF"] = previous
     if cfg.output_path:
         with open(cfg.output_path, "w", encoding="utf-8") as fh:
             fh.write(artifact)

@@ -8,13 +8,18 @@ constants, and finally c1(A).
 Conventions fixed once for the whole package: natural logarithm
 throughout, kappa defaults to 1/8 (the supremum of the admissible range),
 and the c7 integrals use right-endpoint rectangles.  Since c7 and v*c7
-are increasing, right sums over-estimate, which keeps the resulting
-bound conservative; the left sums are also computed so the quadrature
-bracket can be reported.
+are increasing, right sums over-estimate both integrals.  For int c7,
+which enters K2 with a plus sign, that keeps the bound conservative: a
+larger K2 raises c1 and lowers the bound.  int v*c7 enters K4 with a
+minus sign, so its right sum lowers K4 and c1 and makes the bound
+slightly optimistic (by about 3e-9 relative at the N = 1 reference
+point); the directed choice, the left sum, is not implemented yet.  The
+right-minus-left gap of int c7 is reported as the quadrature bracket.
 
 The scalar operations are the contract surface.  The _k_table /
-_c7_profile kernels are the same formulas vectorized over a theta grid;
-the optimizer uses them to sweep 10^4 grid points in seconds.
+_c7_profile kernels are the same formulas vectorized over a theta grid,
+with the root grids solved by safeguarded Newton (roots._newton_vec);
+the optimizer uses them to sweep 10^4 grid points in under a second.
 """
 
 from __future__ import annotations
@@ -215,25 +220,27 @@ def c7(u: float, theta: float, kappa: float = 0.125) -> float:
 # ---------------------------------------------------------- vector kernels
 
 def _rho_theta_vec(thetas: np.ndarray) -> np.ndarray:
-    f = roots._rho_theta_equation(thetas)
-    lo = np.full(np.shape(thetas), 0.5)
-    hi = np.ones(np.shape(thetas))
-    return roots._bisect_vec(f, lo, hi)
+    thetas = np.asarray(thetas, dtype=float)
+    flat = thetas.ravel()
+    return roots._newton_vec(lambda x, i: roots._rho_theta_fdf(x, flat[i]),
+                             0.5, np.ones(thetas.shape), 1.0)
 
 
 def _rho_lemma_vec(a, theta) -> np.ndarray:
     b = gamma_ratio_quarter()
-    f = roots._rho_lemma_equation(a, theta, b)
-    shape = np.broadcast_shapes(np.shape(a), np.shape(theta))
-    lo = np.full(shape, 1e-8)
-    hi = np.ones(shape)
-    fh = f(hi)
+    a, theta = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                   np.asarray(theta, dtype=float))
+    hi = np.ones(a.shape)
+    fh = roots._rho_lemma_fdf(hi, a, theta, b)[0]
     while np.any(fh <= 0.0):
         hi = np.where(fh <= 0.0, hi * 2.0, hi)
         if float(np.max(hi)) > 1e3:
             raise BracketingError("perturbed-root bracket expansion exceeded 1e3")
-        fh = f(hi)
-    return roots._bisect_vec(f, lo, hi)
+        fh = roots._rho_lemma_fdf(hi, a, theta, b)[0]
+    a_flat, th_flat = a.ravel(), theta.ravel()
+    return roots._newton_vec(
+        lambda x, i: roots._rho_lemma_fdf(x, a_flat[i], th_flat[i], b),
+        1e-8, hi, hi)
 
 
 def _c7_profile(theta, kappa: float, us: np.ndarray) -> np.ndarray:
@@ -294,9 +301,9 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     """Vectorized k_constants over a whole theta grid.
 
     Returns arrays keyed like the ConstantSet fields.  Row i holds the
-    constants at thetas[i]; the perturbed-root grids are solved by
-    elementwise bisection, so a 10^4-point sweep costs seconds, not
-    minutes.
+    constants at thetas[i]; the rho(theta) and perturbed-root grids are
+    solved by vectorized safeguarded Newton, about six iterations per
+    element.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:

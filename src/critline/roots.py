@@ -13,6 +13,12 @@ and its generalization rho_lemma_a(a, theta), the positive solution of
 with b = Gamma(1/4)/Gamma(3/4).  At a = 0 the second equation factors as
 b sqrt(X) times the first, so the two maps agree there; this is checked in
 the tests rather than special-cased here.
+
+There is one solver per shape of input: Brent's method (solve_bracketed)
+for scalar roots, and safeguarded Newton with a bisection fallback and
+per-element convergence (_newton_vec) for arrays of roots.  The
+_*_fdf functions return each defining equation with its closed-form
+derivative and serve both.
 """
 
 from __future__ import annotations
@@ -102,43 +108,64 @@ def solve_bracketed(f: Callable[[float], float], lo: float, hi: float,
                         bracket_hi=hi, iterations=its)
 
 
-def _bisect_vec(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray,
-                hi: np.ndarray, iters: int = 72) -> np.ndarray:
-    """Elementwise bisection on arrays of brackets (internal).
+def _newton_vec(fdf: Callable[[np.ndarray, np.ndarray], tuple],
+                lo, hi, x0) -> np.ndarray:
+    """Safeguarded Newton on arrays of brackets (internal).
 
-    Assumes every [lo_i, hi_i] brackets a sign change.  72 halvings of a
-    bracket of width <= 16 put the midpoint within 1e-18 of the root,
-    i.e. at double-precision resolution.
+    Requires f(lo_i) <= 0 <= f(hi_i) for every element and x0 inside
+    [lo, hi]; callers with a decreasing f pass (-f, -f').  fdf(x, idx)
+    returns (f, f') at the still-active elements, idx being their flat
+    indices into the broadcast brackets.  Each step shrinks the bracket by
+    the sign of f; a Newton iterate outside the closed bracket is replaced
+    by its midpoint.  An element stops when f = 0 or its step is at most
+    ~1e-15 |x|; 100 iterations is a safeguard cap, far above the ~6 that
+    the bound path needs.
     """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    slo = np.sign(f(lo))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        same = np.sign(f(mid)) == slo
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
+    shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), np.shape(x0))
+    lo, hi, x = (np.array(v, dtype=float).ravel() for v in
+                 np.broadcast_arrays(lo, hi, x0))
+    out = x.copy()
+    idx = np.arange(x.size)
+    for _ in range(100):
+        if idx.size == 0:
+            break
+        f, df = fdf(x, idx)
+        lo = np.where(f < 0.0, x, lo)
+        hi = np.where(f > 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - f / df
+        inside = (xn >= lo) & (xn <= hi)        # False for NaN as well
+        xn = np.where(inside, xn, 0.5 * (lo + hi))
+        root = f == 0.0
+        xn[root] = x[root]
+        done = root | (np.abs(xn - x) <= 1e-15 * np.abs(x))
+        out[idx] = xn
+        keep = ~done
+        x, lo, hi, idx = xn[keep], lo[keep], hi[keep], idx[keep]
+    return out.reshape(shape)
 
 
 # ------------------------------------------------------ defining equations
 
-def _rho_theta_equation(theta):
-    """f(x) = -1 + 2 theta x + e^{x(1-theta)} (2x - 1); numpy-broadcastable."""
-    def f(x):
-        return -1.0 + 2.0 * theta * x + np.exp(x * (1.0 - theta)) * (2.0 * x - 1.0)
-    return f
+def _rho_theta_fdf(x, theta):
+    """(f, f') for f(x) = -1 + 2 theta x + e^{x(1-theta)} (2x - 1);
+    numpy-broadcastable."""
+    e = np.exp(x * (1.0 - theta))
+    return (-1.0 + 2.0 * theta * x + e * (2.0 * x - 1.0),
+            2.0 * theta + e * ((1.0 - theta) * (2.0 * x - 1.0) + 2.0))
 
 
-def _rho_lemma_equation(a, theta, b):
-    """Defining equation of the perturbed root; numpy-broadcastable in X."""
-    def f(x):
-        rx = np.sqrt(x)
-        w = a + b * rx
-        low = 2.0 * a + b * rx
-        return (np.exp((1.0 - theta) * x) * (2.0 * x * w - low)
-                + 2.0 * theta * x * w - low)
-    return f
+def _rho_lemma_fdf(x, a, theta, b):
+    """(f, f') of the perturbed-root equation in X; numpy-broadcastable."""
+    rx = np.sqrt(x)
+    w = a + b * rx
+    low = 2.0 * a + b * rx
+    e = np.exp((1.0 - theta) * x)
+    u = 2.0 * x * w - low
+    half = 0.5 * b / rx                       # dw/dX = d(low)/dX
+    return (e * u + 2.0 * theta * x * w - low,
+            e * ((1.0 - theta) * u + 2.0 * w + b * rx - half)
+            + 2.0 * theta * w + theta * b * rx - half)
 
 
 def rho_theta(theta: float) -> RootSolution:
@@ -151,9 +178,8 @@ def rho_theta(theta: float) -> RootSolution:
     theta = float(theta)
     if not 0.0 <= theta < 1.0:
         raise DomainError(f"rho_theta needs 0 <= theta < 1, got {theta}")
-    f = _rho_theta_equation(theta)
-    sol = solve_bracketed(lambda x: float(f(x)), 0.5, 1.0, tol=1e-15)
-    return sol
+    return solve_bracketed(lambda x: float(_rho_theta_fdf(x, theta)[0]),
+                           0.5, 1.0, tol=1e-15)
 
 
 def rho_lemma_a(a: float, theta: float) -> RootSolution:
@@ -170,12 +196,14 @@ def rho_lemma_a(a: float, theta: float) -> RootSolution:
     if not 0.0 <= theta < 1.0:
         raise DomainError(f"rho_lemma_a needs 0 <= theta < 1, got {theta}")
     b = gamma_ratio_quarter()
-    f = _rho_lemma_equation(a, theta, b)
+
+    def f(x):
+        return float(_rho_lemma_fdf(x, a, theta, b)[0])
+
     lo, hi = 1e-8, 1.0
-    while float(f(hi)) <= 0.0:
+    while f(hi) <= 0.0:
         hi *= 2.0
         if hi > 1e3:
             raise BracketingError(
                 f"no sign change located up to X = 1e3 for a={a}, theta={theta}")
-    sol = solve_bracketed(lambda x: float(f(x)), lo, hi, tol=1e-15)
-    return sol
+    return solve_bracketed(f, lo, hi, tol=1e-15)

@@ -94,6 +94,40 @@ def test_optimize_n1_uses_single_formula():
     assert bnd.lower_bound_single(p) == pytest.approx(rep.bound, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 1000])
+def test_gemm_scan_matches_elementwise_stationarity(n):
+    # The one-product ln A scan must pick the same bracket in every row,
+    # and leave the same rows feasible, as _stationarity evaluated
+    # elementwise on the same grid.
+    table = bnd._theta_grid_table(0.125, 100, 500)
+    grid, g = bnd._scan(n, 0.125, table)
+    with np.errstate(invalid="ignore"):
+        ref = bnd._stationarity(np.exp(grid)[None, :], n,
+                                {k: v[:, None] for k, v in table.items()},
+                                n == 1)
+    a2 = np.exp(2.0 * grid)
+    assert np.array_equal(np.isnan(g), np.isnan(ref))
+    with np.errstate(invalid="ignore"):
+        assert not (np.abs(g - ref) > 1e-13 * np.maximum(np.abs(ref), a2)).any()
+    last = bnd._last_transition(ref)
+    assert np.array_equal(bnd._last_transition(g), last)
+    _, b_vec = bnd._optimize_A_vec(n, 0.125, table)
+    assert np.array_equal(np.isfinite(b_vec), last >= 0)
+    assert (last >= 0).sum() > 400
+
+
+def test_stationarity_slope_matches_difference_quotient():
+    _, a_ref, theta_ref, _ = ROW_1
+    ks = cst.k_constants(theta_ref)
+    for n, single in ((1, True), (7, False)):
+        la = math.log(a_ref)
+        h = 1e-6
+        numeric = (bnd._stationarity(math.exp(la + h), n, ks, single)
+                   - bnd._stationarity(math.exp(la - h), n, ks, single)) / (2 * h)
+        assert bnd._stationarity_slope(math.exp(la), n, ks, single) == \
+            pytest.approx(numeric, rel=1e-6)
+
+
 def test_bound_unimodal_in_A():
     # coarse scan over the optimization window for one table row
     ks = cst.k_constants(0.0012)

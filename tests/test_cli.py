@@ -1,10 +1,12 @@
 """Command-line surface: formats, exit codes, determinism, dispatch."""
 
 import json
+import os
 
 import pytest
 
 from critline import cli
+from critline import constants as cst
 from critline.errors import OptimizerError
 
 from reference_values import REFERENCE_TABLE
@@ -119,6 +121,16 @@ def test_prime_cutoff_flag(capsys, monkeypatch):
     k1_small = json.loads(out_small)["constants"]["k1"]
     assert k1_small != k1_default
     assert k1_small == pytest.approx(k1_default, rel=1e-4)
+
+
+def test_prime_cutoff_flag_does_not_leak(capsys, monkeypatch):
+    monkeypatch.delenv("CRITLINE_PRIME_CUTOFF", raising=False)
+    before = dict(os.environ)
+    code, _, _ = _run(capsys, ["constants", "--theta", "0.011",
+                               "--prime-cutoff", "1000"])
+    assert code == 0
+    assert cst.prime_cutoff() == 10 ** 6
+    assert dict(os.environ) == before
 
 
 # ---------------------------------------------------------------- determinism

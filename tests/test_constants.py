@@ -141,3 +141,16 @@ def test_prime_cutoff_env_override(monkeypatch):
         cst.prime_cutoff()
     monkeypatch.delenv("CRITLINE_PRIME_CUTOFF")
     assert cst.prime_cutoff() == 10 ** 6
+
+
+# ------------------------------------------------------ vector vs scalar
+
+def test_k_table_rows_match_scalar_chain():
+    thetas = np.array([0.011, 0.3, 0.9])
+    table = cst._k_table(thetas)
+    for i, theta in enumerate(thetas):
+        ks = cst.k_constants(float(theta))
+        for name in ("rho", "c2", "c3", "c4", "c5", "k1", "k2", "k3", "k4",
+                     "int_c7", "int_vc7", "quad_bracket"):
+            assert table[name][i] == pytest.approx(getattr(ks, name),
+                                                   rel=1e-13), (theta, name)
