@@ -2,8 +2,8 @@
 
 For each N the script first evaluates the bound at the externally
 tabulated optimum (A, theta), then reruns the full two-level optimization
-(theta grid of 10^4 points with one golden refinement, stationary A in
-log coordinates) and compares.  The optimizer is allowed to land slightly
+(theta grid of 10^4 points, refined on shrinking local grids around the
+grid winner; stationary A in log coordinates) and compares.  The optimizer is allowed to land slightly
 off the tabulated point; its bound must never be worse.
 """
 

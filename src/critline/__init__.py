@@ -24,12 +24,10 @@ from .errors import (
 )
 from .specfun import (
     EulerProductValue,
-    SpecialConstants,
     delta_r,
     euler_product,
     gamma_ratio_quarter,
     primes_up_to,
-    special_constants,
     tau_z,
     theta_phase,
     zeta_critical,
@@ -96,7 +94,6 @@ __all__ = [
     "PreconditionError",
     "RangeError",
     "RootSolution",
-    "SpecialConstants",
     "WindowStats",
     "__version__",
     "asymptotic_bound",
@@ -129,7 +126,6 @@ __all__ = [
     "rho_lemma_a",
     "rho_theta",
     "solve_bracketed",
-    "special_constants",
     "tau_z",
     "theta_phase",
     "window_integrals",

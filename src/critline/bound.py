@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from . import constants as cst
 from . import roots
-from .constants import ConstantSet, Params
+from .constants import Params
 from .errors import DomainError, OptimizerError, PreconditionError
 from .specfun import gamma_ratio_quarter
 
@@ -36,6 +35,13 @@ DEFAULT_TABLE_N = (1, 2, 3, 4, 5, 10, 100, 1000)
 # out to 1e16 (the table tops out near 1e11, so this leaves headroom).
 _LN_A_MAX = math.log(1e16)
 _N_SCAN = 600
+
+# Local theta refinement: 2 * _REFINE_HALF + 1 points per pass, spacing
+# divided by _REFINE_HALF after each; three passes end at h / 25^3 =
+# 6.4e-5 h (h the grid spacing), fine enough that the table text no
+# longer moves.  Fewer, wider passes cost less than many narrow ones.
+_REFINE_HALF = 25
+_REFINE_PASSES = 3
 
 
 @dataclass(frozen=True)
@@ -72,11 +78,10 @@ class AsymptoticSet:
 def _bound_value(A, N, ks, single: bool):
     """b(A); array-safe.  single=True uses the sharper N=1 combination."""
     c1v = cst.c1_from_set(A, ks)
+    *_, c2v = cst._unpack(ks)
     if single:
-        c2v = ks.c2 if isinstance(ks, ConstantSet) else ks["c2"]
         quad = (np.sqrt(c1v) + np.sqrt(c2v)) ** 2
         return TWO_PI * (0.5 / A - quad / A ** 3)
-    c2v = ks.c2 if isinstance(ks, ConstantSet) else ks["c2"]
     return TWO_PI * (0.5 / A - 4.0 * N * (c1v + c2v) / A ** 3)
 
 
@@ -84,7 +89,7 @@ def _stationarity(A, N, ks, single: bool):
     """g(A) = A^4 b'(A) / (2 pi); positive left of the maximum."""
     c1v = cst.c1_from_set(A, ks)
     c1p = cst.c1_prime_from_set(A, ks)
-    c2v = ks.c2 if isinstance(ks, ConstantSet) else ks["c2"]
+    *_, c2v = cst._unpack(ks)
     if single:
         ratio = np.sqrt(c2v / c1v)
         return (-0.5 * A * A - (1.0 + ratio) * c1p * A
@@ -96,10 +101,9 @@ def _stationarity_slope(A, N, ks, single: bool):
     """d g / d ln A of _stationarity, in closed form."""
     c1v = cst.c1_from_set(A, ks)
     p = A * cst.c1_prime_from_set(A, ks)                  # d c1 / d ln A
-    k1, _k2, k3, _k4, v5 = cst._unpack(ks)
+    k1, _k2, k3, _k4, v5, c2v = cst._unpack(ks)
     dp = p + 8.0 * v5 ** 2 * (k1 * A - k3)                # d p / d ln A
     if single:
-        c2v = ks.c2 if isinstance(ks, ConstantSet) else ks["c2"]
         ratio = np.sqrt(c2v / c1v)
         return -A * A + 0.5 * ratio * p * p / c1v + (1.0 + ratio) * (3.0 * p - dp)
     return -A * A + 4.0 * N * (3.0 * p - dp)
@@ -134,59 +138,24 @@ def _require_window(p: Params) -> None:
 
 # -------------------------------------------------------------- optimizer
 
-def _optimize_A_set(N: int, kappa: float, ks) -> tuple[float, float]:
-    """Stationary point of the bound for fixed constants; scalar path."""
-    single = N == 1
-    ln_lo = math.log(1.0 / kappa) + 1e-9
-    grid = np.linspace(ln_lo, _LN_A_MAX, _N_SCAN)
-    with np.errstate(invalid="ignore", over="ignore"):
-        g = _stationarity(np.exp(grid), N, ks, single)
-    sign = np.sign(g)
-    idx = np.nonzero((sign[:-1] > 0) & (sign[1:] < 0))[0]
-    best: tuple[float, float] | None = None
-    for i in idx:
-        sol = roots.solve_bracketed(
-            lambda la: float(_stationarity(math.exp(la), N, ks, single)),
-            float(grid[i]), float(grid[i + 1]), tol=1e-13)
-        a_root = math.exp(sol.value)
-        b_root = float(_bound_value(a_root, N, ks, single))
-        if best is None or b_root > best[1]:
-            best = (a_root, b_root)
-    if best is None:
-        raise OptimizerError(
-            f"no positive stationary point of the bound for N={N} "
-            f"in A within [{math.exp(ln_lo):.3g}, 1e16]")
-    a_star, b_star = best
-    # Local-max certificate; on failure fall back to golden section in ln A.
-    if not _is_local_max(a_star, b_star, N, ks, single):
-        res = sp_optimize.minimize_scalar(
-            lambda la: -float(_bound_value(math.exp(la), N, ks, single)),
-            bounds=(math.log(a_star) - math.log(2.0), math.log(a_star) + math.log(2.0)),
-            method="bounded", options={"xatol": 1e-13, "maxiter": 200})
-        a_ref = math.exp(float(res.x))
-        b_ref = float(_bound_value(a_ref, N, ks, single))
-        if b_ref > b_star:
-            a_star, b_star = a_ref, b_ref
-    return a_star, b_star
-
-
-def _is_local_max(a_star, b_star, N, ks, single) -> bool:
-    for factor in (1.0 - 1e-6, 1.0 + 1e-6):
-        if float(_bound_value(a_star * factor, N, ks, single)) > b_star:
-            return False
-    return True
-
-
 def optimize_A(N: int, theta: float, kappa: float = 0.125,
                n_rect: int = 100) -> tuple[float, float]:
     """Best A at fixed theta: (A_star, bound).
 
     Uses the sharper single-L formula when N = 1 and the general one
-    otherwise, mirroring how the table is produced.
+    otherwise, mirroring how the table is produced.  One row of
+    _optimize_A_vec; raises OptimizerError where that row is infeasible.
     """
-    Params(N=N, theta=theta, kappa=kappa)
-    ks = cst.k_constants(theta, kappa, n_rect)
-    return _optimize_A_set(N, kappa, ks)
+    cst._check_n(N)
+    cst._check_theta(theta)
+    cst._check_kappa(kappa)
+    table = cst._k_table(np.array([float(theta)]), kappa, n_rect)
+    a_star, b_star = _optimize_A_vec(N, kappa, table)
+    if b_star[0] == -np.inf:
+        raise OptimizerError(
+            f"no positive stationary point of the bound for N={N} at theta={theta} "
+            f"in A within [{1.0 / kappa:.3g}, 1e16]")
+    return float(a_star[0]), float(b_star[0])
 
 
 # Cached theta-grid tables keyed by (kappa, n_rect, grid size, prime cutoff);
@@ -219,21 +188,21 @@ def _scan(N: int, kappa: float, sub: dict[str, np.ndarray]):
     a_grid = np.exp(grid)
     basis = np.stack([a_grid * a_grid, a_grid * grid, a_grid, grid,
                       np.ones_like(grid)])
-    k1, k2, k3, k4, v5 = cst._unpack(sub)
+    k1, k2, k3, k4, v5, c2v = cst._unpack(sub)
     if N == 1:
         m = 8.0 * v5 ** 2
         zero = np.zeros_like(k1)
         c1v = np.stack([zero, m * k1, m * k2, m * k3, m * k4], axis=1) @ basis
         c1pa = np.stack([zero, m * k1, m * (k1 + k2), zero, m * k3],
                         axis=1) @ basis
-        c2v = sub["c2"][:, None]
+        c2v = c2v[:, None]
         with np.errstate(invalid="ignore"):
             g = (-0.5 * a_grid * a_grid - (1.0 + np.sqrt(c2v / c1v)) * c1pa
                  + 3.0 * (np.sqrt(c1v) + np.sqrt(c2v)) ** 2)
         return grid, g
     q = 32.0 * N * v5 ** 2
     coef = np.stack([np.full_like(k1, -0.5), 2.0 * q * k1, q * (2.0 * k2 - k1),
-                     3.0 * q * k3, q * (3.0 * k4 - k3) + 12.0 * N * sub["c2"]],
+                     3.0 * q * k3, q * (3.0 * k4 - k3) + 12.0 * N * c2v],
                     axis=1)
     return grid, coef @ basis
 
@@ -291,41 +260,38 @@ def optimize(N: int, kappa: float = 0.125, theta_grid_size: int = 10000,
              n_rect: int = 100) -> BoundReport:
     """Sweep the theta grid, optimize A at each point, return the best.
 
-    The winning grid theta gets one bounded golden-section refinement pass
-    over its two neighboring cells; ties on the grid resolve to the
-    smaller theta (the sweep scans ascending).
+    The winning grid theta is refined on local grids: each pass re-runs
+    the vectorized chain and A-search on 51 points centred on the best
+    theta so far, one grid cell either side at first and 25x narrower
+    every pass.  The centre is always one of the points, so the refined
+    bound is never below the grid bound.  Ties resolve to the smaller
+    theta (the sweep scans ascending).
     """
     if not isinstance(theta_grid_size, (int, np.integer)) or theta_grid_size < 2:
         raise DomainError(f"theta_grid_size must be an integer >= 2, got {theta_grid_size!r}")
-    Params(N=N, theta=0.5, kappa=kappa)       # validates N and kappa
+    cst._check_n(N)
+    cst._check_kappa(kappa)
     cst._check_n_rect(n_rect)
     table = _theta_grid_table(kappa, n_rect, theta_grid_size)
-    _, b_vec = _optimize_A_vec(N, kappa, table)
+    a_vec, b_vec = _optimize_A_vec(N, kappa, table)
     feasible = b_vec > 0.0
     if not feasible.any():
         raise OptimizerError(
             f"every theta grid point is infeasible for N={N}, kappa={kappa}")
     i_best = int(np.argmax(b_vec))
-    theta_g = float(table["theta"][i_best])
-    a_best, b_best = optimize_A(N, theta_g, kappa, n_rect)
-    theta_best = theta_g
+    theta_best = float(table["theta"][i_best])
+    a_best, b_best = float(a_vec[i_best]), float(b_vec[i_best])
 
-    # One golden-section refinement pass around the winning cell.
-    h = 1.0 / theta_grid_size
-    lo = max(theta_g - h, 1e-9)
-    hi = min(theta_g + h, 1.0 - 1e-9)
-
-    def neg_bound(theta: float) -> float:
-        try:
-            return -optimize_A(N, float(theta), kappa, n_rect)[1]
-        except (OptimizerError, DomainError, OverflowError):
-            return np.inf
-
-    res = sp_optimize.minimize_scalar(neg_bound, bounds=(lo, hi), method="bounded",
-                                      options={"xatol": h * 1e-3, "maxiter": 60})
-    if np.isfinite(res.fun) and -float(res.fun) > b_best:
-        theta_best = float(res.x)
-        a_best, b_best = optimize_A(N, theta_best, kappa, n_rect)
+    step = 1.0 / theta_grid_size / _REFINE_HALF
+    for _ in range(_REFINE_PASSES):
+        thetas = theta_best + step * np.arange(-_REFINE_HALF, _REFINE_HALF + 1)
+        thetas = thetas[(thetas > 0.0) & (thetas < 1.0)]
+        a_vec, b_vec = _optimize_A_vec(N, kappa, cst._k_table(thetas, kappa, n_rect))
+        i = int(np.argmax(b_vec))
+        if b_vec[i] > b_best:
+            theta_best = float(thetas[i])
+            a_best, b_best = float(a_vec[i]), float(b_vec[i])
+        step /= _REFINE_HALF
 
     method = "single_L" if N == 1 else "general"
     return BoundReport(N=int(N), A_star=a_best, theta_star=theta_best,

@@ -16,17 +16,19 @@ slightly optimistic (by about 3e-9 relative at the N = 1 reference
 point); the directed choice, the left sum, is not implemented yet.  The
 right-minus-left gap of int c7 is reported as the quadrature bracket.
 
-The scalar operations are the contract surface.  The _k_table /
-_c7_profile kernels are the same formulas vectorized over a theta grid,
-with the root grids solved by safeguarded Newton (roots._newton_vec);
-the optimizer uses them to sweep 10^4 grid points in under a second.
+Each formula is implemented once, in the _k_table / _c7_profile kernels,
+vectorized over a theta grid with the root grids solved by safeguarded
+Newton (roots._newton_vec); the optimizer uses them to sweep 10^4 grid
+points in under a second.  The scalar operations (c2 .. c7,
+integrate_c7, k_constants, c1) are the contract surface and are one-row
+calls into those kernels.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,10 +77,7 @@ class Params:
     A: float = float("nan")
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool):
-            raise DomainError(f"N must be an integer, got {self.N!r}")
-        if self.N < 1:
-            raise DomainError(f"N must be >= 1, got {self.N}")
+        _check_n(self.N)
         _check_theta(self.theta)
         _check_kappa(self.kappa)
         if not math.isnan(self.A) and not self.A > 0.0:
@@ -100,6 +99,13 @@ class ConstantSet:
     int_vc7: float
     quad_bracket: float
     rho: float
+
+
+def _check_n(N: int) -> None:
+    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
+        raise DomainError(f"N must be an integer, got {N!r}")
+    if N < 1:
+        raise DomainError(f"N must be >= 1, got {N}")
 
 
 def _check_theta(theta: float) -> None:
@@ -164,26 +170,17 @@ def _k_from_parts(theta, kappa, int_c7, int_vc7, p1, p2):
 
 def c5(theta: float, kappa: float = 0.125) -> float:
     """(1/(1-theta)) (e^rho + e^{rho theta}) / (2 sqrt(pi kappa rho)) * G."""
-    _check_theta(theta)
-    _check_kappa(kappa)
-    rho = roots.rho_theta(theta).value
-    return float(_c5_from_rho(rho, theta, kappa, gamma_ratio_quarter()))
+    return k_constants(theta, kappa).c5
 
 
 def c3(theta: float, kappa: float = 0.125) -> float:
     """(1/(8 kappa) + 3/2) [ (e^rho + e^{rho theta}) G / ((1-theta) sqrt(rho pi)) ]^4 P1."""
-    _check_theta(theta)
-    _check_kappa(kappa)
-    rho = roots.rho_theta(theta).value
-    value = float(_c3_from_rho(rho, theta, kappa, gamma_ratio_quarter(), _p1()))
-    if not math.isfinite(value):
-        raise OverflowError(f"c3 overflows at theta={theta} (diverges as theta -> 1)")
-    return value
+    return k_constants(theta, kappa).c3
 
 
 def c2(theta: float, kappa: float = 0.125) -> float:
     """6 (c3 + 1 + 2 sqrt(c3)) / (theta kappa)^2."""
-    return float(_c2_from_c3(c3(theta, kappa), theta, kappa))
+    return k_constants(theta, kappa).c2
 
 
 def c4(theta: float) -> float:
@@ -192,29 +189,30 @@ def c4(theta: float) -> float:
     return float(_c4_closed(float(theta)))
 
 
+def _u_point(u: float, theta: float, kappa: float):
+    """Checked one-row theta and one-point u arrays for c6 and c7."""
+    _check_theta(theta)
+    _check_kappa(kappa)
+    u = float(u)
+    if u < 0.0:
+        raise DomainError(f"c6 needs u >= 0, got {u}")
+    return np.array([float(theta)]), np.array([u])
+
+
 def c6(u: float, theta: float, kappa: float = 0.125) -> float:
     """Perturbed variant of c5 at window position u (the role of v log T).
 
     rho solves the perturbed root equation at a = sqrt(pi kappa u); at
     u = 0 this collapses to c5.
     """
-    _check_theta(theta)
-    _check_kappa(kappa)
-    u = float(u)
-    if u < 0.0:
-        raise DomainError(f"c6 needs u >= 0, got {u}")
-    a = math.sqrt(math.pi * kappa * u)
-    rho = roots.rho_lemma_a(a, theta).value
-    g = gamma_ratio_quarter()
-    return ((math.exp(rho) + math.exp(rho * theta))
-            / ((1.0 - theta) * 2.0 * math.sqrt(math.pi * kappa * rho))
-            * (math.sqrt(u / rho) * math.sqrt(math.pi * kappa) + g))
+    thetas, us = _u_point(u, theta, kappa)
+    return float(_c6_profile(thetas, kappa, us)[0, 0])
 
 
 def c7(u: float, theta: float, kappa: float = 0.125) -> float:
     """(1/2 + 2 kappa) c6(u)^2 + 2 c4 c6(u) sqrt(kappa)."""
-    v6 = c6(u, theta, kappa)
-    return (0.5 + 2.0 * kappa) * v6 * v6 + 2.0 * c4(theta) * v6 * math.sqrt(kappa)
+    thetas, us = _u_point(u, theta, kappa)
+    return float(_c7_profile(thetas, kappa, us)[0, 0])
 
 
 # ---------------------------------------------------------- vector kernels
@@ -243,18 +241,20 @@ def _rho_lemma_vec(a, theta) -> np.ndarray:
         1e-8, hi, hi)
 
 
-def _c7_profile(theta, kappa: float, us: np.ndarray) -> np.ndarray:
-    """c7 on a grid of u values; theta may be a scalar or a vector of rows."""
-    theta = np.asarray(theta, dtype=float)
-    th = theta[..., None] if theta.ndim else theta
-    a = np.sqrt(math.pi * kappa * us)
-    rho = _rho_lemma_vec(a, th)
-    g = gamma_ratio_quarter()
-    v6 = ((np.exp(rho) + np.exp(rho * th))
-          / ((1.0 - th) * 2.0 * np.sqrt(math.pi * kappa * rho))
-          * (np.sqrt(us / rho) * math.sqrt(math.pi * kappa) + g))
-    v4 = _c4_closed(theta)
-    v4 = v4[..., None] if theta.ndim else v4
+def _c6_profile(thetas: np.ndarray, kappa: float, us: np.ndarray) -> np.ndarray:
+    """c6 on a grid of u values, one row per theta."""
+    th = thetas[:, None]
+    rho = _rho_lemma_vec(np.sqrt(math.pi * kappa * us), th)
+    return ((np.exp(rho) + np.exp(rho * th))
+            / ((1.0 - th) * 2.0 * np.sqrt(math.pi * kappa * rho))
+            * (np.sqrt(us / rho) * math.sqrt(math.pi * kappa)
+               + gamma_ratio_quarter()))
+
+
+def _c7_profile(thetas: np.ndarray, kappa: float, us: np.ndarray) -> np.ndarray:
+    """c7 on a grid of u values, one row per theta."""
+    v6 = _c6_profile(thetas, kappa, us)
+    v4 = _c4_closed(thetas)[:, None]
     return (0.5 + 2.0 * kappa) * v6 * v6 + 2.0 * v4 * v6 * math.sqrt(kappa)
 
 
@@ -268,42 +268,32 @@ def integrate_c7(theta: float, kappa: float = 0.125,
     integrals (upper bounds, the integrands being increasing) and the
     right-minus-left gap for the first.
     """
-    _check_theta(theta)
-    _check_kappa(kappa)
-    _check_n_rect(n_rect)
-    hi = 1.0 / kappa
-    h = hi / n_rect
-    us = np.linspace(0.0, hi, n_rect + 1)
-    vals = _c7_profile(float(theta), kappa, us)
-    right = h * float(np.sum(vals[1:]))
-    left = h * float(np.sum(vals[:-1]))
-    right_v = h * float(np.sum(us[1:] * vals[1:]))
-    return right, right_v, right - left
+    ks = k_constants(theta, kappa, n_rect)
+    return ks.int_c7, ks.int_vc7, ks.quad_bracket
 
 
 def k_constants(theta: float, kappa: float = 0.125,
                 n_rect: int = 100) -> ConstantSet:
-    """Assemble the four K constants and their ingredients at (theta, kappa)."""
+    """Assemble the four K constants and their ingredients at (theta, kappa).
+
+    One row of _k_table, as Python floats.
+    """
     _check_theta(theta)
-    _check_kappa(kappa)
-    int_c7, int_vc7, quad_bracket = integrate_c7(theta, kappa, n_rect)
-    k1, k2, k3, k4 = _k_from_parts(float(theta), kappa, int_c7, int_vc7,
-                                   _p1(), _p2())
-    return ConstantSet(
-        c2=c2(theta, kappa), c3=c3(theta, kappa), c4=c4(theta),
-        c5=c5(theta, kappa), k1=float(k1), k2=float(k2), k3=float(k3),
-        k4=float(k4), int_c7=int_c7, int_vc7=int_vc7,
-        quad_bracket=quad_bracket, rho=roots.rho_theta(theta).value)
+    row = _k_table(np.array([float(theta)]), kappa, n_rect)
+    ks = ConstantSet(**{f.name: float(row[f.name][0]) for f in fields(ConstantSet)})
+    if not math.isfinite(ks.c3):
+        raise OverflowError(f"c3 overflows at theta={theta} (diverges as theta -> 1)")
+    return ks
 
 
 def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
              chunk: int = 2048) -> dict[str, np.ndarray]:
-    """Vectorized k_constants over a whole theta grid.
+    """The constant chain over a whole theta grid.
 
-    Returns arrays keyed like the ConstantSet fields.  Row i holds the
-    constants at thetas[i]; the rho(theta) and perturbed-root grids are
-    solved by vectorized safeguarded Newton, about six iterations per
-    element.
+    Returns arrays keyed like the ConstantSet fields, plus "theta".  Row i
+    holds the constants at thetas[i]; the rho(theta) and perturbed-root
+    grids are solved by vectorized safeguarded Newton, about six
+    iterations per element.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:
@@ -350,19 +340,20 @@ def c1(A: float, theta: float, kappa: float = 0.125, n_rect: int = 100) -> float
 def c1_from_set(A, ks):
     """c1(A) from precomputed constants (A may be an array; ks a ConstantSet
     or a dict of grid arrays aligned with A)."""
-    k1, k2, k3, k4, v5 = _unpack(ks)
+    k1, k2, k3, k4, v5, _c2 = _unpack(ks)
     logA = np.log(A)
     return 8.0 * v5 ** 2 * (k1 * A * logA + k2 * A + k3 * logA + k4)
 
 
 def c1_prime_from_set(A, ks):
     """d/dA of c1 from precomputed constants."""
-    k1, k2, k3, _k4, v5 = _unpack(ks)
+    k1, k2, k3, _k4, v5, _c2 = _unpack(ks)
     logA = np.log(A)
     return 8.0 * v5 ** 2 * (k1 * (logA + 1.0) + k2 + k3 / A)
 
 
 def _unpack(ks):
+    """(k1, k2, k3, k4, c5, c2) from a ConstantSet or a _k_table dict."""
     if isinstance(ks, ConstantSet):
-        return ks.k1, ks.k2, ks.k3, ks.k4, ks.c5
-    return ks["k1"], ks["k2"], ks["k3"], ks["k4"], ks["c5"]
+        return ks.k1, ks.k2, ks.k3, ks.k4, ks.c5, ks.c2
+    return ks["k1"], ks["k2"], ks["k3"], ks["k4"], ks["c5"], ks["c2"]

@@ -67,23 +67,21 @@ def primes_up_to(cutoff: int) -> np.ndarray:
 
 # ---------------------------------------------------------------- log-Gamma
 
-def _loggamma(z: complex) -> complex:
-    """Principal-branch log Gamma for Re z > 0.
+def _loggamma_vec(z) -> np.ndarray:
+    """Principal-branch log Gamma for Re z > 0, elementwise.
 
     Argument-shift Stirling: push z up by 12 so the asymptotic series with
     8 Bernoulli terms is accurate to ~1e-16 relative, then remove the
     shifted factors with principal logs (safe, since every shifted point
     has positive real part).
     """
-    z = complex(z)
-    if z.real <= 0.0:
-        raise DomainError(f"log-Gamma shift scheme needs Re z > 0, got {z}")
-    acc = 0.0 + 0.0j
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros(z.shape, dtype=complex)
     for j in range(12):
         acc += np.log(z + j)
     w = z + 12
     series = (w - 0.5) * np.log(w) - w + 0.5 * _LOG_2PI
-    wk = w
+    wk = w.copy()
     for c in _STIRLING_COEF:
         series += c / wk
         wk *= w * w
@@ -98,18 +96,7 @@ def _theta_phase_vec(t: np.ndarray) -> np.ndarray:
     needs.
     """
     t = np.asarray(t, dtype=float)
-    z = 0.25 + 0.5j * t
-    acc = np.zeros(z.shape, dtype=complex)
-    for j in range(12):
-        acc += np.log(z + j)
-    w = z + 12
-    series = (w - 0.5) * np.log(w) - w + 0.5 * _LOG_2PI
-    wk = w.copy()
-    for c in _STIRLING_COEF:
-        series += c / wk
-        wk *= w * w
-    lg = series - acc
-    return lg.imag - 0.5 * t * math.log(math.pi)
+    return _loggamma_vec(0.25 + 0.5j * t).imag - 0.5 * t * math.log(math.pi)
 
 
 def theta_phase(t: float) -> float:
@@ -119,21 +106,10 @@ def theta_phase(t: float) -> float:
 
 # --------------------------------------------------------- special constants
 
-@dataclass(frozen=True)
-class SpecialConstants:
-    """Container for the Gamma-ratio constant used by the root equations."""
-    gamma_ratio: float
-
-
 def gamma_ratio_quarter() -> float:
     """Gamma(1/4)/Gamma(3/4), absolute error well below 1e-12."""
-    lg14 = _loggamma(0.25 + 0.0j)
-    lg34 = _loggamma(0.75 + 0.0j)
+    lg14, lg34 = _loggamma_vec([0.25, 0.75])
     return float(np.exp(lg14 - lg34).real)
-
-
-def special_constants() -> SpecialConstants:
-    return SpecialConstants(gamma_ratio=gamma_ratio_quarter())
 
 
 # ----------------------------------------------------- divisor coefficients

@@ -2,13 +2,16 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from critline import bound as bnd
 from critline import constants as cst
-from critline.errors import DomainError, PreconditionError
+from critline.errors import DomainError, OptimizerError, PreconditionError
 
 from reference_values import (
     ASYMPTOTIC,
@@ -92,6 +95,35 @@ def test_optimize_n1_uses_single_formula():
     assert rep.method == "single_L"
     p = cst.Params(N=1, theta=rep.theta_star, A=rep.A_star)
     assert bnd.lower_bound_single(p) == pytest.approx(rep.bound, rel=1e-12)
+
+
+def test_optimize_A_raises_on_infeasible_row():
+    table = cst._k_table(np.array([0.998]))
+    assert bnd._optimize_A_vec(2, 0.125, table)[1][0] == -np.inf
+    with pytest.raises(OptimizerError):
+        bnd.optimize_A(2, 0.998)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_optimize_refines_grid_winner(n):
+    # The local theta refinement never loses to the grid and stays within
+    # one grid cell of the grid winner.
+    table = bnd._theta_grid_table(0.125, 100, 500)
+    _, b_vec = bnd._optimize_A_vec(n, 0.125, table)
+    i_best = int(np.argmax(b_vec))
+    rep = bnd.optimize(n, theta_grid_size=500)
+    assert rep.bound >= b_vec[i_best]
+    assert abs(rep.theta_star - table["theta"][i_best]) <= 1.0 / 500
+
+
+def test_import_leaves_scipy_unloaded():
+    import critline
+    src = str(Path(critline.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import critline; "
+         "assert 'scipy' not in sys.modules, 'scipy imported'", src],
+        check=True, timeout=60)
 
 
 @pytest.mark.parametrize("n", [1, 2, 1000])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from critline import constants as cst
+from critline import roots
 from critline import specfun
 from critline.errors import DomainError
 
@@ -145,12 +146,41 @@ def test_prime_cutoff_env_override(monkeypatch):
 
 # ------------------------------------------------------ vector vs scalar
 
+def _brent_chain(theta, kappa=0.125, n_rect=100):
+    """The constant chain at one theta from the scalar Brent roots, with
+    c6 and c7 written out here rather than taken from the kernels."""
+    g = specfun.gamma_ratio_quarter()
+    p1, p2 = cst._p1(), cst._p2()
+    rho = roots.rho_theta(theta).value
+    c4 = float(cst._c4_closed(theta))
+    us = np.linspace(0.0, 1.0 / kappa, n_rect + 1)
+    vals = []
+    for u in us:
+        r = roots.rho_lemma_a(math.sqrt(math.pi * kappa * u), theta).value
+        v6 = ((math.exp(r) + math.exp(r * theta))
+              / ((1.0 - theta) * 2.0 * math.sqrt(math.pi * kappa * r))
+              * (math.sqrt(u / r) * math.sqrt(math.pi * kappa) + g))
+        vals.append((0.5 + 2.0 * kappa) * v6 * v6
+                    + 2.0 * c4 * v6 * math.sqrt(kappa))
+    vals = np.array(vals)
+    h = us[1]
+    right = h * float(np.sum(vals[1:]))
+    int_vc7 = h * float(np.sum(us[1:] * vals[1:]))
+    k1, k2, k3, k4 = cst._k_from_parts(theta, kappa, right, int_vc7, p1, p2)
+    c3 = float(cst._c3_from_rho(rho, theta, kappa, g, p1))
+    return {"rho": rho, "c2": float(cst._c2_from_c3(c3, theta, kappa)),
+            "c3": c3, "c4": c4,
+            "c5": float(cst._c5_from_rho(rho, theta, kappa, g)),
+            "k1": k1, "k2": k2, "k3": k3, "k4": k4, "int_c7": right,
+            "int_vc7": int_vc7,
+            "quad_bracket": right - h * float(np.sum(vals[:-1]))}
+
+
 def test_k_table_rows_match_scalar_chain():
+    # The Newton-solved kernels against the Brent roots, row by row.
     thetas = np.array([0.011, 0.3, 0.9])
     table = cst._k_table(thetas)
     for i, theta in enumerate(thetas):
-        ks = cst.k_constants(float(theta))
-        for name in ("rho", "c2", "c3", "c4", "c5", "k1", "k2", "k3", "k4",
-                     "int_c7", "int_vc7", "quad_bracket"):
-            assert table[name][i] == pytest.approx(getattr(ks, name),
-                                                   rel=1e-13), (theta, name)
+        ref = _brent_chain(float(theta))
+        for name, want in ref.items():
+            assert table[name][i] == pytest.approx(want, rel=1e-13), (theta, name)

@@ -79,11 +79,6 @@ def test_gamma_ratio_against_mpmath():
                                                           rel=1e-15)
 
 
-def test_special_constants_record():
-    sc = specfun.special_constants()
-    assert sc.gamma_ratio == specfun.gamma_ratio_quarter()
-
-
 def test_theta_phase_against_mpmath():
     assert specfun.theta_phase(0.0) == 0.0
     for t in (1.0, 10.0, 100.0, 500.0, 1.0e4):
