@@ -66,12 +66,14 @@ from .bound import (
     optimize_A,
 )
 from .mollifier import (
+    Detection,
     MollifierConfig,
     WindowStats,
     detect_zeros,
     eta,
     figure_data,
     hardy_x,
+    mollified_scan,
     mollifier_weight,
     window_integrals,
 )
@@ -85,6 +87,7 @@ __all__ = [
     "ConstantSet",
     "CritlineError",
     "DEFAULT_TABLE_N",
+    "Detection",
     "DomainError",
     "EulerProductValue",
     "MollifierConfig",
@@ -118,6 +121,7 @@ __all__ = [
     "k_constants",
     "lower_bound_general",
     "lower_bound_single",
+    "mollified_scan",
     "mollifier_weight",
     "optimize",
     "optimize_A",

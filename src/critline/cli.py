@@ -196,25 +196,20 @@ def _run_mollify(cfg: RunConfig) -> str:
 
 def _run_detect(cfg: RunConfig) -> str:
     mcfg = _mollifier_config(cfg.params)
-    count, ordinates = mo.detect_zeros(mcfg.t_lo, mcfg.t_hi, mcfg)
-    windows = []
-    t = mcfg.t_lo
-    while t + mcfg.H <= mcfg.t_hi + 1.0e-12:
-        stats = mo.window_integrals(t, mcfg)
-        windows.append({
-            "t": stats.t,
-            "H": stats.H,
-            "I": stats.I,
-            "J": stats.J,
-            "m_re": stats.M_val.real,
-            "m_im": stats.M_val.imag,
-            "sign_changes": stats.sign_changes,
-        })
-        t += mcfg.H
+    found = mo.mollified_scan(mcfg.t_lo, mcfg.t_hi, mcfg)
+    windows = [{
+        "t": stats.t,
+        "H": stats.H,
+        "I": stats.I,
+        "J": stats.J,
+        "m_re": stats.M_val.real,
+        "m_im": stats.M_val.imag,
+        "sign_changes": stats.sign_changes,
+    } for stats in found.windows]
     payload = {
         "params": _echo(cfg),
-        "count": count,
-        "ordinates": ordinates,
+        "count": found.count,
+        "ordinates": found.ordinates,
         "windows": windows,
     }
     return _json_record(payload)

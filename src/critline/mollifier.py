@@ -17,16 +17,18 @@ where M is one of two weight profiles on [1, xi]:
 Since |eta|^2 >= 0, the product X(t)*|eta(t)|^2 changes sign exactly where
 X does (outside the measure-zero set where eta vanishes), while the
 mollifier flattens the large excursions of X between zeros.  The module
-exposes the weight, the polynomial, the rotated function, window integrals
-I/J/M over [t, t+H], a sign-change zero detector over abutting windows,
-and a plain tabular emitter for plotting.
+exposes the weight, the polynomial, the rotated function, a single-pass
+scan over abutting H-windows that yields both the sign-change zero
+detector and the window integrals I/J/M over [t, t+H], and a plain
+tabular emitter for plotting.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from typing import List, Tuple
 
 import numpy as np
 
@@ -127,23 +129,21 @@ def mollifier_weight(x: float, cfg: MollifierConfig) -> float:
 
 # --------------------------------------------------------------- polynomial
 
-_coef_cache: Dict[Tuple[float, float, str], Tuple[np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=8)
 def _coefficients(xi: float, theta: float,
                   variant: str) -> Tuple[np.ndarray, np.ndarray]:
-    """(log n, tau_{-1/2}(n) * M(n) / sqrt(n)) for 1 <= n <= xi, cached."""
-    key = (float(xi), float(theta), variant)
-    hit = _coef_cache.get(key)
-    if hit is not None:
-        return hit
+    """(log n, tau_{-1/2}(n) * M(n) / sqrt(n)) for 1 <= n <= xi, cached.
+
+    The arrays are read-only: every caller with the same key shares them.
+    """
     limit = int(math.floor(xi))
     n = np.arange(1, limit + 1, dtype=float)
     tau = specfun._tau_table(limit, -0.5)[1:]
     amp = tau * _weight_vec(n, xi, theta, variant) / np.sqrt(n)
-    entry = (np.log(n), amp)
-    _coef_cache[key] = entry
-    return entry
+    logn = np.log(n)
+    logn.setflags(write=False)
+    amp.setflags(write=False)
+    return logn, amp
 
 
 def _eta_vec(t: np.ndarray, cfg: MollifierConfig) -> np.ndarray:
@@ -166,27 +166,43 @@ def eta(t: float, cfg: MollifierConfig) -> complex:
 
 # ---------------------------------------------------------- rotated function
 
-def _hardy_x_vec(t: np.ndarray) -> np.ndarray:
-    """X(t) = exp(i vartheta(t)) zeta(1/2+it) for a vector of ordinates."""
-    t = np.asarray(t, dtype=float)
-    if t.size and float(np.max(np.abs(t))) > specfun._ZETA_T_MAX:
-        raise RangeError(
-            f"rotated function validated only for |t| <= "
-            f"{specfun._ZETA_T_MAX:g}")
-    z = np.exp(1j * specfun._theta_phase_vec(t)) * specfun._zeta_critical_vec(t)
-    worst = float(np.max(np.abs(z.imag))) if z.size else 0.0
+def _check_range(t_abs_max: float, what: str) -> None:
+    if t_abs_max > specfun._ZETA_T_MAX:
+        raise RangeError(f"{what} leaves the validated range "
+                         f"|t| <= {specfun._ZETA_T_MAX:g}")
+
+
+def _real_part(rotated: np.ndarray) -> np.ndarray:
+    """X from the rotated values, refusing a discarded imaginary part."""
+    worst = float(np.max(np.abs(rotated.imag))) if rotated.size else 0.0
     if worst >= _IMAG_TOL:
         raise NumericalConsistencyError(
             f"rotated value has imaginary part {worst:.3e} >= {_IMAG_TOL:g}")
-    return z.real
+    return rotated.real
+
+
+def _hardy_x_vec(t: np.ndarray) -> np.ndarray:
+    """X(t) = exp(i vartheta(t)) zeta(1/2+it) for a vector of ordinates."""
+    t = np.asarray(t, dtype=float)
+    _check_range(float(np.max(np.abs(t))) if t.size else 0.0,
+                 "rotated function")
+    return _real_part(specfun._zeta_critical_vec(t)[1])
 
 
 def hardy_x(t: float) -> float:
-    """Real rotated value X(t); X(0) = zeta(1/2), zeros match zeta's."""
+    """Real rotated value X(t); X(0) = zeta(1/2), zeros match zeta's.
+
+    Validated on |t| <= 1e6.  Below |t| = 1000, X = Re(e^{i theta} zeta)
+    with the Euler-Maclaurin zeta (abs error < 1e-10); from 1000 on, X is
+    the Riemann-Siegel Z(t) with C_0 ... C_4, whose truncation error is at
+    most 0.017 |t|^(-11/4) (Gabcke 1979), 1e-10 at 1000.  With phase
+    rounding included, the measured error against mpmath.siegelz at 70
+    points in [1e3, 1e6] is at most 4e-11, and 1.6e-12 above 1e4.
+    """
     return float(_hardy_x_vec(np.array([float(t)]))[0])
 
 
-# ---------------------------------------------------------- window integrals
+# ------------------------------------------------- single-pass window scan
 
 def _simpson_weights(lo: float, hi: float, step: float) -> Tuple[np.ndarray,
                                                                  np.ndarray]:
@@ -202,38 +218,55 @@ def _simpson_weights(lo: float, hi: float, step: float) -> Tuple[np.ndarray,
     return u, w
 
 
-def _grid_sign_changes(f: np.ndarray) -> int:
-    """Sign changes along a sampled curve, skipping exact zeros."""
-    s = np.sign(f)
-    s = s[s != 0]
-    if s.size < 2:
-        return 0
-    return int(np.count_nonzero(s[1:] != s[:-1]))
+def _scan(t_lo: float, t_hi: float, cfg: MollifierConfig
+          ) -> Tuple[List[WindowStats], np.ndarray, np.ndarray]:
+    """One pass over the abutting windows [t_lo + kH, t_lo + (k+1)H].
+
+    Each window's Simpson nodes get one zeta and one eta evaluation.  From
+    them come X*|eta|^2, its sign-change brackets and, for every full
+    window, I, J and M.  A window ending within 1e-12 of t_hi counts as
+    full; the last window is otherwise clipped at t_hi and only scanned.
+    Every bracket lies inside one window's grid, so abutting windows
+    cannot double-count a crossing.  Returns the full windows' statistics
+    and the bracket ends.
+    """
+    windows: List[WindowStats] = []
+    bracket_lo: List[np.ndarray] = [np.empty(0)]
+    bracket_hi: List[np.ndarray] = [np.empty(0)]
+    n_windows = int(math.ceil((t_hi - t_lo) / cfg.H - 1.0e-12))
+    for k in range(n_windows):
+        w_lo = t_lo + k * cfg.H
+        full = w_lo + cfg.H <= t_hi + 1.0e-12
+        w_hi = w_lo + cfg.H if full else t_hi
+        if w_hi <= w_lo:
+            break
+        u, w = _simpson_weights(w_lo, w_hi, cfg.quad_step)
+        zeta, rotated = specfun._zeta_critical_vec(u)
+        e = _eta_vec(u, cfg)
+        f = _real_part(rotated) * (e.real ** 2 + e.imag ** 2)
+        s = np.sign(f)
+        live = np.nonzero(s)[0]
+        flip = np.nonzero(s[live[1:]] != s[live[:-1]])[0]
+        bracket_lo.append(u[live[flip]])
+        bracket_hi.append(u[live[flip + 1]])
+        if full:
+            windows.append(WindowStats(
+                t=w_lo,
+                H=cfg.H,
+                I=float(w @ f),
+                J=float(w @ np.abs(f)),
+                M_val=complex(w @ (zeta * e * e)) - cfg.H,
+                sign_changes=int(flip.size),
+            ))
+    return windows, np.concatenate(bracket_lo), np.concatenate(bracket_hi)
 
 
 def window_integrals(t: float, cfg: MollifierConfig) -> WindowStats:
     """Simpson values of I, J and M over [t, t+H] plus grid sign changes."""
     t = float(t)
-    lo, hi = t, t + cfg.H
-    if max(abs(lo), abs(hi)) > specfun._ZETA_T_MAX:
-        raise RangeError(
-            f"window [{lo:g}, {hi:g}] leaves the validated range "
-            f"|t| <= {specfun._ZETA_T_MAX:g}")
-    u, w = _simpson_weights(lo, hi, cfg.quad_step)
-    x = _hardy_x_vec(u)
-    e = _eta_vec(u, cfg)
-    eta_sq = e.real ** 2 + e.imag ** 2
-    f = x * eta_sq
-    zeta_u = specfun._zeta_critical_vec(u)
-    m_val = complex(w @ (zeta_u * e * e)) - cfg.H
-    return WindowStats(
-        t=t,
-        H=cfg.H,
-        I=float(w @ f),
-        J=float(w @ np.abs(f)),
-        M_val=m_val,
-        sign_changes=_grid_sign_changes(f),
-    )
+    t_hi = t + cfg.H
+    _check_range(max(abs(t), abs(t_hi)), f"window [{t:g}, {t_hi:g}]")
+    return _scan(t, t_hi, cfg)[0][0]
 
 
 # ------------------------------------------------------------ zero detection
@@ -262,54 +295,42 @@ def _refine_crossings(lo: np.ndarray, hi: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def detect_zeros(t_lo: float, t_hi: float,
-                 cfg: MollifierConfig) -> Tuple[int, List[float]]:
-    """Count sign changes of X*|eta|^2 over abutting H-windows.
+@dataclass(frozen=True)
+class Detection:
+    """Refined zero ordinates of a scan plus its full windows' statistics."""
+
+    count: int
+    ordinates: List[float]
+    windows: List[WindowStats]
+
+
+def mollified_scan(t_lo: float, t_hi: float,
+                   cfg: MollifierConfig) -> Detection:
+    """Sign changes of X*|eta|^2 over abutting H-windows, in one pass.
 
     Scans each window [t_lo + kH, t_lo + (k+1)H] (the last clipped at
-    t_hi) on a grid of spacing quad_step, brackets every sign change, and
-    refines each by bisection.  Returns the total count and the refined
-    ordinates in increasing order.  An empty range gives (0, []).
+    t_hi) on its Simpson grid of spacing <= quad_step, brackets every sign
+    change and refines each by bisection; the same node values give each
+    full window's WindowStats.  An empty range gives no zeros and no
+    windows.
     """
     t_lo = float(t_lo)
     t_hi = float(t_hi)
     if t_hi < t_lo:
         raise RangeError(f"need t_lo <= t_hi, got [{t_lo}, {t_hi}]")
-    if max(abs(t_lo), abs(t_hi)) > specfun._ZETA_T_MAX:
-        raise RangeError(
-            f"scan range leaves the validated range "
-            f"|t| <= {specfun._ZETA_T_MAX:g}")
-    if t_hi == t_lo:
-        return 0, []
+    _check_range(max(abs(t_lo), abs(t_hi)), "scan range")
+    windows, lo, hi = _scan(t_lo, t_hi, cfg)
+    ordinates = np.sort(_refine_crossings(lo, hi, cfg)) if lo.size else lo
+    return Detection(count=int(ordinates.size),
+                     ordinates=[float(v) for v in ordinates],
+                     windows=windows)
 
-    bracket_lo: List[float] = []
-    bracket_hi: List[float] = []
-    n_windows = int(math.ceil((t_hi - t_lo) / cfg.H - 1.0e-12))
-    for k in range(n_windows):
-        w_lo = t_lo + k * cfg.H
-        w_hi = min(w_lo + cfg.H, t_hi)
-        if w_hi <= w_lo:
-            break
-        steps = max(1, int(math.ceil((w_hi - w_lo) / cfg.quad_step)))
-        u = w_lo + (w_hi - w_lo) * np.arange(steps + 1) / steps
-        f = _mollified_vec(u, cfg)
-        s = np.sign(f)
-        live = np.nonzero(s != 0)[0]
-        if live.size < 2:
-            continue
-        # every bracketing interval lies strictly inside this window's
-        # grid, so abutting windows cannot double-count a crossing
-        flip = np.nonzero(s[live[1:]] != s[live[:-1]])[0]
-        for j in flip:
-            bracket_lo.append(float(u[live[j]]))
-            bracket_hi.append(float(u[live[j + 1]]))
 
-    if not bracket_lo:
-        return 0, []
-    ordinates = _refine_crossings(np.array(bracket_lo), np.array(bracket_hi),
-                                  cfg)
-    ordinates = np.sort(ordinates)
-    return int(ordinates.size), [float(v) for v in ordinates]
+def detect_zeros(t_lo: float, t_hi: float,
+                 cfg: MollifierConfig) -> Tuple[int, List[float]]:
+    """Zero count and refined ordinates of mollified_scan on [t_lo, t_hi]."""
+    found = mollified_scan(t_lo, t_hi, cfg)
+    return found.count, found.ordinates
 
 
 # -------------------------------------------------------------- figure data
@@ -329,10 +350,7 @@ def figure_data(t_lo: float, t_hi: float, step: float,
         raise RangeError(f"step must be > 0, got {step}")
     if t_hi < t_lo:
         raise RangeError(f"need t_lo <= t_hi, got [{t_lo}, {t_hi}]")
-    if max(abs(t_lo), abs(t_hi)) > specfun._ZETA_T_MAX:
-        raise RangeError(
-            f"grid leaves the validated range |t| <= "
-            f"{specfun._ZETA_T_MAX:g}")
+    _check_range(max(abs(t_lo), abs(t_hi)), "grid")
     n_rows = int(math.floor((t_hi - t_lo) / step + 1.0e-9)) + 1
     t = t_lo + step * np.arange(n_rows)
     x = _hardy_x_vec(t)

@@ -7,6 +7,7 @@ import pytest
 
 from critline import cli
 from critline import constants as cst
+from critline import mollifier as mo
 from critline.errors import OptimizerError
 
 from reference_values import REFERENCE_TABLE
@@ -100,6 +101,19 @@ def test_detect_json(capsys):
     assert len(rec["windows"]) == 2
     for key in ("t", "H", "I", "J", "m_re", "m_im", "sign_changes"):
         assert key in rec["windows"][0]
+
+
+def test_detect_windows_match_window_integrals(capsys):
+    code, out, _ = _run(capsys, ["detect", "--t-lo", "0", "--t-hi", "100"])
+    assert code == 0
+    rec = json.loads(out)
+    assert len(rec["windows"]) == 100
+    cfg = mo.MollifierConfig()
+    for win in rec["windows"]:
+        ws = mo.window_integrals(win["t"], cfg)
+        assert win == {"t": ws.t, "H": ws.H, "I": ws.I, "J": ws.J,
+                       "m_re": ws.M_val.real, "m_im": ws.M_val.imag,
+                       "sign_changes": ws.sign_changes}
 
 
 def test_output_file(tmp_path, capsys):

@@ -128,6 +128,14 @@ def test_eta_coefficients_bounded():
         assert abs(beta) <= 1.0
 
 
+def test_coefficient_cache_bounded_and_readonly():
+    assert mo._coefficients.cache_info().maxsize is not None
+    logn, amp = mo._coefficients(50.0, 0.5, "piecewise")
+    for arr in (logn, amp):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 # ------------------------------------------------------------------ hardy_x
 
 def test_hardy_x_at_zero():
@@ -145,7 +153,7 @@ def test_hardy_x_first_zero_bracket():
 
 def test_hardy_x_range():
     with pytest.raises(RangeError):
-        mo.hardy_x(2.0e4)
+        mo.hardy_x(1.0e6 + 0.5)
 
 
 # --------------------------------------------------------- window integrals
@@ -177,7 +185,7 @@ def test_window_detection_implication():
 
 def test_window_range_guard():
     with pytest.raises(RangeError):
-        mo.window_integrals(9999.5, CFG)
+        mo.window_integrals(1.0e6 - 0.5, CFG)
 
 
 # ----------------------------------------------------------- zero detection
@@ -194,7 +202,7 @@ def test_detect_empty_and_errors():
     with pytest.raises(RangeError):
         mo.detect_zeros(5.0, 4.0, CFG)
     with pytest.raises(RangeError):
-        mo.detect_zeros(0.0, 2.0e4, CFG)
+        mo.detect_zeros(1.0e6 - 1.0, 1.0e6 + 1.0, CFG)
 
 
 def test_detect_splits_consistently():
@@ -203,6 +211,14 @@ def test_detect_splits_consistently():
     left, _ = mo.detect_zeros(0.0, 50.0, CFG)
     right, _ = mo.detect_zeros(50.0, 100.0, CFG)
     assert whole == left + right == 29
+
+
+@pytest.mark.parametrize("t_lo", [950.0, 1000.0, 9900.0, 100000.0, 999900.0])
+def test_detect_counts_match_nzeros(t_lo):
+    # the Riemann-Siegel seam, the validated edge and three gate windows
+    count, ords = mo.detect_zeros(t_lo, t_lo + 100.0, mo.MollifierConfig())
+    assert count == mp.nzeros(t_lo + 100.0) - mp.nzeros(t_lo)
+    assert all(t_lo <= t <= t_lo + 100.0 for t in ords)
 
 
 def test_detect_matches_raw_sign_changes():

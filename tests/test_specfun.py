@@ -28,6 +28,7 @@ def test_primes_cached_array_is_readonly():
     arr = specfun.primes_up_to(100)
     with pytest.raises(ValueError):
         arr[0] = 9
+    assert specfun._sieve.cache_info().maxsize is not None
 
 
 # -------------------------------------------------------------------- tau_z
@@ -106,14 +107,85 @@ def test_zeta_critical_at_zero():
 
 
 def test_zeta_critical_conjugate():
-    z = specfun.zeta_critical(50.0)
-    assert specfun.zeta_critical(-50.0) == pytest.approx(z.conjugate(),
-                                                         abs=1e-12)
+    for t in (50.0, 5000.0):        # one point on each side of T_RS
+        z = specfun.zeta_critical(t)
+        assert specfun.zeta_critical(-t) == pytest.approx(z.conjugate(),
+                                                          abs=1e-12)
 
 
 def test_zeta_critical_range():
+    assert specfun._ZETA_T_MAX == 1.0e6
     with pytest.raises(RangeError):
-        specfun.zeta_critical(1.5e4)
+        specfun.zeta_critical(1.0e6 + 0.5)
+
+
+# ------------------------------------------------------- Riemann-Siegel zeta
+
+_RS_POINTS = [1000.5, 2345.6, 9876.5, 31415.9, 1.0e5, 333333.3, 999999.5,
+              1.0e6]
+
+
+def test_riemann_siegel_against_siegelz():
+    zeta, rotated = specfun._zeta_critical_vec(np.array(_RS_POINTS))
+    assert np.all(rotated.imag == 0.0)
+    for t, z, x in zip(_RS_POINTS, zeta, rotated.real):
+        oracle = mp.siegelz(t)
+        assert x == pytest.approx(float(oracle), abs=1e-9)
+        assert z == pytest.approx(
+            complex(mp.expj(-mp.siegeltheta(t)) * oracle), abs=1e-9)
+
+
+def test_riemann_siegel_agrees_with_euler_maclaurin():
+    t = np.random.default_rng(20231).uniform(specfun._T_RS, 1.0e4, 200)
+    rs, _ = specfun._zeta_critical_vec(t)
+    assert np.max(np.abs(rs - specfun._zeta_em_vec(t))) <= 1e-9
+
+
+def test_zeta_continuous_across_rs_seam():
+    # both sides of |t| = T_RS: each side takes its branch, and the
+    # Riemann-Siegel side agrees with the Euler-Maclaurin formula
+    t = specfun._T_RS + np.linspace(-1.0, 1.0, 41)
+    t = np.concatenate([t, -t])
+    zeta, rotated = specfun._zeta_critical_vec(t)
+    rs = np.abs(t) >= specfun._T_RS
+    z_rs, _ = specfun._riemann_siegel_vec(np.abs(t[rs]))
+    np.testing.assert_array_equal(rotated[rs], z_rs)
+    np.testing.assert_array_equal(zeta[~rs], specfun._zeta_em_vec(t[~rs]))
+    assert np.max(np.abs(zeta - specfun._zeta_em_vec(t))) <= 1e-9
+
+
+def _rs_coefficient_table(degree=50):
+    """C_0 ... C_4 in powers of p - 1/2 from mpmath, laid out as _RS_COEF."""
+    with mp.workdps(50):
+        pi = mp.pi
+        # C_k as (weight, derivative order) terms in Psi and its derivatives
+        combos = (
+            ((1, 0),),
+            ((-1 / (96 * pi ** 2), 3),),
+            ((1 / (64 * pi ** 2), 2), (1 / (18432 * pi ** 4), 6)),
+            ((-1 / (64 * pi ** 2), 1), (-1 / (3840 * pi ** 4), 5),
+             (-1 / (5308416 * pi ** 6), 9)),
+            ((1 / (128 * pi ** 2), 0), (19 / (24576 * pi ** 4), 4),
+             (11 / (5898240 * pi ** 6), 8),
+             (1 / (2038431744 * pi ** 8), 12)),
+        )
+        psi = mp.taylor(
+            lambda p: mp.cos(2 * pi * (p * p - p - mp.mpf(1) / 16))
+            / mp.cos(2 * pi * p), mp.mpf(1) / 2, degree + 12)
+        table = np.zeros((degree // 2 + 1, len(combos)))
+        for k, combo in enumerate(combos):
+            for row, j in enumerate(range(k % 2, degree + 1, 2)):
+                # the x^j coefficient of Psi^(d) is psi[j + d] (j + d)! / j!
+                table[row, k] = float(sum(
+                    w * psi[j + d] * mp.factorial(j + d) / mp.factorial(j)
+                    for w, d in combo))
+        return table
+
+
+def test_riemann_siegel_coefficients_regenerate():
+    oracle = _rs_coefficient_table()
+    assert specfun._RS_COEF.shape == oracle.shape
+    np.testing.assert_allclose(specfun._RS_COEF, oracle, rtol=1e-15, atol=0)
 
 
 # ----------------------------------------------------------- Euler products
