@@ -18,7 +18,7 @@ KAPPA = 0.125
 
 
 def main():
-    cutoff = cst.prime_cutoff()
+    cutoff = cst.PRIME_CUTOFF
     p1 = specfun.euler_product("P1", cutoff)
     p2 = specfun.euler_product("P2", cutoff)
     print(f"Euler products at cutoff {cutoff:g}:")

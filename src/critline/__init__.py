@@ -11,6 +11,10 @@ Modules:
              large-N asymptotic regime
   mollifier  desk-scale mollified zero detection on the critical line
   cli        command-line surface (console script `critline`)
+
+The Euler products P1 and P2 are truncated at PRIME_CUTOFF (10^6) unless
+a prime_cutoff keyword says otherwise: k_constants, optimize,
+asymptotic_constants and asymptotic_bound take one.
 """
 
 from .errors import (
@@ -40,6 +44,7 @@ from .roots import (
 )
 from .constants import (
     ConstantSet,
+    PRIME_CUTOFF,
     Params,
     c1,
     c1_from_set,
@@ -52,7 +57,6 @@ from .constants import (
     c7,
     integrate_c7,
     k_constants,
-    prime_cutoff,
 )
 from .bound import (
     DEFAULT_TABLE_N,
@@ -93,6 +97,7 @@ __all__ = [
     "MollifierConfig",
     "NumericalConsistencyError",
     "OptimizerError",
+    "PRIME_CUTOFF",
     "Params",
     "PreconditionError",
     "RangeError",
@@ -125,7 +130,6 @@ __all__ = [
     "mollifier_weight",
     "optimize",
     "optimize_A",
-    "prime_cutoff",
     "primes_up_to",
     "rho_lemma_a",
     "rho_theta",

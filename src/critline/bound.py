@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import constants as cst
 from . import roots
-from .constants import Params
+from .constants import PRIME_CUTOFF, Params
 from .errors import DomainError, OptimizerError, PreconditionError
 from .specfun import gamma_ratio_quarter
 
@@ -158,19 +159,18 @@ def optimize_A(N: int, theta: float, kappa: float = 0.125,
     return float(a_star[0]), float(b_star[0])
 
 
-# Cached theta-grid tables keyed by (kappa, n_rect, grid size, prime cutoff);
-# the constants are N-independent, so all table rows share one sweep.
-_GRID_CACHE: dict[tuple, dict[str, np.ndarray]] = {}
+@lru_cache(maxsize=4)
+def _theta_grid_table(kappa: float, n_rect: int, grid_size: int,
+                      prime_cutoff: int) -> dict[str, np.ndarray]:
+    """The constant chain on the theta grid k / grid_size, cached.
 
-
-def _theta_grid_table(kappa: float, n_rect: int, grid_size: int) -> dict[str, np.ndarray]:
-    key = (float(kappa), int(n_rect), int(grid_size), cst.prime_cutoff())
-    hit = _GRID_CACHE.get(key)
-    if hit is not None:
-        return hit
+    The constants are N-independent, so all table rows share one sweep.
+    Callers pass plain float/int arguments; the arrays are read-only.
+    """
     thetas = np.arange(1, grid_size) / grid_size
-    table = cst._k_table(thetas, kappa, n_rect)
-    _GRID_CACHE[key] = table
+    table = cst._k_table(thetas, kappa, n_rect, prime_cutoff=prime_cutoff)
+    for arr in table.values():
+        arr.setflags(write=False)
     return table
 
 
@@ -257,7 +257,7 @@ def _optimize_A_vec(N: int, kappa: float, table: dict[str, np.ndarray],
 
 
 def optimize(N: int, kappa: float = 0.125, theta_grid_size: int = 10000,
-             n_rect: int = 100) -> BoundReport:
+             n_rect: int = 100, prime_cutoff: int = PRIME_CUTOFF) -> BoundReport:
     """Sweep the theta grid, optimize A at each point, return the best.
 
     The winning grid theta is refined on local grids: each pass re-runs
@@ -265,14 +265,16 @@ def optimize(N: int, kappa: float = 0.125, theta_grid_size: int = 10000,
     theta so far, one grid cell either side at first and 25x narrower
     every pass.  The centre is always one of the points, so the refined
     bound is never below the grid bound.  Ties resolve to the smaller
-    theta (the sweep scans ascending).
+    theta (the sweep scans ascending).  P1 and P2 are truncated at
+    prime_cutoff.
     """
     if not isinstance(theta_grid_size, (int, np.integer)) or theta_grid_size < 2:
         raise DomainError(f"theta_grid_size must be an integer >= 2, got {theta_grid_size!r}")
     cst._check_n(N)
     cst._check_kappa(kappa)
     cst._check_n_rect(n_rect)
-    table = _theta_grid_table(kappa, n_rect, theta_grid_size)
+    table = _theta_grid_table(float(kappa), int(n_rect), int(theta_grid_size),
+                              int(prime_cutoff))
     a_vec, b_vec = _optimize_A_vec(N, kappa, table)
     feasible = b_vec > 0.0
     if not feasible.any():
@@ -286,7 +288,8 @@ def optimize(N: int, kappa: float = 0.125, theta_grid_size: int = 10000,
     for _ in range(_REFINE_PASSES):
         thetas = theta_best + step * np.arange(-_REFINE_HALF, _REFINE_HALF + 1)
         thetas = thetas[(thetas > 0.0) & (thetas < 1.0)]
-        a_vec, b_vec = _optimize_A_vec(N, kappa, cst._k_table(thetas, kappa, n_rect))
+        a_vec, b_vec = _optimize_A_vec(
+            N, kappa, cst._k_table(thetas, kappa, n_rect, prime_cutoff=prime_cutoff))
         i = int(np.argmax(b_vec))
         if b_vec[i] > b_best:
             theta_best = float(thetas[i])
@@ -301,21 +304,23 @@ def optimize(N: int, kappa: float = 0.125, theta_grid_size: int = 10000,
 
 # ------------------------------------------------------------- asymptotics
 
-def asymptotic_constants(eps: float, kappa: float = 0.125) -> AsymptoticSet:
+def asymptotic_constants(eps: float, kappa: float = 0.125,
+                         prime_cutoff: int = PRIME_CUTOFF) -> AsymptoticSet:
     """The +/- constants of the large-N regime.
 
     c5- and c5+ sandwich c5(theta)/(1+eps) using rho at theta = 0 and
     theta = 1/4; lambda+/- = 128 (c5+/-)^2 K1(0); the K2+/K4+ envelopes
     drop the theta dependence, and the K2+ integral of the c6+ envelope
-    is elementary, so it is evaluated in closed form.
+    is elementary, so it is evaluated in closed form.  P1 and P2 are
+    truncated at prime_cutoff.
     """
     eps = float(eps)
     if not 0.0 < eps < 1.0 / 3.0:
         raise DomainError(f"eps must lie in (0, 1/3), got {eps}")
     cst._check_kappa(kappa)
     g = gamma_ratio_quarter()
-    p1 = cst._p1()
-    p2 = cst._p2()
+    p1 = cst.euler_product("P1", prime_cutoff).value
+    p2 = cst.euler_product("P2", prime_cutoff).value
     rho0 = roots.rho_theta(0.0).value
     rho4 = roots.rho_theta(0.25).value
     c5m = (math.exp(rho0) + 1.0) / (2.0 * math.sqrt(math.pi * kappa * rho0)) * g
@@ -348,15 +353,16 @@ def asymptotic_constants(eps: float, kappa: float = 0.125) -> AsymptoticSet:
                          c4_plus=c4p, k2_plus=k2p, k4_plus=k4p, n0=n0)
 
 
-def asymptotic_bound(N: float, eps: float, kappa: float = 0.125) -> float:
+def asymptotic_bound(N: float, eps: float, kappa: float = 0.125,
+                     prime_cutoff: int = PRIME_CUTOFF) -> float:
     """The large-N lower bound at (N, eps); N must clear the N0 threshold."""
-    ac = asymptotic_constants(eps, kappa)
+    ac = asymptotic_constants(eps, kappa, prime_cutoff)
     n = float(N)
     threshold = max(3.0, ac.n0 / eps ** 3)
     if n < threshold:
         raise PreconditionError(
             f"N = {n:g} is below the validity threshold max(3, N0/eps^3) = {threshold:g}")
-    p1 = cst._p1()
+    p1 = cst.euler_product("P1", prime_cutoff).value
     k1_zero = p1 * (32.0 / 3.0) / math.sqrt(math.pi)
     log_n = math.log(n)
     return (TWO_PI / (n * log_n)) * (

@@ -9,10 +9,13 @@ Six subcommands:
   mollify     critical-line figure data as CSV
   detect      mollified sign-change zero scan with window statistics
 
-JSON is the default machine format (every record echoes its inputs);
-`table` defaults to aligned text and `mollify` to CSV.  Identical
-invocations produce byte-identical output.  Exit codes: 0 success,
-2 usage, 3 domain/range/consistency error, 4 infeasible optimization.
+JSON is the default machine format (every record echoes its parsed
+flags under "params"); `table` defaults to aligned text and `mollify` to
+CSV.  Each handler reads the parsed argparse namespace and passes the
+values, --prime-cutoff included, to the library as ordinary arguments.
+Identical invocations produce byte-identical output.  Exit codes:
+0 success, 2 usage, 3 domain/range/consistency error, 4 infeasible
+optimization.
 """
 
 from __future__ import annotations
@@ -20,18 +23,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from . import bound as bnd
 from . import constants as cst
 from . import mollifier as mo
 from .errors import CritlineError, OptimizerError
-
-_COMMANDS = ("constants", "optimize", "table", "asymptotic", "mollify",
-             "detect")
 
 _FORMATS: Dict[str, tuple] = {
     "constants": ("json", "text"),
@@ -41,18 +39,6 @@ _FORMATS: Dict[str, tuple] = {
     "mollify": ("csv", "json"),
     "detect": ("json",),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully parsed invocation; run(cfg) dispatches on command."""
-    command: str
-    params: Dict[str, object]
-    n_rect: int = 100
-    theta_grid: int = 10000
-    prime_cutoff: Optional[int] = None
-    output_format: str = "json"
-    output_path: Optional[str] = None
 
 
 # ----------------------------------------------------------------- emitters
@@ -73,50 +59,46 @@ def _text_record(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _echo(cfg: RunConfig, **extra) -> dict:
-    record = {"command": cfg.command}
-    record.update(cfg.params)
-    record.update(extra)
-    if cfg.prime_cutoff is not None:
-        record["prime_cutoff"] = cfg.prime_cutoff
+def _emit(payload: dict, fmt: str) -> str:
+    return _text_record(payload) if fmt == "text" else _json_record(payload)
+
+
+def _echo(args: argparse.Namespace) -> dict:
+    """The parsed flags echoed under "params"; prime_cutoff only if given."""
+    record = {key: value for key, value in vars(args).items()
+              if key not in ("output_format", "output_path")}
+    if args.prime_cutoff is None:
+        del record["prime_cutoff"]
     return record
+
+
+def _cutoff(args: argparse.Namespace) -> int:
+    # An explicit 0 or 1 must reach the library and fail there, so no `or`.
+    return cst.PRIME_CUTOFF if args.prime_cutoff is None else args.prime_cutoff
 
 
 # ----------------------------------------------------------------- handlers
 
-def _run_constants(cfg: RunConfig) -> str:
-    theta = float(cfg.params["theta"])
-    kappa = float(cfg.params["kappa"])
-    ks = cst.k_constants(theta, kappa, n_rect=cfg.n_rect)
+def _run_constants(args: argparse.Namespace) -> str:
+    ks = cst.k_constants(args.theta, args.kappa, n_rect=args.n_rect,
+                         prime_cutoff=_cutoff(args))
     result = dataclasses.asdict(ks)
-    a_val = cfg.params.get("A")
-    if a_val is not None:
-        result["c1"] = cst.c1_from_set(float(a_val), ks)
-        result["c1_prime"] = cst.c1_prime_from_set(float(a_val), ks)
-    payload = {"params": _echo(cfg, n_rect=cfg.n_rect), "constants": result}
-    if cfg.output_format == "text":
-        return _text_record(payload)
-    return _json_record(payload)
+    if args.A is not None:
+        result["c1"] = cst.c1_from_set(args.A, ks)
+        result["c1_prime"] = cst.c1_prime_from_set(args.A, ks)
+    return _emit({"params": _echo(args), "constants": result},
+                 args.output_format)
 
 
-def _report_dict(report: bnd.BoundReport) -> dict:
-    return dataclasses.asdict(report)
+def _optimize(args: argparse.Namespace, N: int) -> bnd.BoundReport:
+    return bnd.optimize(N, kappa=args.kappa, theta_grid_size=args.theta_grid,
+                        n_rect=args.n_rect, prime_cutoff=_cutoff(args))
 
 
-def _run_optimize(cfg: RunConfig) -> str:
-    report = bnd.optimize(
-        int(cfg.params["N"]),
-        kappa=float(cfg.params["kappa"]),
-        theta_grid_size=cfg.theta_grid,
-        n_rect=cfg.n_rect,
-    )
-    payload = {
-        "params": _echo(cfg, n_rect=cfg.n_rect, theta_grid=cfg.theta_grid),
-        "result": _report_dict(report),
-    }
-    if cfg.output_format == "text":
-        return _text_record(payload)
-    return _json_record(payload)
+def _run_optimize(args: argparse.Namespace) -> str:
+    report = _optimize(args, args.N)
+    return _emit({"params": _echo(args),
+                  "result": dataclasses.asdict(report)}, args.output_format)
 
 
 _TABLE_HEADER = f"{'N':>6}  {'A':>14}  {'theta':>10}  {'bound':>12}"
@@ -127,20 +109,14 @@ def _table_row(r: bnd.BoundReport) -> str:
             f"{r.bound:>12.4e}")
 
 
-def _run_table(cfg: RunConfig) -> str:
-    reports = [
-        bnd.optimize(n, kappa=float(cfg.params["kappa"]),
-                     theta_grid_size=cfg.theta_grid, n_rect=cfg.n_rect)
-        for n in bnd.DEFAULT_TABLE_N
-    ]
-    if cfg.output_format == "json":
-        payload = {
-            "params": _echo(cfg, n_rect=cfg.n_rect,
-                            theta_grid=cfg.theta_grid),
-            "rows": [_report_dict(r) for r in reports],
-        }
-        return _json_record(payload)
-    if cfg.output_format == "csv":
+def _run_table(args: argparse.Namespace) -> str:
+    reports = [_optimize(args, n) for n in bnd.DEFAULT_TABLE_N]
+    if args.output_format == "json":
+        return _json_record({
+            "params": _echo(args),
+            "rows": [dataclasses.asdict(r) for r in reports],
+        })
+    if args.output_format == "csv":
         lines = ["N,A,theta,bound"]
         lines += [f"{r.N:d},{r.A_star:.10g},{r.theta_star:.10g},"
                   f"{r.bound:.10g}" for r in reports]
@@ -149,54 +125,41 @@ def _run_table(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_asymptotic(cfg: RunConfig) -> str:
-    n_val = float(cfg.params["N"])
-    eps = float(cfg.params["eps"])
-    kappa = float(cfg.params["kappa"])
-    aset = bnd.asymptotic_constants(eps, kappa)
-    value = bnd.asymptotic_bound(n_val, eps, kappa)
-    payload = {
-        "params": _echo(cfg),
+def _run_asymptotic(args: argparse.Namespace) -> str:
+    cutoff = _cutoff(args)
+    aset = bnd.asymptotic_constants(args.eps, args.kappa, cutoff)
+    value = bnd.asymptotic_bound(args.N, args.eps, args.kappa, cutoff)
+    return _emit({
+        "params": _echo(args),
         "constants": dataclasses.asdict(aset),
         "bound": value,
-    }
-    if cfg.output_format == "text":
-        return _text_record(payload)
-    return _json_record(payload)
+    }, args.output_format)
 
 
-def _mollifier_config(params: Dict[str, object]) -> mo.MollifierConfig:
-    return mo.MollifierConfig(
-        xi=float(params["xi"]),
-        theta=float(params["theta"]),
-        variant=str(params["variant"]),
-        t_lo=float(params["t_lo"]),
-        t_hi=float(params["t_hi"]),
-        H=float(params["H"]),
-        quad_step=params["quad_step"],
-    )
+def _mollifier_config(args: argparse.Namespace) -> mo.MollifierConfig:
+    return mo.MollifierConfig(xi=args.xi, theta=args.theta,
+                              variant=args.variant, t_lo=args.t_lo,
+                              t_hi=args.t_hi, H=args.H,
+                              quad_step=args.quad_step)
 
 
-def _run_mollify(cfg: RunConfig) -> str:
-    mcfg = _mollifier_config(cfg.params)
-    step = float(cfg.params["step"])
-    rows = mo.figure_data(mcfg.t_lo, mcfg.t_hi, step, mcfg)
-    if cfg.output_format == "json":
-        payload = {
-            "params": _echo(cfg),
+def _run_mollify(args: argparse.Namespace) -> str:
+    rows = mo.figure_data(args.t_lo, args.t_hi, args.step,
+                          _mollifier_config(args))
+    if args.output_format == "json":
+        return _json_record({
+            "params": _echo(args),
             "columns": ["t", "x", "x_mollified", "x_mollified_selberg"],
             "rows": [[float(v) for v in row] for row in rows],
-        }
-        return _json_record(payload)
+        })
     lines = ["t,x,x_mollified,x_mollified_selberg"]
     lines += [f"{r[0]:.10g},{r[1]:.10g},{r[2]:.10g},{r[3]:.10g}"
               for r in rows]
     return "\n".join(lines) + "\n"
 
 
-def _run_detect(cfg: RunConfig) -> str:
-    mcfg = _mollifier_config(cfg.params)
-    found = mo.mollified_scan(mcfg.t_lo, mcfg.t_hi, mcfg)
+def _run_detect(args: argparse.Namespace) -> str:
+    found = mo.mollified_scan(args.t_lo, args.t_hi, _mollifier_config(args))
     windows = [{
         "t": stats.t,
         "H": stats.H,
@@ -206,13 +169,12 @@ def _run_detect(cfg: RunConfig) -> str:
         "m_im": stats.M_val.imag,
         "sign_changes": stats.sign_changes,
     } for stats in found.windows]
-    payload = {
-        "params": _echo(cfg),
+    return _json_record({
+        "params": _echo(args),
         "count": found.count,
         "ordinates": found.ordinates,
         "windows": windows,
-    }
-    return _json_record(payload)
+    })
 
 
 _HANDLERS = {
@@ -231,9 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prime-cutoff", type=int, default=None,
                         help="Euler-product prime cutoff (default 10^6)")
-    common.add_argument("--format", dest="output_format", default=None,
-                        choices=("json", "csv", "text"),
-                        help="output format (per-command default)")
     common.add_argument("--output", dest="output_path", default=None,
                         help="write to this path instead of stdout")
 
@@ -243,33 +202,33 @@ def _build_parser() -> argparse.ArgumentParser:
                     "zero-detection demonstrator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_const = sub.add_parser(
-        "constants", parents=[common],
-        help="constant set at one (theta, kappa)")
+    def add_command(command: str, text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(command, parents=[common], help=text)
+        p.add_argument("--format", dest="output_format",
+                       choices=_FORMATS[command],
+                       default=_FORMATS[command][0],
+                       help=f"output format (default {_FORMATS[command][0]})")
+        return p
+
+    p_const = add_command("constants", "constant set at one (theta, kappa)")
     p_const.add_argument("--theta", type=float, required=True)
     p_const.add_argument("--kappa", type=float, default=0.125)
     p_const.add_argument("--A", type=float, default=None,
                          help="also report c1 and c1' at this A")
     p_const.add_argument("--n-rect", type=int, default=100)
 
-    p_opt = sub.add_parser(
-        "optimize", parents=[common],
-        help="best (A, theta) and bound for one N")
+    p_opt = add_command("optimize", "best (A, theta) and bound for one N")
     p_opt.add_argument("--N", type=int, required=True)
     p_opt.add_argument("--kappa", type=float, default=0.125)
     p_opt.add_argument("--n-rect", type=int, default=100)
     p_opt.add_argument("--theta-grid", type=int, default=10000)
 
-    p_tab = sub.add_parser(
-        "table", parents=[common],
-        help="the eight reference rows")
+    p_tab = add_command("table", "the eight reference rows")
     p_tab.add_argument("--kappa", type=float, default=0.125)
     p_tab.add_argument("--n-rect", type=int, default=100)
     p_tab.add_argument("--theta-grid", type=int, default=10000)
 
-    p_asy = sub.add_parser(
-        "asymptotic", parents=[common],
-        help="large-N constants and bound at (N, eps)")
+    p_asy = add_command("asymptotic", "large-N constants and bound at (N, eps)")
     p_asy.add_argument("--N", type=float, required=True)
     p_asy.add_argument("--eps", type=float, required=True)
     p_asy.add_argument("--kappa", type=float, default=0.125)
@@ -286,77 +245,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quad-step", type=float, default=None,
                        help="scan/quadrature spacing (default H/64)")
 
-    p_mol = sub.add_parser(
-        "mollify", parents=[common],
-        help="figure data: t, X, mollified traces")
+    p_mol = add_command("mollify", "figure data: t, X, mollified traces")
     add_mollifier_flags(p_mol, 100.0)
     p_mol.add_argument("--step", type=float, default=0.05,
                        help="output grid spacing")
 
-    p_det = sub.add_parser(
-        "detect", parents=[common],
-        help="mollified zero scan with window statistics")
+    p_det = add_command("detect", "mollified zero scan with window statistics")
     add_mollifier_flags(p_det, 100.0)
 
     return parser
 
 
-_PARAM_KEYS = {
-    "constants": ("theta", "kappa", "A"),
-    "optimize": ("N", "kappa"),
-    "table": ("kappa",),
-    "asymptotic": ("N", "eps", "kappa"),
-    "mollify": ("t_lo", "t_hi", "step", "xi", "theta", "variant", "H",
-                "quad_step"),
-    "detect": ("t_lo", "t_hi", "xi", "theta", "variant", "H", "quad_step"),
-}
-
-
-def _config_from_args(parser: argparse.ArgumentParser,
-                      args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    fmt = args.output_format or _FORMATS[command][0]
-    if fmt not in _FORMATS[command]:
-        parser.error(f"format {fmt!r} not supported by {command!r} "
-                     f"(choose from {_FORMATS[command]})")
-    params = {key: getattr(args, key) for key in _PARAM_KEYS[command]}
-    return RunConfig(
-        command=command,
-        params=params,
-        n_rect=getattr(args, "n_rect", 100),
-        theta_grid=getattr(args, "theta_grid", 10000),
-        prime_cutoff=args.prime_cutoff,
-        output_format=fmt,
-        output_path=args.output_path,
-    )
-
-
 # ----------------------------------------------------------------- dispatch
 
-def run(cfg: RunConfig) -> int:
-    """Execute one parsed invocation; returns the process exit code.
-
-    A --prime-cutoff value is set in CRITLINE_PRIME_CUTOFF only for the
-    duration of the handler; the previous value is restored afterwards.
-    """
-    previous = os.environ.get("CRITLINE_PRIME_CUTOFF")
-    if cfg.prime_cutoff is not None:
-        os.environ["CRITLINE_PRIME_CUTOFF"] = str(cfg.prime_cutoff)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation; returns the process exit code."""
     try:
-        artifact = _HANDLERS[cfg.command](cfg)
+        artifact = _HANDLERS[args.command](args)
     except OptimizerError as exc:
         _diagnostic(exc)
         return 4
     except CritlineError as exc:
         _diagnostic(exc)
         return 3
-    finally:
-        if previous is None:
-            os.environ.pop("CRITLINE_PRIME_CUTOFF", None)
-        else:
-            os.environ["CRITLINE_PRIME_CUTOFF"] = previous
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
+    if args.output_path:
+        with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(artifact)
     else:
         sys.stdout.write(artifact)
@@ -370,9 +283,7 @@ def _diagnostic(exc: Exception) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return run(_config_from_args(parser, args))
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ calls into those kernels.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,27 +37,8 @@ from .specfun import euler_product, gamma_ratio_quarter
 
 _SQRT_PI = math.sqrt(math.pi)
 
-
-def prime_cutoff() -> int:
-    """Euler-product prime cutoff: CRITLINE_PRIME_CUTOFF or 10^6."""
-    raw = os.environ.get("CRITLINE_PRIME_CUTOFF", "").strip()
-    if not raw:
-        return 10 ** 6
-    try:
-        value = int(float(raw))
-    except ValueError as exc:
-        raise DomainError(f"CRITLINE_PRIME_CUTOFF is not a number: {raw!r}") from exc
-    if value < 2:
-        raise DomainError(f"CRITLINE_PRIME_CUTOFF must be >= 2, got {value}")
-    return value
-
-
-def _p1() -> float:
-    return euler_product("P1", prime_cutoff()).value
-
-
-def _p2() -> float:
-    return euler_product("P2", prime_cutoff()).value
+# Default prime cutoff of the truncated Euler products P1 and P2.
+PRIME_CUTOFF = 10 ** 6
 
 
 # -------------------------------------------------------------------- Params
@@ -272,14 +252,16 @@ def integrate_c7(theta: float, kappa: float = 0.125,
     return ks.int_c7, ks.int_vc7, ks.quad_bracket
 
 
-def k_constants(theta: float, kappa: float = 0.125,
-                n_rect: int = 100) -> ConstantSet:
+def k_constants(theta: float, kappa: float = 0.125, n_rect: int = 100,
+                prime_cutoff: int = PRIME_CUTOFF) -> ConstantSet:
     """Assemble the four K constants and their ingredients at (theta, kappa).
 
-    One row of _k_table, as Python floats.
+    One row of _k_table, as Python floats; P1 and P2 are truncated at
+    prime_cutoff.
     """
     _check_theta(theta)
-    row = _k_table(np.array([float(theta)]), kappa, n_rect)
+    row = _k_table(np.array([float(theta)]), kappa, n_rect,
+                   prime_cutoff=prime_cutoff)
     ks = ConstantSet(**{f.name: float(row[f.name][0]) for f in fields(ConstantSet)})
     if not math.isfinite(ks.c3):
         raise OverflowError(f"c3 overflows at theta={theta} (diverges as theta -> 1)")
@@ -287,13 +269,14 @@ def k_constants(theta: float, kappa: float = 0.125,
 
 
 def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
-             chunk: int = 2048) -> dict[str, np.ndarray]:
+             chunk: int = 2048,
+             prime_cutoff: int = PRIME_CUTOFF) -> dict[str, np.ndarray]:
     """The constant chain over a whole theta grid.
 
     Returns arrays keyed like the ConstantSet fields, plus "theta".  Row i
     holds the constants at thetas[i]; the rho(theta) and perturbed-root
     grids are solved by vectorized safeguarded Newton, about six
-    iterations per element.
+    iterations per element.  P1 and P2 are truncated at prime_cutoff.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:
@@ -302,7 +285,8 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
         raise DomainError("theta grid must lie inside (0,1)")
     _check_kappa(kappa)
     _check_n_rect(n_rect)
-    p1, p2 = _p1(), _p2()
+    p1 = euler_product("P1", prime_cutoff).value
+    p2 = euler_product("P2", prime_cutoff).value
     g = gamma_ratio_quarter()
     hi = 1.0 / kappa
     h = hi / n_rect

@@ -206,8 +206,12 @@ def hardy_x(t: float) -> float:
 
 def _simpson_weights(lo: float, hi: float, step: float) -> Tuple[np.ndarray,
                                                                  np.ndarray]:
-    """Composite-Simpson nodes and weights on [lo, hi] at spacing <= step."""
-    n = max(2, int(math.ceil((hi - lo) / step)))
+    """Composite-Simpson nodes and weights on [lo, hi] at spacing <= step.
+
+    The 1e-9 slack keeps rounding in hi - lo (e.g. (t + H) - t just above
+    H) from adding two intervals to the window.
+    """
+    n = max(2, int(math.ceil((hi - lo) / step - 1.0e-9)))
     if n % 2:
         n += 1
     u = lo + (hi - lo) * np.arange(n + 1) / n

@@ -39,8 +39,8 @@ def _verdict(num: int, name: str, failures: list, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def warm_euler():
     """Euler-product warm-up; table timing is measured after this."""
-    specfun.euler_product("P1", cst.prime_cutoff())
-    specfun.euler_product("P2", cst.prime_cutoff())
+    specfun.euler_product("P1", cst.PRIME_CUTOFF)
+    specfun.euler_product("P2", cst.PRIME_CUTOFF)
 
 
 # --------------------------------------------------------------- criterion 1
@@ -130,7 +130,7 @@ def test_criterion_4_euler_products():
 def test_criterion_5_constant_identities():
     failures = []
     rng = np.random.default_rng(20260819)
-    p1 = specfun.euler_product("P1", cst.prime_cutoff()).value
+    p1 = specfun.euler_product("P1", cst.PRIME_CUTOFF).value
     for _ in range(50):
         theta = float(rng.uniform(0.001, 0.9))
         kappa = float(rng.uniform(0.01, 0.125))

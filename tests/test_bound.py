@@ -108,12 +108,29 @@ def test_optimize_A_raises_on_infeasible_row():
 def test_optimize_refines_grid_winner(n):
     # The local theta refinement never loses to the grid and stays within
     # one grid cell of the grid winner.
-    table = bnd._theta_grid_table(0.125, 100, 500)
+    table = bnd._theta_grid_table(0.125, 100, 500, cst.PRIME_CUTOFF)
     _, b_vec = bnd._optimize_A_vec(n, 0.125, table)
     i_best = int(np.argmax(b_vec))
     rep = bnd.optimize(n, theta_grid_size=500)
     assert rep.bound >= b_vec[i_best]
     assert abs(rep.theta_star - table["theta"][i_best]) <= 1.0 / 500
+
+
+def test_grid_cache_bounded_and_readonly():
+    cache = bnd._theta_grid_table
+    assert cache.cache_info().maxsize is not None
+    cache.cache_clear()
+    bnd.optimize(2, theta_grid_size=500)
+    bnd.optimize(2, theta_grid_size=500, prime_cutoff=50000)
+    assert cache.cache_info().currsize == 2
+    # numpy scalars reuse the entries above
+    bnd.optimize(2, kappa=np.float64(0.125), theta_grid_size=np.int64(500),
+                 prime_cutoff=np.int64(50000))
+    assert cache.cache_info().currsize == 2
+    table = cache(0.125, 100, 500, cst.PRIME_CUTOFF)
+    for arr in table.values():
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_import_leaves_scipy_unloaded():
@@ -131,7 +148,7 @@ def test_gemm_scan_matches_elementwise_stationarity(n):
     # The one-product ln A scan must pick the same bracket in every row,
     # and leave the same rows feasible, as _stationarity evaluated
     # elementwise on the same grid.
-    table = bnd._theta_grid_table(0.125, 100, 500)
+    table = bnd._theta_grid_table(0.125, 100, 500, cst.PRIME_CUTOFF)
     grid, g = bnd._scan(n, 0.125, table)
     with np.errstate(invalid="ignore"):
         ref = bnd._stationarity(np.exp(grid)[None, :], n,

@@ -125,8 +125,7 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().startswith("t,x,")
 
 
-def test_prime_cutoff_flag(capsys, monkeypatch):
-    monkeypatch.setenv("CRITLINE_PRIME_CUTOFF", "1000000")
+def test_prime_cutoff_flag(capsys):
     _, out_default, _ = _run(capsys, ["constants", "--theta", "0.011"])
     code, out_small, _ = _run(capsys, ["constants", "--theta", "0.011",
                                        "--prime-cutoff", "100000"])
@@ -140,11 +139,61 @@ def test_prime_cutoff_flag(capsys, monkeypatch):
 def test_prime_cutoff_flag_does_not_leak(capsys, monkeypatch):
     monkeypatch.delenv("CRITLINE_PRIME_CUTOFF", raising=False)
     before = dict(os.environ)
+    default = cst.k_constants(0.011)
     code, _, _ = _run(capsys, ["constants", "--theta", "0.011",
                                "--prime-cutoff", "1000"])
     assert code == 0
-    assert cst.prime_cutoff() == 10 ** 6
+    assert cst.PRIME_CUTOFF == 10 ** 6
+    assert cst.k_constants(0.011) == default
     assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("cutoff", ["0", "1"])
+def test_prime_cutoff_below_two_exit_3(capsys, cutoff):
+    code, out, err = _run(capsys, ["constants", "--theta", "0.011",
+                                   "--prime-cutoff", cutoff])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
+# The exact params echo of each subcommand; with --prime-cutoff 1000 each
+# also has prime_cutoff.
+_ECHO_CASES = {
+    "constants": (["constants", "--theta", "0.011"],
+                  {"A": None, "command": "constants", "kappa": 0.125,
+                   "n_rect": 100, "theta": 0.011}),
+    "optimize": (["optimize", "--N", "2", "--theta-grid", "50"],
+                 {"N": 2, "command": "optimize", "kappa": 0.125,
+                  "n_rect": 100, "theta_grid": 50}),
+    "table": (["table", "--theta-grid", "50", "--format", "json"],
+              {"command": "table", "kappa": 0.125, "n_rect": 100,
+               "theta_grid": 50}),
+    "asymptotic": (["asymptotic", "--N", "1e20", "--eps", "0.01"],
+                   {"N": 1e20, "command": "asymptotic", "eps": 0.01,
+                    "kappa": 0.125}),
+    "mollify": (["mollify", "--t-lo", "10", "--t-hi", "11", "--step", "0.5",
+                 "--format", "json"],
+                {"H": 1.0, "command": "mollify", "quad_step": None,
+                 "step": 0.5, "t_hi": 11.0, "t_lo": 10.0, "theta": 0.5,
+                 "variant": "piecewise", "xi": 50.0}),
+    "detect": (["detect", "--t-lo", "14", "--t-hi", "16"],
+               {"H": 1.0, "command": "detect", "quad_step": None,
+                "t_hi": 16.0, "t_lo": 14.0, "theta": 0.5,
+                "variant": "piecewise", "xi": 50.0}),
+}
+
+
+@pytest.mark.parametrize("with_cutoff", [False, True])
+@pytest.mark.parametrize("command", sorted(_ECHO_CASES))
+def test_params_echo_frozen(capsys, command, with_cutoff):
+    argv, want = _ECHO_CASES[command]
+    if with_cutoff:
+        argv = argv + ["--prime-cutoff", "1000"]
+        want = dict(want, prime_cutoff=1000)
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["params"] == want
 
 
 # ---------------------------------------------------------------- determinism

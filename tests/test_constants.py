@@ -1,7 +1,6 @@
 """Constant chain c2..c7, K1..K4, quadrature bracketing, c1 assembly."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -54,7 +53,7 @@ def test_scalar_ops_match_set():
 # ------------------------------------------------------------- identities
 
 def test_c3_identity_deterministic():
-    p1 = specfun.euler_product("P1", cst.prime_cutoff()).value
+    p1 = specfun.euler_product("P1", cst.PRIME_CUTOFF).value
     for theta, kappa in ((0.011, 0.125), (0.2, 0.06), (0.5, 0.1)):
         lhs = cst.c3(theta, kappa)
         rhs = (1.0 / (8.0 * kappa) + 1.5) * 16.0 * kappa ** 2 \
@@ -131,17 +130,18 @@ def test_c1_prime_matches_difference_quotient():
 
 # ------------------------------------------------------------ prime cutoff
 
-def test_prime_cutoff_env_override(monkeypatch):
-    monkeypatch.setenv("CRITLINE_PRIME_CUTOFF", "50000")
-    assert cst.prime_cutoff() == 50000
-    monkeypatch.setenv("CRITLINE_PRIME_CUTOFF", "1")
+def test_prime_cutoff_keyword(monkeypatch):
+    default = cst.k_constants(0.011)
+    # The cutoff no longer travels through the environment.
+    monkeypatch.setenv("CRITLINE_PRIME_CUTOFF", "1000")
+    assert cst.k_constants(0.011) == default
+    small = cst.k_constants(0.011, prime_cutoff=50000)
+    p1 = specfun.euler_product("P1", 50000).value
+    want = p1 * 32.0 / (3.0 * math.sqrt(math.pi) * 0.989)
+    assert small.k1 == pytest.approx(want, rel=1e-14)
+    assert small.k1 != default.k1
     with pytest.raises(DomainError):
-        cst.prime_cutoff()
-    monkeypatch.setenv("CRITLINE_PRIME_CUTOFF", "elephant")
-    with pytest.raises(DomainError):
-        cst.prime_cutoff()
-    monkeypatch.delenv("CRITLINE_PRIME_CUTOFF")
-    assert cst.prime_cutoff() == 10 ** 6
+        cst.k_constants(0.011, prime_cutoff=1)
 
 
 # ------------------------------------------------------ vector vs scalar
@@ -150,7 +150,8 @@ def _brent_chain(theta, kappa=0.125, n_rect=100):
     """The constant chain at one theta from the scalar Brent roots, with
     c6 and c7 written out here rather than taken from the kernels."""
     g = specfun.gamma_ratio_quarter()
-    p1, p2 = cst._p1(), cst._p2()
+    p1 = specfun.euler_product("P1", cst.PRIME_CUTOFF).value
+    p2 = specfun.euler_product("P2", cst.PRIME_CUTOFF).value
     rho = roots.rho_theta(theta).value
     c4 = float(cst._c4_closed(theta))
     us = np.linspace(0.0, 1.0 / kappa, n_rect + 1)

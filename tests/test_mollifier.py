@@ -177,6 +177,23 @@ def test_window_trivial_mollifier():
     assert ws.J >= abs(ws.I)
 
 
+def test_full_windows_have_64_simpson_intervals(monkeypatch):
+    # (t + H) - t often rounds just above H = 0.3; that must not add two
+    # intervals to the window's default H/64 grid.
+    nodes = []
+    simpson = mo._simpson_weights
+
+    def spy(lo, hi, step):
+        u, w = simpson(lo, hi, step)
+        nodes.append(u.size)
+        return u, w
+
+    monkeypatch.setattr(mo, "_simpson_weights", spy)
+    found = mo.mollified_scan(0.1, 30.1, mo.MollifierConfig(H=0.3))
+    assert len(found.windows) == len(nodes) == 100
+    assert set(nodes) == {65}
+
+
 def test_window_detection_implication():
     ws = mo.window_integrals(13.7, CFG)
     if abs(ws.M_val) + abs(ws.I) < ws.H:
