@@ -4,8 +4,8 @@ Modules:
 
   specfun    special functions: tau_z, Euler products, zeta on the line,
              the Gamma phase, oscillatory Delta_r integrals
-  roots      bracketed scalar root solving and the transcendental roots
-             rho(theta) and rho(a, theta)
+  roots      the transcendental roots rho(theta) and rho(a, theta), solved
+             by one safeguarded vector Newton on proven brackets
   constants  the full constant chain c2..c7 and K1..K4 at one (theta, kappa)
   bound      the explicit lower bound, (A, theta) optimization, and the
              large-N asymptotic regime
@@ -18,7 +18,6 @@ asymptotic_constants and asymptotic_bound take one.
 """
 
 from .errors import (
-    BracketingError,
     CritlineError,
     DomainError,
     NumericalConsistencyError,
@@ -40,7 +39,6 @@ from .roots import (
     RootSolution,
     rho_lemma_a,
     rho_theta,
-    solve_bracketed,
 )
 from .constants import (
     ConstantSet,
@@ -87,7 +85,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticSet",
     "BoundReport",
-    "BracketingError",
     "ConstantSet",
     "CritlineError",
     "DEFAULT_TABLE_N",
@@ -133,7 +130,6 @@ __all__ = [
     "primes_up_to",
     "rho_lemma_a",
     "rho_theta",
-    "solve_bracketed",
     "tau_z",
     "theta_phase",
     "window_integrals",

@@ -246,7 +246,7 @@ def _optimize_A_vec(N: int, kappa: float, table: dict[str, np.ndarray],
                         -_stationarity_slope(a_i, N, sub_i, single))
 
         la_hi = grid[last[rows] + 1]
-        la_root = roots._newton_vec(neg_g, grid[last[rows]], la_hi, la_hi)
+        la_root, _ = roots._newton_vec(neg_g, grid[last[rows]], la_hi, la_hi)
         a_root = np.exp(la_root)
         with np.errstate(invalid="ignore", over="ignore"):
             b_root = _bound_value(a_root, N, subr, single)

@@ -17,8 +17,8 @@ point); the directed choice, the left sum, is not implemented yet.  The
 right-minus-left gap of int c7 is reported as the quadrature bracket.
 
 Each formula is implemented once, in the _k_table / _c7_profile kernels,
-vectorized over a theta grid with the root grids solved by safeguarded
-Newton (roots._newton_vec); the optimizer uses them to sweep 10^4 grid
+vectorized over a theta grid with the root grids solved by the
+roots._rho_theta_vec / _rho_lemma_vec Newton kernels; the optimizer uses them to sweep 10^4 grid
 points in under a second.  The scalar operations (c2 .. c7,
 integrate_c7, k_constants, c1) are the contract surface and are one-row
 calls into those kernels.
@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import roots
-from .errors import BracketingError, DomainError
+from .errors import DomainError
 from .specfun import euler_product, gamma_ratio_quarter
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -169,13 +169,13 @@ def c4(theta: float) -> float:
     return float(_c4_closed(float(theta)))
 
 
-def _u_point(u: float, theta: float, kappa: float):
+def _u_point(name: str, u: float, theta: float, kappa: float):
     """Checked one-row theta and one-point u arrays for c6 and c7."""
     _check_theta(theta)
     _check_kappa(kappa)
     u = float(u)
-    if u < 0.0:
-        raise DomainError(f"c6 needs u >= 0, got {u}")
+    if not 0.0 <= u < math.inf:
+        raise DomainError(f"{name} needs finite u >= 0, got {u}")
     return np.array([float(theta)]), np.array([u])
 
 
@@ -185,46 +185,22 @@ def c6(u: float, theta: float, kappa: float = 0.125) -> float:
     rho solves the perturbed root equation at a = sqrt(pi kappa u); at
     u = 0 this collapses to c5.
     """
-    thetas, us = _u_point(u, theta, kappa)
+    thetas, us = _u_point("c6", u, theta, kappa)
     return float(_c6_profile(thetas, kappa, us)[0, 0])
 
 
 def c7(u: float, theta: float, kappa: float = 0.125) -> float:
     """(1/2 + 2 kappa) c6(u)^2 + 2 c4 c6(u) sqrt(kappa)."""
-    thetas, us = _u_point(u, theta, kappa)
+    thetas, us = _u_point("c7", u, theta, kappa)
     return float(_c7_profile(thetas, kappa, us)[0, 0])
 
 
 # ---------------------------------------------------------- vector kernels
 
-def _rho_theta_vec(thetas: np.ndarray) -> np.ndarray:
-    thetas = np.asarray(thetas, dtype=float)
-    flat = thetas.ravel()
-    return roots._newton_vec(lambda x, i: roots._rho_theta_fdf(x, flat[i]),
-                             0.5, np.ones(thetas.shape), 1.0)
-
-
-def _rho_lemma_vec(a, theta) -> np.ndarray:
-    b = gamma_ratio_quarter()
-    a, theta = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                   np.asarray(theta, dtype=float))
-    hi = np.ones(a.shape)
-    fh = roots._rho_lemma_fdf(hi, a, theta, b)[0]
-    while np.any(fh <= 0.0):
-        hi = np.where(fh <= 0.0, hi * 2.0, hi)
-        if float(np.max(hi)) > 1e3:
-            raise BracketingError("perturbed-root bracket expansion exceeded 1e3")
-        fh = roots._rho_lemma_fdf(hi, a, theta, b)[0]
-    a_flat, th_flat = a.ravel(), theta.ravel()
-    return roots._newton_vec(
-        lambda x, i: roots._rho_lemma_fdf(x, a_flat[i], th_flat[i], b),
-        1e-8, hi, hi)
-
-
 def _c6_profile(thetas: np.ndarray, kappa: float, us: np.ndarray) -> np.ndarray:
     """c6 on a grid of u values, one row per theta."""
     th = thetas[:, None]
-    rho = _rho_lemma_vec(np.sqrt(math.pi * kappa * us), th)
+    rho, _ = roots._rho_lemma_vec(np.sqrt(math.pi * kappa * us), th)
     return ((np.exp(rho) + np.exp(rho * th))
             / ((1.0 - th) * 2.0 * np.sqrt(math.pi * kappa * rho))
             * (np.sqrt(us / rho) * math.sqrt(math.pi * kappa)
@@ -301,7 +277,7 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
         int_c7[lo:lo + chunk] = h * prof[:, 1:].sum(axis=1)
         quad_bracket[lo:lo + chunk] = h * (prof[:, -1] - prof[:, 0])
         int_vc7[lo:lo + chunk] = h * (us[1:] * prof[:, 1:]).sum(axis=1)
-    rho = _rho_theta_vec(thetas)
+    rho, _ = roots._rho_theta_vec(thetas)
     c5v = _c5_from_rho(rho, thetas, kappa, g)
     c3v = _c3_from_rho(rho, thetas, kappa, g, p1)
     c2v = _c2_from_c3(c3v, thetas, kappa)

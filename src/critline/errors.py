@@ -17,10 +17,6 @@ class RangeError(CritlineError, ValueError):
     """An argument is valid mathematically but outside the supported range."""
 
 
-class BracketingError(CritlineError, ValueError):
-    """A root bracket does not actually bracket a sign change."""
-
-
 class NumericalConsistencyError(CritlineError, ArithmeticError):
     """An internal cross-check failed (a quantity that must vanish did not)."""
 

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism, dispatch."""
 
+import hashlib
 import json
 import os
 
@@ -256,3 +257,32 @@ def test_optimizer_error_exit_4(capsys, monkeypatch):
     code, _, err = _run(capsys, ["optimize", "--N", "1"])
     assert code == 4
     assert json.loads(err)["error"] == "OptimizerError"
+
+
+# ------------------------------------------------------------ golden output
+
+# sha256 of stdout, frozen byte for byte.  A change to default output must
+# re-freeze the digest on purpose and record the old and new values.
+GOLDEN_STDOUT = {
+    "table text": "11b8ea2df06334e6733683da317b60f06d506d0602c3f472177cc090611615b0",
+    "table json": "15146aa8576edf3f559f50402e026eafec41f5dde4e446af4cd7ad5258ede76b",
+    "table csv": "9116c66c0123a27ca6c9652a6c7ddf279dba8004523480688dcd8567043a443f",
+    "optimize --N 5": "83d6b7f4c8f2a857e7efa2161f3d649332a847fde149a3d6e40e89e1436a64fd",
+    "constants --theta 0.011 --A 2.9e7":
+        "1fb4449a44650a37e54a9afe67f9f790929104893428566fa654829ed3f2075c",
+    "mollify": "798803b57705730d0adf908eb5da51fced571a6d37fe0f7868bb5fbe6a45edc0",
+    "detect --t-lo 0 --t-hi 100":
+        "f1b9590aabaed318d9d8d288d23463affb3b2e7df0bb00dea16e2555023a99de",
+    "asymptotic --N 1e20 --eps 0.01":
+        "4a01e54cdd9df23df0c95f456c40d8a956f9b303b8a04f285b405b33e5c24293",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, command):
+    argv = command.split()
+    if argv[0] == "table":
+        argv = ["table", "--format", argv[1]]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]

@@ -2,11 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from critline import constants as cst
-from critline import roots
 from critline import specfun
 from critline.errors import DomainError
 
@@ -146,18 +146,36 @@ def test_prime_cutoff_keyword(monkeypatch):
 
 # ------------------------------------------------------ vector vs scalar
 
-def _brent_chain(theta, kappa=0.125, n_rect=100):
-    """The constant chain at one theta from the scalar Brent roots, with
+def _mpmath_root(f, lo, hi):
+    with mpmath.workdps(30):
+        return float(mpmath.findroot(f, (lo, hi), solver="anderson"))
+
+
+def _mpmath_chain(theta, kappa=0.125, n_rect=100):
+    """The constant chain at one theta from 30-digit mpmath roots, with
     c6 and c7 written out here rather than taken from the kernels."""
     g = specfun.gamma_ratio_quarter()
     p1 = specfun.euler_product("P1", cst.PRIME_CUTOFF).value
     p2 = specfun.euler_product("P2", cst.PRIME_CUTOFF).value
-    rho = roots.rho_theta(theta).value
+    th = mpmath.mpf(theta)
+
+    def rho_eq(x):
+        return -1 + 2 * th * x + mpmath.exp(x * (1 - th)) * (2 * x - 1)
+
+    def lemma_eq(a):
+        def f(x):
+            w = a + g * mpmath.sqrt(x)
+            low = 2 * a + g * mpmath.sqrt(x)
+            return (mpmath.exp((1 - th) * x) * (2 * x * w - low)
+                    + 2 * th * x * w - low)
+        return f
+
+    rho = _mpmath_root(rho_eq, 0.5, 1.0)
     c4 = float(cst._c4_closed(theta))
     us = np.linspace(0.0, 1.0 / kappa, n_rect + 1)
     vals = []
     for u in us:
-        r = roots.rho_lemma_a(math.sqrt(math.pi * kappa * u), theta).value
+        r = _mpmath_root(lemma_eq(math.sqrt(math.pi * kappa * u)), 1e-8, 2.0)
         v6 = ((math.exp(r) + math.exp(r * theta))
               / ((1.0 - theta) * 2.0 * math.sqrt(math.pi * kappa * r))
               * (math.sqrt(u / r) * math.sqrt(math.pi * kappa) + g))
@@ -178,10 +196,10 @@ def _brent_chain(theta, kappa=0.125, n_rect=100):
 
 
 def test_k_table_rows_match_scalar_chain():
-    # The Newton-solved kernels against the Brent roots, row by row.
+    # The Newton-solved kernels against the mpmath roots, row by row.
     thetas = np.array([0.011, 0.3, 0.9])
     table = cst._k_table(thetas)
     for i, theta in enumerate(thetas):
-        ref = _brent_chain(float(theta))
+        ref = _mpmath_chain(float(theta))
         for name, want in ref.items():
             assert table[name][i] == pytest.approx(want, rel=1e-13), (theta, name)

@@ -1,45 +1,19 @@
-"""Bracketed root solving and the two transcendental root families."""
+"""The safeguarded Newton solver and the two transcendental root families."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critline import constants as cst
 from critline import roots
-from critline.errors import BracketingError, DomainError
+from critline.errors import DomainError
+from critline.specfun import gamma_ratio_quarter
 
 from reference_values import RHO_AT_0, RHO_AT_QUARTER, CHAIN, CHAIN_THETA
-
-
-# ----------------------------------------------------------- solve_bracketed
-
-def test_solve_cosine():
-    sol = roots.solve_bracketed(math.cos, 1.0, 2.0)
-    assert sol.value == pytest.approx(math.pi / 2, abs=1e-12)
-    assert abs(sol.residual) < 1e-12
-    assert sol.bracket_lo <= sol.value <= sol.bracket_hi
-    assert sol.iterations >= 1
-
-
-def test_solve_endpoint_zero():
-    sol = roots.solve_bracketed(lambda x: x - 2.0, 2.0, 5.0)
-    assert sol.value == 2.0
-    assert sol.residual == 0.0
-
-
-def test_solve_no_sign_change():
-    with pytest.raises(BracketingError):
-        roots.solve_bracketed(lambda x: 1.0 + x * x, -1.0, 1.0)
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(st.floats(min_value=0.1, max_value=100.0,
-                 allow_nan=False, allow_infinity=False))
-def test_solve_cubic_root(c):
-    sol = roots.solve_bracketed(lambda x: x ** 3 - c, 0.0, 5.0)
-    assert sol.value == pytest.approx(c ** (1.0 / 3.0), rel=1e-10)
 
 
 # -------------------------------------------------------------- rho(theta)
@@ -57,6 +31,8 @@ def test_rho_theta_window_and_residual():
         sol = roots.rho_theta(float(theta))
         assert 0.5 < sol.value < 1.0
         assert abs(sol.residual) < 1e-12
+        assert (sol.bracket_lo, sol.bracket_hi) == (0.5, 1.0)
+        assert 1 <= sol.iterations <= 10
 
 
 def test_rho_theta_equation_satisfied():
@@ -66,6 +42,17 @@ def test_rho_theta_equation_satisfied():
         lhs = -1.0 + 2.0 * theta * x + math.exp(x * (1.0 - theta)) * (
             2.0 * x - 1.0)
         assert abs(lhs) < 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.011, 0.25, 0.5, 0.9])
+def test_rho_theta_within_one_ulp_of_mpmath(theta):
+    with mpmath.workdps(40):
+        th = mpmath.mpf(theta)
+        want = mpmath.findroot(
+            lambda x: -1 + 2 * th * x + mpmath.exp(x * (1 - th)) * (2 * x - 1),
+            (0.5, 1.0), solver="anderson")
+        got = roots.rho_theta(theta).value
+        assert abs(got - want) <= np.spacing(got)
 
 
 def test_rho_theta_domain():
@@ -95,11 +82,60 @@ def test_rho_lemma_grows_with_a():
     assert vals == sorted(vals)
 
 
+def _a_of_x(x, theta, b, exp=np.exp, sqrt=np.sqrt):
+    """The exact inverse of rho(a, theta): the perturbed equation is linear
+    in a, f = a (F - e - 1) + b sqrt(X) F with F the rho(theta) equation."""
+    e = exp((1.0 - theta) * x)
+    big_f = e * (2.0 * x - 1.0) + 2.0 * theta * x - 1.0
+    return b * sqrt(x) * big_f / (1.0 + e - big_f)
+
+
+def test_rho_lemma_inverse_map_on_table_grid():
+    # every 20th theta of the 10^4 table grid, and the 101 quadrature u nodes
+    kappa = 0.125
+    thetas = np.arange(1, 10000, 20)[:, None] / 10000
+    a = np.sqrt(math.pi * kappa * np.linspace(0.0, 1.0 / kappa, 101))
+    x, its = roots._rho_lemma_vec(a, thetas)
+    assert x.shape == its.shape == (500, 101)
+    err = np.abs(_a_of_x(x, thetas, gamma_ratio_quarter()) - a)
+    assert float(err.max()) <= 1e-14
+
+
+@pytest.mark.parametrize("a", [math.sqrt(math.pi), 10.0, 1e3, 1e6])
+def test_rho_lemma_fixed_bracket_large_a(a):
+    # a(X) is increasing, so a(X (1 - d)) <= a <= a(X (1 + d)) in 40-digit
+    # arithmetic puts the exact root within d X of the returned one.  (At
+    # a = 1e6 the denominator 1 + e - F is ~1e-6, so a(X) in doubles moves
+    # by ~1e-10 per ulp of X and cannot itself be compared to a.)
+    with mpmath.workdps(40):
+        b = mpmath.gamma(mpmath.mpf(1) / 4) / mpmath.gamma(mpmath.mpf(3) / 4)
+        for theta in (0.0, 0.011, 0.5, 0.9, 0.99):
+            sol = roots.rho_lemma_a(a, theta)
+            x = mpmath.mpf(sol.value)
+            assert roots.rho_theta(theta).value < sol.value < 2.0
+            assert (sol.bracket_lo, sol.bracket_hi) == (1e-8, 2.0)
+            d = mpmath.mpf(1e-15)
+            lo = _a_of_x(x * (1 - d), theta, b, mpmath.exp, mpmath.sqrt)
+            hi = _a_of_x(x * (1 + d), theta, b, mpmath.exp, mpmath.sqrt)
+            assert lo <= a <= hi
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: roots.rho_lemma_a(math.nan, 0.3), "rho_lemma_a"),
+    (lambda: roots.rho_lemma_a(math.inf, 0.3), "rho_lemma_a"),
+    (lambda: roots.rho_lemma_a(-math.inf, 0.3), "rho_lemma_a"),
+    (lambda: cst.c6(math.nan, 0.3), "c6"),
+    (lambda: cst.c7(math.nan, 0.3), "c7"),
+    (lambda: cst.c6(math.inf, 0.3), "c6"),
+    (lambda: cst.c7(-1.0, 0.3), "c7"),
+], ids=["a_nan", "a_inf", "a_minus_inf", "c6_nan", "c7_nan", "c6_inf",
+        "c7_negative"])
+def test_bad_inputs_rejected_by_name(call, name):
+    with pytest.raises(DomainError, match=name):
+        call()
+
+
 # ---------------------------------------------------------------- _newton_vec
-
-def _brent(f, lo, hi):
-    return roots.solve_bracketed(f, lo, hi, tol=1e-15).value
-
 
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.5, 4.0), st.floats(0.0, 10.0)),
@@ -112,10 +148,8 @@ def test_newton_vec_monotone_cubics(params):
     def fdf(x, i):
         return x ** 3 + p[i] * x - c[i], 3.0 * x * x + p[i]
 
-    got = roots._newton_vec(fdf, 0.0, np.full(p.size, 5.0), 5.0)
-    for k in range(p.size):
-        want = _brent(lambda x: x ** 3 + p[k] * x - c[k], 0.0, 5.0)
-        assert got[k] == pytest.approx(want, rel=1e-14)
+    got, _ = roots._newton_vec(fdf, 0.0, np.full(p.size, 5.0), 5.0)
+    assert got == pytest.approx([r for r, _ in params], rel=1e-14)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -130,10 +164,8 @@ def test_newton_vec_shifted_exp(params):
         e = np.exp(x - s[i])
         return e - c[i], e
 
-    got = roots._newton_vec(fdf, 0.0, 8.0, np.full(s.size, 8.0))
-    for k in range(s.size):
-        want = _brent(lambda x: math.exp(x - s[k]) - c[k], 0.0, 8.0)
-        assert got[k] == pytest.approx(want, rel=1e-14)
+    got, _ = roots._newton_vec(fdf, 0.0, 8.0, np.full(s.size, 8.0))
+    assert got == pytest.approx(np.log(c) + s, rel=1e-14)
 
 
 def test_newton_vec_arctan_leaves_bracket():
@@ -145,7 +177,7 @@ def test_newton_vec_arctan_leaves_bracket():
         d = x - r[i]
         return np.arctan(d), 1.0 / (1.0 + d * d)
 
-    got = roots._newton_vec(fdf, -10.0, 10.0, np.full(r.size, 10.0))
+    got, _ = roots._newton_vec(fdf, -10.0, 10.0, np.full(r.size, 10.0))
     assert got == pytest.approx(r, rel=1e-14)
 
 
@@ -166,7 +198,8 @@ def test_newton_vec_root_on_bracket_end_stays_put(case):
         df = np.where(i == 0, power * (x - 2.0) ** (power - 1), 2.0 * x)
         return f, df
 
-    got = roots._newton_vec(fdf, np.array([lo, 0.0]), np.array([hi, 2.0]),
-                            np.array([x0, 2.0]))
+    got, its = roots._newton_vec(fdf, np.array([lo, 0.0]),
+                                 np.array([hi, 2.0]), np.array([x0, 2.0]))
     assert got[0] == 2.0
+    assert its[0] == (2 if case == "step_onto_lo" else 1)
     assert got[1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
