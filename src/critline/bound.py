@@ -8,9 +8,12 @@ L-functions is bounded below by
 
 for any A > 1/kappa.  The optimizer locates the stationary A of the
 chosen formula from the analytic derivative, sweeps a theta grid, and
-reports the best (A*, theta*).  The asymptotic machinery packages the
-same chain into the large-N constants (lambda-, lambda+, N0, ...) and
-evaluates the final large-N display.
+reports the best (A*, theta*).  For N >= 2 the stationary A is a
+certified root: the stationarity function is concave beyond an explicit
+threshold, where Newton finds its one root.  For N = 1 it is the last
+sign change on a ln A scan, refined by Newton.  The asymptotic machinery
+packages the same chain into the large-N constants (lambda-, lambda+,
+N0, ...) and evaluates the final large-N display.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ TWO_PI = 2.0 * math.pi
 # N values of the reference table emitted by the table command.
 DEFAULT_TABLE_N = (1, 2, 3, 4, 5, 10, 100, 1000)
 
-# ln A search window for the stationary point: from just above 1/kappa
-# out to 1e16 (the table tops out near 1e11, so this leaves headroom).
-_LN_A_MAX = math.log(1e16)
-_N_SCAN = 600
+# Stationary-A search window: from just above 1/kappa out to _A_MAX (the
+# table tops out near 1e11, so this leaves headroom).  A row whose
+# stationary point lies beyond _A_MAX counts as infeasible.
+_A_MAX = 1e16
+_N_SCAN = 600            # ln A points of the N = 1 scan
 
 # Local theta refinement: 2 * _REFINE_HALF + 1 points per pass, spacing
 # divided by _REFINE_HALF after each; three passes end at h / 25^3 =
@@ -174,37 +178,28 @@ def _theta_grid_table(kappa: float, n_rect: int, grid_size: int,
     return table
 
 
-def _scan(N: int, kappa: float, sub: dict[str, np.ndarray]):
-    """The ln A grid and the stationarity function g on it, one row per theta.
+def _scan(kappa: float, sub: dict[str, np.ndarray]):
+    """The N = 1 ln A grid and the stationarity function g on it, one row
+    per theta.
 
-    g is one matrix product: a (rows x 5) coefficient matrix times the
-    fixed basis [A^2, A ln A, A, ln A, 1].  For general N,
-    g = -A^2/2 + q [2 k1 A ln A + (2 k2 - k1) A + 3 k3 ln A + 3 k4 - k3]
-        + 12 N c2,  q = 32 N c5^2.
-    For N = 1, c1 and A c1'(A) come from the same basis and the single-L
+    c1 and A c1'(A) are each one matrix product: a (rows x 5) coefficient
+    matrix times the fixed basis [A^2, A ln A, A, ln A, 1]; the single-L
     formula combines them elementwise.
     """
-    grid = np.linspace(math.log(1.0 / kappa) + 1e-9, _LN_A_MAX, _N_SCAN)
+    grid = np.linspace(math.log(1.0 / kappa) + 1e-9, math.log(_A_MAX), _N_SCAN)
     a_grid = np.exp(grid)
     basis = np.stack([a_grid * a_grid, a_grid * grid, a_grid, grid,
                       np.ones_like(grid)])
     k1, k2, k3, k4, v5, c2v = cst._unpack(sub)
-    if N == 1:
-        m = 8.0 * v5 ** 2
-        zero = np.zeros_like(k1)
-        c1v = np.stack([zero, m * k1, m * k2, m * k3, m * k4], axis=1) @ basis
-        c1pa = np.stack([zero, m * k1, m * (k1 + k2), zero, m * k3],
-                        axis=1) @ basis
-        c2v = c2v[:, None]
-        with np.errstate(invalid="ignore"):
-            g = (-0.5 * a_grid * a_grid - (1.0 + np.sqrt(c2v / c1v)) * c1pa
-                 + 3.0 * (np.sqrt(c1v) + np.sqrt(c2v)) ** 2)
-        return grid, g
-    q = 32.0 * N * v5 ** 2
-    coef = np.stack([np.full_like(k1, -0.5), 2.0 * q * k1, q * (2.0 * k2 - k1),
-                     3.0 * q * k3, q * (3.0 * k4 - k3) + 12.0 * N * c2v],
-                    axis=1)
-    return grid, coef @ basis
+    m = 8.0 * v5 ** 2
+    zero = np.zeros_like(k1)
+    c1v = np.stack([zero, m * k1, m * k2, m * k3, m * k4], axis=1) @ basis
+    c1pa = np.stack([zero, m * k1, m * (k1 + k2), zero, m * k3], axis=1) @ basis
+    c2v = c2v[:, None]
+    with np.errstate(invalid="ignore"):
+        g = (-0.5 * a_grid * a_grid - (1.0 + np.sqrt(c2v / c1v)) * c1pa
+             + 3.0 * (np.sqrt(c1v) + np.sqrt(c2v)) ** 2)
+    return grid, g
 
 
 def _last_transition(g: np.ndarray) -> np.ndarray:
@@ -215,43 +210,83 @@ def _last_transition(g: np.ndarray) -> np.ndarray:
     return np.where(trans.any(axis=1), last, -1)
 
 
+def _concavity_threshold(q, k1, k3):
+    """A_c = q k1 + sqrt(q^2 k1^2 - 3 q k3), rounded up by 2^-48 relative
+    so that it is not below the exact value; g'' < 0 beyond it."""
+    qk1 = q * k1
+    return (qk1 + np.sqrt(qk1 * qk1 - 3.0 * q * k3)) * (1.0 + 2.0 ** -48)
+
+
+def _rows(ks: dict[str, np.ndarray], i) -> dict[str, np.ndarray]:
+    """Rows i of the constants _stationarity reads."""
+    return {k: ks[k][i] for k in ("k1", "k2", "k3", "k4", "c5", "c2")}
+
+
 def _optimize_A_vec(N: int, kappa: float, table: dict[str, np.ndarray],
                     chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized stationary-A search across the whole theta grid.
 
-    The stationarity function is scanned on _N_SCAN points in ln A as one
-    matrix product per chunk, and the last +/- transition of each row is
-    refined by safeguarded Newton in ln A.  Returns (A_star, bound) arrays
-    with -inf bound marking rows where no stationary point exists
-    (infeasible, discarded silently).
+    Returns (A_star, bound) arrays, a -inf bound marking rows where no
+    stationary point is found in (1/kappa, _A_MAX) (infeasible, discarded
+    silently).  A_star is the largest root of g = A^4 b'(A) / (2 pi).
+
+    N >= 2, a certified root.  With q = 32 N c5^2,
+        g = -A^2/2 + q [2 k1 A ln A + (2 k2 - k1) A + 3 k3 ln A + 3 k4 - k3]
+            + 12 N c2,
+    so g''(A) = -1 + q (2 k1 / A - 3 k3 / A^2).  Since k1 > 0 > k3, g'' < 0
+    beyond A_c = q k1 + sqrt(q^2 k1^2 - 3 q k3), the larger root of
+    A^2 - 2 q k1 A + 3 q k3.  Let L = max(A_c, e^{1e-9} / kappa).  A row is
+    feasible iff g(L) > 0 > g(_A_MAX): g is concave on [L, _A_MAX], so it
+    then has exactly one root there, and since b' has the sign of g, that
+    root is the last maximum of b.  Safeguarded Newton finds it on h = g/A,
+    which has the sign of g and is nearly linear at large A, over
+    [L, _A_MAX], started at _A_MAX.
+
+    N = 1, a scan.  No concavity threshold is derived for the single-L
+    formula yet, so g is scanned on _N_SCAN points in ln A as one matrix
+    product per chunk of rows, and the last +/- transition of each row is
+    refined by safeguarded Newton in ln A.  A transition between two grid
+    points can be missed.
     """
     single = N == 1
     size = table["theta"].size
     a_out = np.full(size, np.nan)
-    b_out = np.full(size, -np.inf)
-    for lo in range(0, size, chunk):
-        sub = {k: v[lo:lo + chunk] for k, v in table.items()}
-        grid, g = _scan(N, kappa, sub)
-        last = _last_transition(g)
-        rows = np.nonzero(last >= 0)[0]
-        if rows.size == 0:
-            continue
-        subr = {k: v[rows] for k, v in sub.items()}
+    if single:
+        for lo in range(0, size, chunk):
+            sub = {k: v[lo:lo + chunk] for k, v in table.items()}
+            grid, g = _scan(kappa, sub)
+            last = _last_transition(g)
+            rows = np.nonzero(last >= 0)[0]
+            ks = _rows(sub, rows)
 
-        def neg_g(la, i):
-            a_i = np.exp(la)
-            sub_i = {k: subr[k][i] for k in ("k1", "k2", "k3", "k4", "c5", "c2")}
-            with np.errstate(invalid="ignore"):
-                return (-_stationarity(a_i, N, sub_i, single),
-                        -_stationarity_slope(a_i, N, sub_i, single))
+            def neg_g(la, i):
+                a_i, ks_i = np.exp(la), _rows(ks, i)
+                with np.errstate(invalid="ignore"):
+                    return (-_stationarity(a_i, 1, ks_i, True),
+                            -_stationarity_slope(a_i, 1, ks_i, True))
 
-        la_hi = grid[last[rows] + 1]
-        la_root, _ = roots._newton_vec(neg_g, grid[last[rows]], la_hi, la_hi)
-        a_root = np.exp(la_root)
-        with np.errstate(invalid="ignore", over="ignore"):
-            b_root = _bound_value(a_root, N, subr, single)
-        a_out[lo + rows] = a_root
-        b_out[lo + rows] = b_root
+            la_hi = grid[last[rows] + 1]
+            la_root, _ = roots._newton_vec(neg_g, grid[last[rows]], la_hi, la_hi)
+            a_out[lo + rows] = np.exp(la_root)
+    else:
+        k1, _k2, k3, _k4, v5, _c2 = cst._unpack(table)
+        a_lo = np.maximum(_concavity_threshold(32.0 * N * v5 ** 2, k1, k3),
+                          math.exp(math.log(1.0 / kappa) + 1e-9))
+        feasible = ((a_lo < _A_MAX)
+                    & (_stationarity(a_lo, N, table, False) > 0.0)
+                    & (_stationarity(_A_MAX, N, table, False) < 0.0))
+        rows = np.nonzero(feasible)[0]
+        ks = _rows(table, rows)
+
+        def neg_h(a, i):
+            ks_i = _rows(ks, i)
+            g = _stationarity(a, N, ks_i, False)
+            return -g / a, (g - _stationarity_slope(a, N, ks_i, False)) / (a * a)
+
+        a_out[rows], _ = roots._newton_vec(neg_h, a_lo[rows], _A_MAX,
+                                           np.full(rows.size, _A_MAX))
+    with np.errstate(invalid="ignore", over="ignore"):
+        b_out = _bound_value(a_out, N, table, single)
     b_out[~np.isfinite(b_out)] = -np.inf
     return a_out, b_out
 

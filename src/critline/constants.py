@@ -18,10 +18,10 @@ right-minus-left gap of int c7 is reported as the quadrature bracket.
 
 Each formula is implemented once, in the _k_table / _c7_profile kernels,
 vectorized over a theta grid with the root grids solved by the
-roots._rho_theta_vec / _rho_lemma_vec Newton kernels; the optimizer uses them to sweep 10^4 grid
-points in under a second.  The scalar operations (c2 .. c7,
-integrate_c7, k_constants, c1) are the contract surface and are one-row
-calls into those kernels.
+roots._rho_theta_vec / _rho_lemma_vec Newton kernels, over which the
+optimizer sweeps its 10^4-point theta grid.  The scalar operations
+(c2 .. c7, integrate_c7, k_constants, c1) are the contract surface and
+are one-row calls into those kernels.
 """
 
 from __future__ import annotations
@@ -251,8 +251,9 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
 
     Returns arrays keyed like the ConstantSet fields, plus "theta".  Row i
     holds the constants at thetas[i]; the rho(theta) and perturbed-root
-    grids are solved by vectorized safeguarded Newton, about six
-    iterations per element.  P1 and P2 are truncated at prime_cutoff.
+    grids are solved by vectorized safeguarded Newton, the latter in about
+    two f evaluations per element from interpolated starts.  P1 and P2
+    are truncated at prime_cutoff.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:

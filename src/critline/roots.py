@@ -19,7 +19,10 @@ fallback and per-element convergence (_newton_vec), on a bracket proven
 to hold a sign change.  The _*_fdf functions return each defining
 equation with its closed-form derivative; _rho_theta_vec and
 _rho_lemma_vec solve whole grids, and the public rho_theta and
-rho_lemma_a are one-element calls into them.
+rho_lemma_a are one-element calls into them.  The second equation is
+linear in a, so its inverse a(X) is explicit (_a_of_x); _rho_lemma_vec
+interpolates it on a small node grid per theta to start each element
+within a narrow bracket.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .specfun import gamma_ratio_quarter
 # Root brackets; the vector kernels' docstrings prove each sign change.
 _RHO_THETA_BRACKET = (0.5, 1.0)
 _RHO_LEMMA_BRACKET = (1e-8, 2.0)
+# Inverse-interpolation nodes per theta row of _rho_lemma_vec.
+_RHO_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,8 @@ def _newton_vec(fdf: Callable[[np.ndarray, np.ndarray], tuple],
     indices into the broadcast brackets.  Each step shrinks the bracket by
     the sign of f; a Newton iterate outside the closed bracket is replaced
     by its midpoint.  An element stops when f = 0 or its step is at most
-    ~1e-15 |x|; 100 iterations is a safeguard cap, far above the ~6 that
-    the bound path needs.  Returns the roots and, beside them, the number
+    ~1e-15 |x|; 100 iterations is a safeguard cap, far above the at most
+    7 that the table needs.  Returns the roots and, beside them, the number
     of f evaluations each element took.
     """
     shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), np.shape(x0))
@@ -82,9 +87,11 @@ def _newton_vec(fdf: Callable[[np.ndarray, np.ndarray], tuple],
         xn[root] = x[root]
         done = root | (np.abs(xn - x) <= 1e-15 * np.abs(x))
         out[idx] = xn
-        its[idx[done]] = k + 1
-        keep = ~done
-        x, lo, hi, idx = xn[keep], lo[keep], hi[keep], idx[keep]
+        x = xn
+        if done.any():
+            its[idx[done]] = k + 1
+            keep = ~done
+            x, lo, hi, idx = x[keep], lo[keep], hi[keep], idx[keep]
     return out.reshape(shape), its.reshape(shape)
 
 
@@ -127,25 +134,96 @@ def _rho_theta_vec(thetas) -> tuple[np.ndarray, np.ndarray]:
                        lo, np.full(thetas.shape, hi), hi)
 
 
+def _a_of_x(x, theta, b):
+    """a(X) and a'(X), the closed-form inverse of rho(a, theta), for X >= 1/2.
+
+    With e = e^{(1-theta)X}, F = e (2X - 1) + 2 theta X - 1 and
+    D = 1 + e - F: a = b sqrt(X) F / D and, since D' = (1-theta) e - F',
+    a' = a (1/(2X) - D'/D) + b sqrt(X) F'/D.
+    """
+    e = np.exp((1.0 - theta) * x)
+    rx = np.sqrt(x)
+    big_f = e * (2.0 * x - 1.0) + 2.0 * theta * x - 1.0
+    d_f = e * ((1.0 - theta) * (2.0 * x - 1.0) + 2.0) + 2.0 * theta
+    d = 1.0 + e - big_f
+    a = b * rx * big_f / d
+    return a, a * (0.5 / x - ((1.0 - theta) * e - d_f) / d) + b * rx * d_f / d
+
+
 def _rho_lemma_vec(a, theta) -> tuple[np.ndarray, np.ndarray]:
     """rho(a, theta) and iteration counts, a >= 0 and 0 <= theta < 1.
 
-    The bracket [1e-8, 2] holds for every such (a, theta).  Write
-    e = e^{(1-theta)X} and F(X) = e (2X - 1) + 2 theta X - 1, the
-    rho(theta) equation; then f = a (F - e - 1) + b sqrt(X) F.  At X = 2
+    Outer bracket.  [1e-8, 2] holds for every such (a, theta).  With e,
+    F and D as in _a_of_x, f = a (F - e - 1) + b sqrt(X) F.  At X = 2
     both F = 3e + 4 theta - 1 and F - e - 1 = 2e + 4 theta - 2 are
     positive because e > 1, so f(2) > 0; as X -> 0+, f tends to
-    -4a - 2b sqrt(X) < 0.  Newton starts at X = 1, where f > 0 on the
-    table's range a <= sqrt(pi), so the first step shrinks the bracket
-    to [1e-8, 1].
+    -4a - 2b sqrt(X) < 0.
+
+    Starts.  f is linear in a: f = D (a(X) - a) with D > 0 up to the pole
+    of a(X) = b sqrt(X) F / D.  On X >= 1/2, F' >= 2e and -D' >= e, so
+    a' >= e (a + b sqrt(X)) / D > 0: a(X) increases from 0 at rho(theta)
+    to +inf, and rho(a, theta) is the X with a(X) = a.  The node grid has
+    one row per theta: the broadcast shape splits into leading axes,
+    along which theta varies, and trailing ones, along which it is
+    constant (if theta varies along the last axis, each element is a
+    row).  Each row has _RHO_NODES = n uniform nodes X_0 < ... < X_{n-1}
+    from rho(theta) to rho(a_max, theta), a_max the largest a of the call
+    (one Newton solve per row on the outer bracket), at least 2^-20 wide.
+    With a_k the computed a(X_k), an element's cell is
+    j = #{k : a_k <= a} - 1, so a_j <= a < a_{j+1} (j = -1 or n-1 off the
+    ends).  Newton starts at the cubic Hermite interpolant of the inverse
+    map through (a_k, X_k) with slopes 1/a'(X_k) on that cell, clipped to
+    the bracket [X_{j-1}, X_{j+2}], which is the cell widened by one node
+    each way, an end past the grid replaced by the outer bracket's.
+
+    Rounding at the nodes.  Only D = 1 + e - F cancels, so the computed
+    a_k is (generously) within 100 eps (1 + e + F)(a_k + b sqrt(X)) / D of
+    a(X_k), while by the bound on a' the exact node values are at least
+    h e (a_k + b sqrt(X)) / D apart (h the node spacing).  Since
+    (1 + e + F) / e <= 8 for X <= 2, the error is below 800 eps / h
+    <= 1e-5 of a gap.  Hence a >= a_j > a(X_{j-1}) and
+    a < a_{j+1} < a(X_{j+2}): the exact root lies inside the widened
+    bracket, a whole node away from either end, which also covers the few
+    ulps between it and the sign change of the computed f.  With 32 nodes
+    the table's grid takes about two f evaluations per element.
     """
     b = gamma_ratio_quarter()
-    a, theta = np.broadcast_arrays(np.asarray(a, dtype=float),
-                                   np.asarray(theta, dtype=float))
-    a_flat, th_flat = a.ravel(), theta.ravel()
-    lo, hi = _RHO_LEMMA_BRACKET
-    return _newton_vec(lambda x, i: _rho_lemma_fdf(x, a_flat[i], th_flat[i], b),
-                       lo, np.full(a.shape, hi), 1.0)
+    a, theta = np.asarray(a, dtype=float), np.asarray(theta, dtype=float)
+    shape = np.broadcast_shapes(a.shape, theta.shape)
+    th = np.broadcast_to(theta, shape)
+    lead = len(shape)
+    while lead and (th.strides[lead - 1] == 0 or shape[lead - 1] == 1):
+        lead -= 1
+    th_row = th[(Ellipsis,) + (0,) * (len(shape) - lead)].ravel()
+    a2 = np.broadcast_to(a, shape).reshape(th_row.size, -1)
+    n = _RHO_NODES
+    lo_out, hi_out = _RHO_LEMMA_BRACKET
+
+    a_max = float(a2.max())
+    x_bot, _ = _rho_theta_vec(th_row)
+    x_top, _ = _newton_vec(lambda x, i: _rho_lemma_fdf(x, a_max, th_row[i], b),
+                           lo_out, np.full(th_row.shape, hi_out), 1.0)
+    step = (np.maximum(x_top, x_bot + 2.0 ** -20) - x_bot)[:, None] / (n - 1)
+    x_bot = x_bot[:, None]
+    a_k, da_k = _a_of_x(x_bot + step * np.arange(n), th_row[:, None], b)
+
+    j = np.count_nonzero(a_k[:, None, :] <= a2[:, :, None], axis=2) - 1
+    c = np.clip(j, 0, n - 2)
+    cell = c + n * np.arange(th_row.size)[:, None]
+    a_l = np.take(a_k, cell)
+    d_a = np.take(a_k, cell + 1) - a_l
+    t = np.clip((a2 - a_l) / d_a, 0.0, 1.0)
+    t2 = t * t
+    x0 = (x_bot + step * c + step * (3.0 * t2 - 2.0 * t2 * t)
+          + d_a * ((t2 * t - 2.0 * t2 + t) / np.take(da_k, cell)
+                   + (t2 * t - t2) / np.take(da_k, cell + 1)))
+    lo = np.where(j >= 1, x_bot + step * (j - 1), lo_out)
+    hi = np.where(j <= n - 3, x_bot + step * (j + 2), hi_out)
+    a_flat = a2.ravel()
+    th_flat = np.broadcast_to(th_row[:, None], a2.shape).ravel()
+    x, its = _newton_vec(lambda x, i: _rho_lemma_fdf(x, a_flat[i], th_flat[i], b),
+                         lo, hi, np.clip(x0, lo, hi))
+    return x.reshape(shape), its.reshape(shape)
 
 
 # ------------------------------------------------------------ scalar roots
@@ -168,7 +246,11 @@ def rho_theta(theta: float) -> RootSolution:
 
 def rho_lemma_a(a: float, theta: float) -> RootSolution:
     """Positive root of the perturbed equation at finite a >= 0, a
-    one-element call into _rho_lemma_vec."""
+    one-element call into _rho_lemma_vec.
+
+    The reported bracket is the outer one, [1e-8, 2], and the iteration
+    count is that of the element's own solve from its interpolated start.
+    """
     a = float(a)
     theta = float(theta)
     if not 0.0 <= a < np.inf:

@@ -57,6 +57,21 @@ CHAIN = {
 CHAIN_A = 29056699.107509706
 CHAIN_C1 = 199047412764559.97
 
+# The optimized table rows (N, A*, theta*, bound) of `critline table` at its
+# defaults (kappa 1/8, n_rect 100, 10^4-point theta grid), as exact hex
+# floats.  theta* is a grid or refinement point, so it must not move at
+# all; A* and the bound may move by rounding in the root solvers.
+TABLE_ROWS_HEX = (
+    (1, "0x1.bbce2a824b339p+24", "0x1.5a6f6c8758479p-7", "0x1.d46faea96f8edp-25"),
+    (2, "0x1.95aedfcee5441p+27", "0x1.ab98f8f46ddc9p-10", "0x1.faf5a88ca4b84p-28"),
+    (3, "0x1.307c57b9188f5p+28", "0x1.754fbf2e49569p-10", "0x1.51a47179e58b8p-28"),
+    (4, "0x1.963f2b3ee583ap+28", "0x1.530165cde8955p-10", "0x1.fa0dda3ac6526p-29"),
+    (5, "0x1.fc19ece546206p+28", "0x1.3a92a30553261p-10", "0x1.9490cfeb7ab3ep-29"),
+    (10, "0x1.fd2ea66face71p+29", "0x1.f2a02561d4d56p-11", "0x1.9396ebd4b0f8ep-30"),
+    (100, "0x1.414ff2b0220edp+33", "0x1.cc1ae6af4dc04p-12", "0x1.3f98f6c3dcd3ap-33"),
+    (1000, "0x1.9663da242c6dcp+36", "0x1.a824358f3a0c6p-13", "0x1.f9415c8188c18p-37"),
+)
+
 ASYMPTOTIC_EPS = 1e-3
 ASYMPTOTIC = {
     "lambda_minus": 641809.0591753831,

@@ -265,9 +265,9 @@ def test_optimizer_error_exit_4(capsys, monkeypatch):
 # re-freeze the digest on purpose and record the old and new values.
 GOLDEN_STDOUT = {
     "table text": "11b8ea2df06334e6733683da317b60f06d506d0602c3f472177cc090611615b0",
-    "table json": "15146aa8576edf3f559f50402e026eafec41f5dde4e446af4cd7ad5258ede76b",
+    "table json": "42f058a03a46259114a0325c588e3548eeb444134f66e8deccef55e3388afe2b",
     "table csv": "9116c66c0123a27ca6c9652a6c7ddf279dba8004523480688dcd8567043a443f",
-    "optimize --N 5": "83d6b7f4c8f2a857e7efa2161f3d649332a847fde149a3d6e40e89e1436a64fd",
+    "optimize --N 5": "d64dbc856bf5f3be593b9796d1c8ba7ef00b00c52d39f09ebf68f0b62a682607",
     "constants --theta 0.011 --A 2.9e7":
         "1fb4449a44650a37e54a9afe67f9f790929104893428566fa654829ed3f2075c",
     "mollify": "798803b57705730d0adf908eb5da51fced571a6d37fe0f7868bb5fbe6a45edc0",
