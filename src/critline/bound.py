@@ -8,12 +8,11 @@ L-functions is bounded below by
 
 for any A > 1/kappa.  The optimizer locates the stationary A of the
 chosen formula from the analytic derivative, sweeps a theta grid, and
-reports the best (A*, theta*).  For N >= 2 the stationary A is a
-certified root: the stationarity function is concave beyond an explicit
-threshold, where Newton finds its one root.  For N = 1 it is the last
-sign change on a ln A scan, refined by Newton.  The asymptotic machinery
-packages the same chain into the large-N constants (lambda-, lambda+,
-N0, ...) and evaluates the final large-N display.
+reports the best (A*, theta*).  For every N the stationary A is a
+certified root: the stationarity function is proven concave beyond an
+explicit threshold, where Newton finds its one root.  The asymptotic
+machinery packages the same chain into the large-N constants (lambda-,
+lambda+, N0, ...) and evaluates the final large-N display.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ DEFAULT_TABLE_N = (1, 2, 3, 4, 5, 10, 100, 1000)
 # table tops out near 1e11, so this leaves headroom).  A row whose
 # stationary point lies beyond _A_MAX counts as infeasible.
 _A_MAX = 1e16
-_N_SCAN = 600            # ln A points of the N = 1 scan
 
 # Local theta refinement: 2 * _REFINE_HALF + 1 points per pass, spacing
 # divided by _REFINE_HALF after each; three passes end at h / 25^3 =
@@ -148,8 +146,8 @@ def optimize_A(N: int, theta: float, kappa: float = 0.125,
     """Best A at fixed theta: (A_star, bound).
 
     Uses the sharper single-L formula when N = 1 and the general one
-    otherwise, mirroring how the table is produced.  One row of
-    _optimize_A_vec; raises OptimizerError where that row is infeasible.
+    otherwise, as the table does.  One row of _optimize_A_vec (a certified
+    root for every N); raises OptimizerError where that row is infeasible.
     """
     cst._check_n(N)
     cst._check_theta(theta)
@@ -178,38 +176,6 @@ def _theta_grid_table(kappa: float, n_rect: int, grid_size: int,
     return table
 
 
-def _scan(kappa: float, sub: dict[str, np.ndarray]):
-    """The N = 1 ln A grid and the stationarity function g on it, one row
-    per theta.
-
-    c1 and A c1'(A) are each one matrix product: a (rows x 5) coefficient
-    matrix times the fixed basis [A^2, A ln A, A, ln A, 1]; the single-L
-    formula combines them elementwise.
-    """
-    grid = np.linspace(math.log(1.0 / kappa) + 1e-9, math.log(_A_MAX), _N_SCAN)
-    a_grid = np.exp(grid)
-    basis = np.stack([a_grid * a_grid, a_grid * grid, a_grid, grid,
-                      np.ones_like(grid)])
-    k1, k2, k3, k4, v5, c2v = cst._unpack(sub)
-    m = 8.0 * v5 ** 2
-    zero = np.zeros_like(k1)
-    c1v = np.stack([zero, m * k1, m * k2, m * k3, m * k4], axis=1) @ basis
-    c1pa = np.stack([zero, m * k1, m * (k1 + k2), zero, m * k3], axis=1) @ basis
-    c2v = c2v[:, None]
-    with np.errstate(invalid="ignore"):
-        g = (-0.5 * a_grid * a_grid - (1.0 + np.sqrt(c2v / c1v)) * c1pa
-             + 3.0 * (np.sqrt(c1v) + np.sqrt(c2v)) ** 2)
-    return grid, g
-
-
-def _last_transition(g: np.ndarray) -> np.ndarray:
-    """Per row, the last i with g[i] > 0 > g[i+1] (towards large A, where
-    the maximum sits), or -1 where g has no such transition."""
-    trans = (g[:, :-1] > 0) & (g[:, 1:] < 0)
-    last = trans.shape[1] - 1 - np.argmax(trans[:, ::-1], axis=1)
-    return np.where(trans.any(axis=1), last, -1)
-
-
 def _concavity_threshold(q, k1, k3):
     """A_c = q k1 + sqrt(q^2 k1^2 - 3 q k3), rounded up by 2^-48 relative
     so that it is not below the exact value; g'' < 0 beyond it."""
@@ -217,74 +183,102 @@ def _concavity_threshold(q, k1, k3):
     return (qk1 + np.sqrt(qk1 * qk1 - 3.0 * q * k3)) * (1.0 + 2.0 ** -48)
 
 
-def _rows(ks: dict[str, np.ndarray], i) -> dict[str, np.ndarray]:
-    """Rows i of the constants _stationarity reads."""
-    return {k: ks[k][i] for k in ("k1", "k2", "k3", "k4", "c5", "c2")}
+def _single_cert_coeffs(k1, k2, k3, k4):
+    """(a, b, c_ab) with sum c_ab A^a (ln A)^b
+    = A^2 (4 P^2 U'' - 4 P U' P' + 3 U P'^2 - 2 P U P''), except
+    c_33 = -5 k1^3, for P = k1 A ln A + k2 A + k3 ln A + k4 and
+    U = 6P - A P'.  Takes arrays or sympy symbols."""
+    k11, k33 = k1 * k1, k3 * k3
+    return (
+        (0, 0, -k3 * (3 * k33 + 8 * k3 * k4 + 12 * k4 * k4)),
+        (0, 1, -8 * k33 * (k3 + 3 * k4)),
+        (0, 2, -12 * k33 * k3),
+        (1, 0, (-9 * k1 * k33 - 4 * k1 * k3 * k4 + 8 * k1 * k4 * k4
+                - 17 * k2 * k33 - 34 * k2 * k3 * k4)),
+        (1, 1, -k3 * (21 * k1 * k3 + 18 * k1 * k4 + 34 * k2 * k3)),
+        (1, 2, -26 * k1 * k33),
+        (2, 0, (-9 * k11 * k3 + 4 * k11 * k4 - 22 * k1 * k2 * k3
+                + 18 * k1 * k2 * k4 - 31 * k2 * k2 * k3 - 2 * k2 * k2 * k4)),
+        (2, 1, -2 * (9 * k11 * k3 - 9 * k11 * k4 + 22 * k1 * k2 * k3
+                     + 2 * k1 * k2 * k4 + k2 * k2 * k3)),
+        (2, 2, -k1 * (13 * k1 * k3 + 2 * k1 * k4 + 4 * k2 * k3)),
+        (2, 3, -2 * k11 * k3),
+        (3, 0, -3 * k11 * k1 - 5 * k11 * k2 + k1 * k2 * k2 - 5 * k2 * k2 * k2),
+        (3, 1, -k1 * (5 * k11 - 2 * k1 * k2 + 15 * k2 * k2)),
+        (3, 2, k11 * (k1 - 15 * k2)),
+    )
 
 
-def _optimize_A_vec(N: int, kappa: float, table: dict[str, np.ndarray],
-                    chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+def _single_certificate(ks, a):
+    """c1(a) > 0, c1'(a) > 0 and the c_ab sum below 5 k1^3 at a > e (the
+    proof is in _optimize_A_vec).  Rounding in the c_ab, at most 6e-16 of
+    5 k1^3 on the table grid, is far inside the 2^-20 margin."""
+    k1, k2, k3, k4, _v5, _c2 = cst._unpack(ks)
+    la = np.log(a)
+    tail = sum(np.maximum(c, 0.0) * a ** (i - 3.0) * la ** (j - 3.0)
+               for i, j, c in _single_cert_coeffs(k1, k2, k3, k4))
+    return ((cst.c1_from_set(a, ks) > 0.0)
+            & (cst.c1_prime_from_set(a, ks) > 0.0)
+            & (tail < 5.0 * k1 * k1 * k1 * (1.0 - 2.0 ** -20)))
+
+
+def _optimize_A_vec(N: int, kappa: float,
+                    table: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized stationary-A search across the whole theta grid.
 
-    Returns (A_star, bound) arrays, a -inf bound marking rows where no
-    stationary point is found in (1/kappa, _A_MAX) (infeasible, discarded
-    silently).  A_star is the largest root of g = A^4 b'(A) / (2 pi).
+    Returns (A_star, bound) arrays, a -inf bound marking infeasible rows
+    (no certified stationary point in (1/kappa, _A_MAX); discarded
+    silently).  A_star is the largest root of g = A^4 b'(A) / (2 pi),
+    found the same way for every N.
 
-    N >= 2, a certified root.  With q = 32 N c5^2,
+    General formula.  With q = 32 N c5^2,
         g = -A^2/2 + q [2 k1 A ln A + (2 k2 - k1) A + 3 k3 ln A + 3 k4 - k3]
             + 12 N c2,
-    so g''(A) = -1 + q (2 k1 / A - 3 k3 / A^2).  Since k1 > 0 > k3, g'' < 0
-    beyond A_c = q k1 + sqrt(q^2 k1^2 - 3 q k3), the larger root of
-    A^2 - 2 q k1 A + 3 q k3.  Let L = max(A_c, e^{1e-9} / kappa).  A row is
-    feasible iff g(L) > 0 > g(_A_MAX): g is concave on [L, _A_MAX], so it
-    then has exactly one root there, and since b' has the sign of g, that
-    root is the last maximum of b.  Safeguarded Newton finds it on h = g/A,
-    which has the sign of g and is nearly linear at large A, over
-    [L, _A_MAX], started at _A_MAX.
+    so A^2 g'' = -(A^2 - 2 q k1 A + 3 q k3) < 0 beyond its larger root
+    A_c = q k1 + sqrt(q^2 k1^2 - 3 q k3) (NaN, so infeasible, if none).
 
-    N = 1, a scan.  No concavity threshold is derived for the single-L
-    formula yet, so g is scanned on _N_SCAN points in ln A as one matrix
-    product per chunk of rows, and the last +/- transition of each row is
-    refined by safeguarded Newton in ln A.  A transition between two grid
-    points can be missed.
+    Single-L formula (N = 1).  Its g is the general g at N = 1/4 plus
+    h = sqrt(c2) (6 c1 - A c1') / sqrt(c1): A_c with q = 8 c5^2 covers the
+    first part and _single_certificate the second.  Write c1 = m P
+    (m = 8 c5^2) and U = 6P - A P'; where P > 0, h'' has the sign of
+    4 P^2 U'' - 4 P U' P' + 3 U P'^2 - 2 P U P'', which times A^2 is
+    sum c_ab A^a l^b over a, b <= 3 (l = ln A), c_33 = -5 k1^3.  For A > 1
+    each A^(a-3) l^(b-3) is nonincreasing, so if
+    sum_{ab != 33} max(c_ab, 0) L^(a-3) (ln L)^(b-3) < 5 k1^3 (forcing
+    k1 > 0), h'' < 0 on [L, inf) wherever P > 0.  As P'' = k1/A - k3/A^2
+    > 0 (k3 < 0 by its formula), P(L) > 0 and P'(L) > 0 keep P > 0 there.
+    Rows failing this are infeasible, which is conservative: the bound is
+    a maximum over feasible theta.
+
+    The root, for every N.  Let L = max(A_c, e^{1e-9} / kappa) (> e since
+    kappa <= 1/8).  A row is feasible iff its certificate holds and
+    g(L) > 0 > g(_A_MAX): g is concave on [L, _A_MAX], so it has exactly
+    one root there, and since b' has the sign of g, that root is the last
+    maximum of b.  Safeguarded Newton finds it on g/A, which has the sign
+    of g and is nearly linear at large A, started at _A_MAX.
     """
     single = N == 1
-    size = table["theta"].size
-    a_out = np.full(size, np.nan)
-    if single:
-        for lo in range(0, size, chunk):
-            sub = {k: v[lo:lo + chunk] for k, v in table.items()}
-            grid, g = _scan(kappa, sub)
-            last = _last_transition(g)
-            rows = np.nonzero(last >= 0)[0]
-            ks = _rows(sub, rows)
-
-            def neg_g(la, i):
-                a_i, ks_i = np.exp(la), _rows(ks, i)
-                with np.errstate(invalid="ignore"):
-                    return (-_stationarity(a_i, 1, ks_i, True),
-                            -_stationarity_slope(a_i, 1, ks_i, True))
-
-            la_hi = grid[last[rows] + 1]
-            la_root, _ = roots._newton_vec(neg_g, grid[last[rows]], la_hi, la_hi)
-            a_out[lo + rows] = np.exp(la_root)
-    else:
-        k1, _k2, k3, _k4, v5, _c2 = cst._unpack(table)
-        a_lo = np.maximum(_concavity_threshold(32.0 * N * v5 ** 2, k1, k3),
-                          math.exp(math.log(1.0 / kappa) + 1e-9))
+    k1, _k2, k3, _k4, v5, _c2 = cst._unpack(table)
+    q = (8.0 if single else 32.0 * N) * v5 ** 2
+    a_lo = np.maximum(_concavity_threshold(q, k1, k3),
+                      math.exp(math.log(1.0 / kappa) + 1e-9))
+    with np.errstate(invalid="ignore"):
         feasible = ((a_lo < _A_MAX)
-                    & (_stationarity(a_lo, N, table, False) > 0.0)
-                    & (_stationarity(_A_MAX, N, table, False) < 0.0))
-        rows = np.nonzero(feasible)[0]
-        ks = _rows(table, rows)
+                    & (_stationarity(a_lo, N, table, single) > 0.0)
+                    & (_stationarity(_A_MAX, N, table, single) < 0.0))
+    if single:
+        feasible &= _single_certificate(table, a_lo)
+    rows = np.nonzero(feasible)[0]
+    ks = {k: table[k][rows] for k in ("k1", "k2", "k3", "k4", "c5", "c2")}
 
-        def neg_h(a, i):
-            ks_i = _rows(ks, i)
-            g = _stationarity(a, N, ks_i, False)
-            return -g / a, (g - _stationarity_slope(a, N, ks_i, False)) / (a * a)
+    def neg_h(a, i):
+        ks_i = {k: v[i] for k, v in ks.items()}
+        g = _stationarity(a, N, ks_i, single)
+        return -g / a, (g - _stationarity_slope(a, N, ks_i, single)) / (a * a)
 
-        a_out[rows], _ = roots._newton_vec(neg_h, a_lo[rows], _A_MAX,
-                                           np.full(rows.size, _A_MAX))
+    a_out = np.full(table["theta"].size, np.nan)
+    a_out[rows], _ = roots._newton_vec(neg_h, a_lo[rows], _A_MAX,
+                                       np.full(rows.size, _A_MAX))
     with np.errstate(invalid="ignore", over="ignore"):
         b_out = _bound_value(a_out, N, table, single)
     b_out[~np.isfinite(b_out)] = -np.inf

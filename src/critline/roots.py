@@ -60,16 +60,20 @@ def _newton_vec(fdf: Callable[[np.ndarray, np.ndarray], tuple],
     [lo, hi]; callers with a decreasing f pass (-f, -f').  fdf(x, idx)
     returns (f, f') at the still-active elements, idx being their flat
     indices into the broadcast brackets.  Each step shrinks the bracket by
-    the sign of f; a Newton iterate outside the closed bracket is replaced
-    by its midpoint.  An element stops when f = 0 or its step is at most
+    the sign of f.  A Newton iterate is replaced by the midpoint when it
+    falls outside the closed bracket, or lands, by more than the stop
+    tolerance, on an end where f is already known (nonzero): from two
+    ends a few ulps apart each Newton step can land exactly on the other,
+    a 2-cycle.  An element stops when f = 0 or its step is at most
     ~1e-15 |x|; 100 iterations is a safeguard cap, far above the at most
-    7 that the table needs.  Returns the roots and, beside them, the number
-    of f evaluations each element took.
+    9 that the table needs.  Returns the roots and, beside them, the
+    number of f evaluations each element took.
     """
     shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), np.shape(x0))
     lo, hi, x = (np.array(v, dtype=float).ravel() for v in
                  np.broadcast_arrays(lo, hi, x0))
-    out = x.copy()
+    lo_seen, hi_seen = np.zeros((2, x.size), dtype=bool)  # f known there
+    out = np.empty_like(x)
     cap = 100
     its = np.full(x.size, cap)          # kept by elements that hit the cap
     idx = np.arange(x.size)
@@ -77,21 +81,32 @@ def _newton_vec(fdf: Callable[[np.ndarray, np.ndarray], tuple],
         if idx.size == 0:
             break
         f, df = fdf(x, idx)
-        lo = np.where(f < 0.0, x, lo)
-        hi = np.where(f > 0.0, x, hi)
+        neg, pos = f < 0.0, f > 0.0
+        np.copyto(lo, x, where=neg)
+        np.copyto(hi, x, where=pos)
+        lo_seen |= neg
+        hi_seen |= pos
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = x - f / df
-        inside = (xn >= lo) & (xn <= hi)        # False for NaN as well
-        xn = np.where(inside, xn, 0.5 * (lo + hi))
-        root = f == 0.0
-        xn[root] = x[root]
-        done = root | (np.abs(xn - x) <= 1e-15 * np.abs(x))
-        out[idx] = xn
+        # Off the open bracket (NaN included): x stays where f = 0, a step
+        # onto an end stays unless it revisits a point, the rest bisect.
+        fix = np.nonzero(~((xn > lo) & (xn < hi)))[0]
+        if fix.size:
+            xf, xo = xn[fix], x[fix]
+            near = np.abs(xf - xo) <= 1e-15 * np.abs(xo)
+            on_end = (((xf == lo[fix]) & (near | ~lo_seen[fix]))
+                      | ((xf == hi[fix]) & (near | ~hi_seen[fix])))
+            xn[fix] = np.where(f[fix] == 0.0, xo,
+                               np.where(on_end, xf, 0.5 * (lo[fix] + hi[fix])))
+        done = np.abs(xn - x) <= 1e-15 * np.abs(x)
         x = xn
         if done.any():
+            out[idx[done]] = x[done]
             its[idx[done]] = k + 1
             keep = ~done
             x, lo, hi, idx = x[keep], lo[keep], hi[keep], idx[keep]
+            lo_seen, hi_seen = lo_seen[keep], hi_seen[keep]
+    out[idx] = x
     return out.reshape(shape), its.reshape(shape)
 
 

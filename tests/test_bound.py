@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from critline import bound as bnd
@@ -148,37 +148,16 @@ def test_import_leaves_scipy_unloaded():
         check=True, timeout=60)
 
 
-@pytest.mark.parametrize("n", [1])
-def test_gemm_scan_matches_elementwise_stationarity(n):
-    # The one-product ln A scan must pick the same bracket in every row,
-    # and leave the same rows feasible, as _stationarity evaluated
-    # elementwise on the same grid.
-    table = bnd._theta_grid_table(0.125, 100, 500, cst.PRIME_CUTOFF)
-    grid, g = bnd._scan(0.125, table)
-    with np.errstate(invalid="ignore"):
-        ref = bnd._stationarity(np.exp(grid)[None, :], n,
-                                {k: v[:, None] for k, v in table.items()},
-                                n == 1)
-    a2 = np.exp(2.0 * grid)
-    assert np.array_equal(np.isnan(g), np.isnan(ref))
-    with np.errstate(invalid="ignore"):
-        assert not (np.abs(g - ref) > 1e-13 * np.maximum(np.abs(ref), a2)).any()
-    last = bnd._last_transition(ref)
-    assert np.array_equal(bnd._last_transition(g), last)
-    _, b_vec = bnd._optimize_A_vec(n, 0.125, table)
-    assert np.array_equal(np.isfinite(b_vec), last >= 0)
-    assert (last >= 0).sum() > 400
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 10, 100, 1000, 10000])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 100, 1000, 10000])
 def test_certified_root_matches_scan_oracle(n):
     # The rule the certified root replaced, applied here as the oracle:
     # g elementwise on 600 ln A points from just above 1/kappa to 1e16, and
     # the last +/- sign change of each row.
     table = bnd._theta_grid_table(0.125, 100, 500, cst.PRIME_CUTOFF)
     grid = np.linspace(math.log(8.0) + 1e-9, math.log(1e16), 600)
-    g = bnd._stationarity(np.exp(grid)[None, :], n,
-                          {k: v[:, None] for k, v in table.items()}, False)
+    with np.errstate(invalid="ignore"):
+        g = bnd._stationarity(np.exp(grid)[None, :], n,
+                              {k: v[:, None] for k, v in table.items()}, n == 1)
     trans = (g[:, :-1] > 0) & (g[:, 1:] < 0)
     last = np.array([np.nonzero(t)[0][-1] if t.any() else -1 for t in trans])
     a_star, b_vec = bnd._optimize_A_vec(n, 0.125, table)
@@ -190,7 +169,7 @@ def test_certified_root_matches_scan_oracle(n):
     assert (a <= np.exp(grid[last[rows] + 1])).all()
     # |g(A*)| on the scale of rounding in g's largest term, A^2 / 2
     g_star = bnd._stationarity(a, n, {k: v[rows] for k, v in table.items()},
-                               False)
+                               n == 1)
     assert (np.abs(g_star) <= 8 * np.finfo(float).eps * 0.5 * a * a).all()
 
 
@@ -208,6 +187,76 @@ def test_concavity_certificate_symbolic():
     assert sp.expand(sp.diff(g, A, 2) * A ** 2 + quad) == 0
     d = sp.sqrt(q ** 2 * k1 ** 2 - 3 * q * k3)
     assert sp.expand((A - (q * k1 + d)) * (A - (q * k1 - d)) - quad) == 0
+    # single-L: g = A^4 b'(A) / (2 pi) is the general g at N = 1/4 plus
+    # h = sqrt(c2) (6 c1 - A c1') / sqrt(c1)
+    b_single = 1 / (2 * A) - (sp.sqrt(c1) + sp.sqrt(c2)) ** 2 / A ** 3
+    h = sp.sqrt(c2) * (6 * c1 - A * sp.diff(c1, A)) / sp.sqrt(c1)
+    g_quarter = g.subs(n, sp.Rational(1, 4))
+    assert sp.simplify(A ** 4 * sp.diff(b_single, A) - g_quarter - h) == 0
+    # with c1 = m P and U = 6P - A P', 4 P^(5/2) (U / sqrt(P))'' is the
+    # numerator whose A^2-multiple _single_cert_coeffs expands
+    p_fn = sp.Function("P")(A)
+    u_fn = 6 * p_fn - A * sp.diff(p_fn, A)
+    num_fn = (4 * p_fn ** 2 * sp.diff(u_fn, A, 2)
+              - 4 * p_fn * sp.diff(u_fn, A) * sp.diff(p_fn, A)
+              + 3 * u_fn * sp.diff(p_fn, A) ** 2
+              - 2 * p_fn * u_fn * sp.diff(p_fn, A, 2))
+    assert sp.simplify(4 * p_fn ** sp.Rational(5, 2)
+                       * sp.diff(u_fn / sp.sqrt(p_fn), A, 2) - num_fn) == 0
+    ell = sp.symbols("ell", positive=True)
+    p_poly = c1 / (8 * c5 ** 2)
+    num = sp.expand((A ** 2 * num_fn.subs(p_fn, p_poly).doit())
+                    .subs(sp.log(A), ell))
+    want = sp.Poly(num, A, ell).as_dict()
+    got = {(i, j): sp.expand(c)
+           for i, j, c in bnd._single_cert_coeffs(k1, k2, k3, k4)}
+    got[3, 3] = -5 * k1 ** 3
+    assert set(want) == set(got)
+    assert all(sp.expand(want[key] - got[key]) == 0 for key in want)
+
+
+def _single_h2_numerator(k1, k2, k3, k4, a):
+    """P and 4 P^2 U'' - 4 P U' P' + 3 U P'^2 - 2 P U P'' at a, straight
+    from P = k1 A ln A + k2 A + k3 ln A + k4 (mpmath or float)."""
+    la = mpmath.log(a)
+    p = k1 * a * la + k2 * a + k3 * la + k4
+    dp = k1 * (la + 1) + k2 + k3 / a
+    d2p = k1 / a - k3 / a ** 2
+    u = 6 * p - a * dp
+    du = 5 * dp - a * d2p
+    d2u = 4 * d2p - a * (-k1 / a ** 2 + 2 * k3 / a ** 3)
+    return p, 4 * p * p * d2u - 4 * p * du * dp + 3 * u * dp * dp - 2 * p * u * d2p
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.floats(-3.0, 6.0), st.floats(-3.0, 12.0), st.booleans(),
+       st.floats(-3.0, 12.0), st.floats(-3.0, 14.0), st.booleans(),
+       st.floats(-12.0, 3.0))
+def test_single_certificate_beyond_threshold(e1, e2, neg2, e3, e4, neg4, es):
+    # For k1 > 0 > k3 and k2, k4 of either sign, all on log scales, take
+    # L = e^x with x the smallest in [1, 40] at which the certificate
+    # passes (it is monotone in L), so that it is nearly tight; then P > 0
+    # and h'' < 0 at A = L (1 + s) in 40-digit arithmetic.
+    k1, k3, s = 10.0 ** e1, -(10.0 ** e3), 10.0 ** es
+    k2, k4 = (-1.0) ** neg2 * 10.0 ** e2, (-1.0) ** neg4 * 10.0 ** e4
+
+    ks = {"k1": k1, "k2": k2, "k3": k3, "k4": k4, "c5": 1.0, "c2": 1.0}
+
+    def passes(x):
+        return bool(bnd._single_certificate(ks, math.exp(x)))
+
+    assume(passes(40.0))
+    lo, hi = 1.0, 40.0
+    if passes(lo):
+        hi = lo
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    with mpmath.workdps(40):
+        a = mpmath.mpf(math.exp(hi)) * (1 + mpmath.mpf(s))
+        p, h2 = _single_h2_numerator(*map(mpmath.mpf, (k1, k2, k3, k4)), a)
+        assert p > 0
+        assert h2 < 0
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -222,10 +271,38 @@ def test_concavity_beyond_threshold(q, k1, k3, s):
 
 
 def test_k_signs_on_table_grid():
-    # The concavity certificate assumes k1 > 0 > k3 in every row.
+    # The concavity certificates assume k1 > 0 > k3 in every row.
     table = bnd._theta_grid_table(0.125, 100, 10000, cst.PRIME_CUTOFF)
     assert (table["k1"] > 0.0).all()
     assert (table["k3"] < 0.0).all()
+    # The N = 1 certificate removes no row that g(L) > 0 > g(1e16) admits.
+    a_lo = np.maximum(
+        bnd._concavity_threshold(8.0 * table["c5"] ** 2, table["k1"], table["k3"]),
+        math.exp(math.log(8.0) + 1e-9))
+    with np.errstate(invalid="ignore"):
+        feasible = ((bnd._stationarity(a_lo, 1, table, True) > 0.0)
+                    & (bnd._stationarity(1e16, 1, table, True) < 0.0))
+    assert feasible.sum() > 9000
+    assert bnd._single_certificate(table, a_lo)[feasible].all()
+
+
+def test_a_search_evaluation_counts_on_table_grid(monkeypatch):
+    # Every row of the certified A-search converges well inside the Newton
+    # cap for each table N (at most 9 f-evaluations observed, at N = 1).
+    table = bnd._theta_grid_table(0.125, 100, 10000, cst.PRIME_CUTOFF)
+    counts = []
+
+    def recording(*args):
+        x, its = newton(*args)
+        counts.append(its)
+        return x, its
+
+    newton = bnd.roots._newton_vec
+    monkeypatch.setattr(bnd.roots, "_newton_vec", recording)
+    for n in bnd.DEFAULT_TABLE_N:
+        bnd._optimize_A_vec(n, 0.125, table)
+        assert counts[-1].size > 9000
+        assert counts[-1].max() <= 12
 
 
 def test_table_rows_match_frozen_optima():

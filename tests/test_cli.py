@@ -265,7 +265,7 @@ def test_optimizer_error_exit_4(capsys, monkeypatch):
 # re-freeze the digest on purpose and record the old and new values.
 GOLDEN_STDOUT = {
     "table text": "11b8ea2df06334e6733683da317b60f06d506d0602c3f472177cc090611615b0",
-    "table json": "42f058a03a46259114a0325c588e3548eeb444134f66e8deccef55e3388afe2b",
+    "table json": "450dcf2036add054e67e50ba793b0441485ac746dda60138ce7647e2f5eb579a",
     "table csv": "9116c66c0123a27ca6c9652a6c7ddf279dba8004523480688dcd8567043a443f",
     "optimize --N 5": "d64dbc856bf5f3be593b9796d1c8ba7ef00b00c52d39f09ebf68f0b62a682607",
     "constants --theta 0.011 --A 2.9e7":

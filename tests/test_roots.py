@@ -231,3 +231,24 @@ def test_newton_vec_root_on_bracket_end_stays_put(case):
     assert got[0] == 2.0
     assert its[0] == (2 if case == "step_onto_lo" else 1)
     assert got[1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+def test_newton_vec_breaks_two_cycle():
+    # Newton on sign(x) sqrt|x| maps x to -x: from the exact power of two
+    # h = 2^-50 each step lands exactly on the other, already evaluated,
+    # end of [-h, h], a gap far above the stop tolerance.  The midpoint
+    # must break the cycle and hit the root 0.  The second element is an
+    # ordinary root beside it.
+    h = 2.0 ** -50
+
+    def fdf(x, i):
+        with np.errstate(divide="ignore"):
+            r = np.sqrt(np.abs(x))
+            f = np.where(i == 0, np.sign(x) * r, x * x - 2.0)
+            return f, np.where(i == 0, 0.5 / r, 2.0 * x)
+
+    got, its = roots._newton_vec(fdf, np.array([-1.0, 0.0]),
+                                 np.array([1.0, 2.0]), np.array([h, 2.0]))
+    assert got[0] == 0.0
+    assert its[0] == 3
+    assert got[1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
