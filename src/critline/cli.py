@@ -138,8 +138,7 @@ def _run_asymptotic(args: argparse.Namespace) -> str:
 
 def _mollifier_config(args: argparse.Namespace) -> mo.MollifierConfig:
     return mo.MollifierConfig(xi=args.xi, theta=args.theta,
-                              variant=args.variant, t_lo=args.t_lo,
-                              t_hi=args.t_hi, H=args.H,
+                              variant=args.variant, H=args.H,
                               quad_step=args.quad_step)
 
 

@@ -33,12 +33,12 @@ import numpy as np
 
 from . import roots
 from .errors import DomainError
-from .specfun import euler_product, gamma_ratio_quarter
+from .specfun import PRIME_CUTOFF, euler_product, gamma_ratio_quarter
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Default prime cutoff of the truncated Euler products P1 and P2.
-PRIME_CUTOFF = 10 ** 6
+# Theta rows per block of the c7 profile in _k_table.
+_K_CHUNK = 2048
 
 
 # -------------------------------------------------------------------- Params
@@ -245,7 +245,6 @@ def k_constants(theta: float, kappa: float = 0.125, n_rect: int = 100,
 
 
 def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
-             chunk: int = 2048,
              prime_cutoff: int = PRIME_CUTOFF) -> dict[str, np.ndarray]:
     """The constant chain over a whole theta grid.
 
@@ -272,12 +271,12 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     int_c7 = np.empty(size)
     int_vc7 = np.empty(size)
     quad_bracket = np.empty(size)
-    for lo in range(0, size, chunk):
-        block = thetas[lo:lo + chunk]
-        prof = _c7_profile(block, kappa, us)
-        int_c7[lo:lo + chunk] = h * prof[:, 1:].sum(axis=1)
-        quad_bracket[lo:lo + chunk] = h * (prof[:, -1] - prof[:, 0])
-        int_vc7[lo:lo + chunk] = h * (us[1:] * prof[:, 1:]).sum(axis=1)
+    for lo in range(0, size, _K_CHUNK):
+        rows = slice(lo, lo + _K_CHUNK)
+        prof = _c7_profile(thetas[rows], kappa, us)
+        int_c7[rows] = h * prof[:, 1:].sum(axis=1)
+        quad_bracket[rows] = h * (prof[:, -1] - prof[:, 0])
+        int_vc7[rows] = h * (us[1:] * prof[:, 1:]).sum(axis=1)
     rho, _ = roots._rho_theta_vec(thetas)
     c5v = _c5_from_rho(rho, thetas, kappa, g)
     c3v = _c3_from_rho(rho, thetas, kappa, g, p1)

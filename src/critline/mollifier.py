@@ -56,8 +56,6 @@ class MollifierConfig:
     xi: float = 50.0
     theta: float = 0.5
     variant: str = "piecewise"
-    t_lo: float = 0.0
-    t_hi: float = 100.0
     H: float = 1.0
     quad_step: float | None = None
 
@@ -69,9 +67,6 @@ class MollifierConfig:
         if self.variant not in _VARIANTS:
             raise DomainError(
                 f"variant must be one of {_VARIANTS}, got {self.variant!r}")
-        if not self.t_lo < self.t_hi:
-            raise DomainError(
-                f"need t_lo < t_hi, got [{self.t_lo}, {self.t_hi}]")
         if not (math.isfinite(self.H) and self.H > 0.0):
             raise DomainError(f"window length H must be > 0, got {self.H}")
         if self.quad_step is None:
@@ -136,10 +131,9 @@ def _coefficients(xi: float, theta: float,
 
     The arrays are read-only: every caller with the same key shares them.
     """
-    limit = int(math.floor(xi))
-    n = np.arange(1, limit + 1, dtype=float)
-    tau = specfun._tau_table(limit, -0.5)[1:]
-    amp = tau * _weight_vec(n, xi, theta, variant) / np.sqrt(n)
+    n = np.arange(1, int(math.floor(xi)) + 1)
+    amp = (specfun._tau_vec(n, -0.5) * _weight_vec(n, xi, theta, variant)
+           / np.sqrt(n))
     logn = np.log(n)
     logn.setflags(write=False)
     amp.setflags(write=False)
@@ -204,24 +198,6 @@ def hardy_x(t: float) -> float:
 
 # ------------------------------------------------- single-pass window scan
 
-def _simpson_weights(lo: float, hi: float, step: float) -> Tuple[np.ndarray,
-                                                                 np.ndarray]:
-    """Composite-Simpson nodes and weights on [lo, hi] at spacing <= step.
-
-    The 1e-9 slack keeps rounding in hi - lo (e.g. (t + H) - t just above
-    H) from adding two intervals to the window.
-    """
-    n = max(2, int(math.ceil((hi - lo) / step - 1.0e-9)))
-    if n % 2:
-        n += 1
-    u = lo + (hi - lo) * np.arange(n + 1) / n
-    w = np.full(n + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[n] = 1.0
-    w *= (hi - lo) / (3.0 * n)
-    return u, w
-
-
 def _scan(t_lo: float, t_hi: float, cfg: MollifierConfig
           ) -> Tuple[List[WindowStats], np.ndarray, np.ndarray]:
     """One pass over the abutting windows [t_lo + kH, t_lo + (k+1)H].
@@ -244,7 +220,10 @@ def _scan(t_lo: float, t_hi: float, cfg: MollifierConfig
         w_hi = w_lo + cfg.H if full else t_hi
         if w_hi <= w_lo:
             break
-        u, w = _simpson_weights(w_lo, w_hi, cfg.quad_step)
+        # Simpson spacing <= quad_step; the 1e-9 slack keeps rounding in
+        # (t + H) - t just above H from adding two intervals to a window.
+        steps = math.ceil((w_hi - w_lo) / cfg.quad_step - 1.0e-9)
+        u, w = specfun._simpson(w_lo, w_hi, max(2, steps))
         zeta, rotated = specfun._zeta_critical_vec(u)
         e = _eta_vec(u, cfg)
         f = _real_part(rotated) * (e.real ** 2 + e.imag ** 2)

@@ -5,11 +5,12 @@ analysis lives here: zeta on the critical line (Euler-Maclaurin below
 |t| = 1000, Riemann-Siegel from there to 1e6), the phase theta(t) that
 makes e^{i theta} zeta(1/2+it) real, the z-th divisor coefficients tau_z,
 the two Euler products P1 and P2 with rigorous tail bounds, the constant
-Gamma(1/4)/Gamma(3/4), and the oscillatory integrals Delta_r.
+Gamma(1/4)/Gamma(3/4), the oscillatory integrals Delta_r and the
+composite-Simpson rule they and the mollifier windows integrate with.
 
-All operations are pure; the only module state is a bounded cache of
-read-only prime arrays and the precomputed Bernoulli and Riemann-Siegel
-coefficient tables.
+All operations are pure; the only module state is two bounded caches,
+one of read-only prime arrays and one of Euler products, and the
+precomputed Bernoulli and Riemann-Siegel coefficient tables.
 """
 
 from __future__ import annotations
@@ -115,15 +116,41 @@ def gamma_ratio_quarter() -> float:
 
 # ----------------------------------------------------- divisor coefficients
 
-def _binom_zk(z: float, k: int) -> float:
-    """C(z + k - 1, k) = prod_{j=1}^{k} (z + j - 1)/j (tau_z on p^k)."""
-    out = 1.0
-    for j in range(1, k + 1):
-        out *= (z + j - 1) / j
+# Entries of the (n x primes) remainder block _tau_vec forms at a time.
+_TAU_BLOCK = 1 << 18
+
+
+def _tau_vec(n: np.ndarray, z: float) -> np.ndarray:
+    """tau_z of every entry of an integer array n >= 1, by trial division.
+
+    tau_z is multiplicative, C(z + k - 1, k) on a prime power p^k.  Each
+    n is divided by the primes <= sqrt(max n); what is left is 1 or one
+    prime, which contributes z.  The factors multiply in increasing
+    prime order.
+    """
+    n = np.asarray(n, dtype=np.int64)
+    top = int(n.max())
+    ps = primes_up_to(math.isqrt(top))
+    j = np.arange(float(top.bit_length()))
+    binom = np.cumprod(np.concatenate(([1.0], (z + j) / (j + 1.0))))
+    out = np.ones(n.shape)
+    rest = n.copy()
+    rows = max(1, _TAU_BLOCK // max(ps.size, 1))
+    for lo in range(0, n.size, rows):
+        row, col = np.nonzero(n[lo:lo + rows, None] % ps == 0)
+        row += lo
+        p = ps[col]
+        m = n[row] // p
+        k = np.ones(row.size, dtype=np.int64)
+        while (more := m % p == 0).any():
+            m[more] //= p[more]
+            k[more] += 1
+        np.multiply.at(out, row, binom[k])
+        np.floor_divide.at(rest, row, p ** k)
+    out[rest > 1] *= z
     return out
 
 
-@lru_cache(maxsize=200000)
 def tau_z(n: int, z: float) -> float:
     """z-th divisor coefficient: the Dirichlet coefficient of zeta^z.
 
@@ -131,53 +158,16 @@ def tau_z(n: int, z: float) -> float:
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"tau_z needs an integer n, got {n!r}")
-    n = int(n)
     if n < 1:
         raise DomainError(f"tau_z needs n >= 1, got {n}")
-    z = float(z)
-    out = 1.0
-    m = n
-    for p in primes_up_to(max(2, math.isqrt(n) + 1)):
-        p = int(p)
-        if p * p > m:
-            break
-        if m % p == 0:
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            out *= _binom_zk(z, k)
-    if m > 1:                       # leftover prime factor
-        out *= z
-    return out
-
-
-def _tau_table(limit: int, z: float) -> np.ndarray:
-    """tau_z(n) for all 1 <= n <= limit via a smallest-prime-factor sieve.
-
-    Index 0 is unused (set to 0).  Used by the mollifier coefficients and
-    the exhaustive |tau| <= 1 check; much faster than per-n factorization.
-    """
-    limit = int(limit)
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
-    binom = [_binom_zk(z, k) for k in range(0, limit.bit_length() + 2)]
-    tau = np.zeros(limit + 1, dtype=float)
-    if limit >= 1:
-        tau[1] = 1.0
-    for n in range(2, limit + 1):
-        p = int(spf[n])
-        m, k = n, 0
-        while m % p == 0:
-            m //= p
-            k += 1
-        tau[n] = tau[m] * binom[k]
-    return tau
+    return float(_tau_vec(np.array([n]), float(z))[0])
 
 
 # ------------------------------------------------------------ Euler products
+
+# Default prime cutoff of the truncated Euler products P1 and P2.
+PRIME_CUTOFF = 10 ** 6
+
 
 @dataclass(frozen=True)
 class EulerProductValue:
@@ -205,36 +195,27 @@ def _p2_term(p: np.ndarray) -> np.ndarray:
     return num / ((p - 1.0) ** 5 * p * (p + 1.0))
 
 
-def _majorant_g(kind: str, x: float) -> float:
-    # g(x) = x^2 * term(x); strictly decreasing on x > 1 for both kinds,
-    # with limits 3 (P1) and 5 (P2).  Gives term(p) <= g(P+1)/p^2 for
-    # every prime p > P, hence sum_{p>P} term(p) <= g(P+1)/P.
-    if kind == "P1":
-        return x * (3.0 * x * x - 3.0 * x + 1.0) / (x - 1.0) ** 3
-    return (x * ((5.0 * x - 6.0) * x ** 4 + (5.0 * x - 4.0) * x + 1.0)
-            / ((x - 1.0) ** 5 * (x + 1.0)))
-
-
 @lru_cache(maxsize=64)
-def euler_product(kind: str, cutoff: int = 10 ** 6) -> EulerProductValue:
+def euler_product(kind: str, cutoff: int = PRIME_CUTOFF) -> EulerProductValue:
     """Truncated Euler product P1 or P2 over primes p <= cutoff.
 
     P1 = prod_p (1 + (3p^2-3p+1)/(p^4-3p^3+3p^2-p))
     P2 = prod_p (1 + (5p^5-6p^4+5p^2-4p+1)/((p-1)^5 p (p+1)))
 
-    The tail bound comes from the termwise majorization term(p) <= C/p^2
-    with C = g(cutoff+1) (g decreasing, checked symbolically), followed by
-    the integral comparison sum_{n>P} 1/n^2 <= 1/P.
+    The tail bound: g(x) = x^2 term(x) decreases on x > 1 for both kinds
+    (checked symbolically; limits 3 and 5), so term(p) <= g(P+1)/p^2 for
+    every prime p > P = cutoff, and sum_{n>P} 1/n^2 <= 1/P gives
+    sum_{p>P} term(p) <= g(P+1)/P.
     """
     if kind not in ("P1", "P2"):
         raise DomainError(f"unknown Euler product kind {kind!r}")
     cutoff = int(cutoff)
     if cutoff < 2:
         raise DomainError(f"euler_product needs cutoff >= 2, got {cutoff}")
-    ps = primes_up_to(cutoff)
-    terms = _p1_term(ps) if kind == "P1" else _p2_term(ps)
-    value = float(np.exp(np.sum(np.log1p(terms))))
-    tail = _majorant_g(kind, cutoff + 1.0) / cutoff
+    term = _p1_term if kind == "P1" else _p2_term
+    value = float(np.exp(np.sum(np.log1p(term(primes_up_to(cutoff))))))
+    x = cutoff + 1.0
+    tail = x * x * float(term(np.array([x]))[0]) / cutoff
     return EulerProductValue(kind=kind, value=value, cutoff=cutoff,
                              tail_bound=tail)
 
@@ -442,12 +423,24 @@ def zeta_critical(t: float) -> complex:
 
 # -------------------------------------------------------------------- Delta_r
 
+def _simpson(lo: float, hi: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Composite-Simpson nodes and weights on [lo, hi], n intervals.
+
+    An odd n is rounded up to the next even count.
+    """
+    n += n % 2
+    u = lo + (hi - lo) * np.arange(n + 1) / n
+    w = np.full(n + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[n] = 1.0
+    w *= (hi - lo) / (3.0 * n)
+    return u, w
+
+
 def _delta_steps(x: float) -> int:
     # Simpson step count for the oscillatory integrand on [0, sqrt(X)];
     # worst-case fourth derivative grows like X^4, so scale like X^{9/8}.
-    n = max(128, int(800.0 * x ** 1.125) + 1)
-    n = min(n, 1 << 20)
-    return n + (n % 2)
+    return min(max(128, int(800.0 * x ** 1.125) + 1), 1 << 20)
 
 
 def delta_r(x: float, r: int) -> complex:
@@ -473,8 +466,7 @@ def delta_r(x: float, r: int) -> complex:
         if r == 1:
             raise DomainError("Delta_1 diverges at X = 0")
         return 0.0 + 0.0j
-    n = _delta_steps(x)
-    u = np.linspace(0.0, math.sqrt(x), n + 1)
+    u, w = _simpson(0.0, math.sqrt(x), _delta_steps(x))
     u2 = u * u
     phase = np.exp(-1j * u2) - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -491,9 +483,4 @@ def delta_r(x: float, r: int) -> complex:
         f = (x - u2) ** 2 * core
         f[0] = -1.0j * x * x
         lead = -(8.0 / 3.0) * x ** 1.5
-    h = u[1] - u[0]
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    integral = (h / 3.0) * np.dot(w, f)
-    return complex(lead + integral)
+    return complex(lead + w @ f)

@@ -244,6 +244,16 @@ def test_range_error_exit_3(capsys):
     assert "Error" in json.loads(err)["error"]
 
 
+def test_detect_empty_range(capsys):
+    code, out, _ = _run(capsys, ["detect", "--t-lo", "5", "--t-hi", "5"])
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["count"], rec["ordinates"], rec["windows"]) == (0, [], [])
+    code, _, err = _run(capsys, ["detect", "--t-lo", "10", "--t-hi", "5"])
+    assert code == 3
+    assert json.loads(err)["error"] == "RangeError"
+
+
 def test_precondition_error_exit_3(capsys):
     code, _, err = _run(capsys, ["asymptotic", "--N", "2", "--eps", "0.01"])
     assert code == 3

@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,15 +51,36 @@ def test_tau_domain():
         specfun.tau_z(-3, -0.5)
 
 
-def test_tau_table_matches_pointwise():
-    table = specfun._tau_table(500, -0.5)
-    for n in range(1, 501):
-        assert table[n] == pytest.approx(specfun.tau_z(n, -0.5), abs=1e-15)
+def _tau_oracle(n, z):
+    # tau_z(n) = prod over p^k || n of C(z + k - 1, k), exactly in sympy
+    out = sp.Integer(1)
+    for k in sp.factorint(n).values():
+        out *= sp.binomial(z + k - 1, k)
+    return out
+
+
+def test_tau_kernel_matches_factorint_oracle():
+    # for n <= 500 every tau_{-1/2}(n) is a dyadic rational with a short
+    # numerator, so each product the kernel forms is exact
+    table = specfun._tau_vec(np.arange(1, 501), -0.5)
+    half = sp.Rational(-1, 2)
+    assert table.tolist() == [float(_tau_oracle(n, half))
+                              for n in range(1, 501)]
+
+
+@pytest.mark.parametrize("z", ["-1/2", "1/2", "2"])
+@pytest.mark.parametrize("n", [2 ** 40, 10 ** 12 + 39, 999983 ** 2,
+                               223092870])
+def test_tau_large_n_matches_factorint_oracle(n, z):
+    # up to 40 factors of the binomial cumprod, each rounded once
+    oracle = float(_tau_oracle(n, sp.Rational(z)))
+    assert specfun.tau_z(n, float(sp.Rational(z))) == pytest.approx(
+        oracle, rel=1e-14)
 
 
 def test_tau_bounded_by_one():
-    table = specfun._tau_table(5000, -0.5)
-    assert float(np.max(np.abs(table[1:]))) <= 1.0
+    table = specfun._tau_vec(np.arange(1, 5001), -0.5)
+    assert float(np.max(np.abs(table))) <= 1.0
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -228,8 +250,6 @@ def test_tail_majorant_decreasing_symbolically():
     # the tail bound rests on g(x) = x^2 * term(x) decreasing for x > 1;
     # check symbolically that g' has no critical point past 1 and that the
     # published euler_product tail equals g(cutoff+1)/cutoff
-    import sympy as sp
-
     x = sp.symbols("x", positive=True)
     g_p1 = x * (3 * x ** 2 - 3 * x + 1) / (x - 1) ** 3
     g_p2 = (x ** 2 * (5 * x ** 5 - 6 * x ** 4 + 5 * x ** 2 - 4 * x + 1)
