@@ -39,6 +39,9 @@ DEFAULT_TABLE_N = (1, 2, 3, 4, 5, 10, 100, 1000)
 # stationary point lies beyond _A_MAX counts as infeasible.
 _A_MAX = 1e16
 
+# Largest theta grid optimize sweeps; the grid's constant table is cached.
+_THETA_GRID_MAX = 10 ** 6
+
 # Local theta refinement: 2 * _REFINE_HALF + 1 points per pass, spacing
 # divided by _REFINE_HALF after each; three passes end at h / 25^3 =
 # 6.4e-5 h (h the grid spacing), fine enough that the table text no
@@ -89,27 +92,20 @@ def _bound_value(A, N, ks, single: bool):
 
 
 def _stationarity(A, N, ks, single: bool):
-    """g(A) = A^4 b'(A) / (2 pi); positive left of the maximum."""
+    """g(A) = A^4 b'(A) / (2 pi), positive left of the maximum, and its
+    slope d g / d ln A in closed form."""
     c1v = cst.c1_from_set(A, ks)
     c1p = cst.c1_prime_from_set(A, ks)
-    *_, c2v = cst._unpack(ks)
-    if single:
-        ratio = np.sqrt(c2v / c1v)
-        return (-0.5 * A * A - (1.0 + ratio) * c1p * A
-                + 3.0 * (np.sqrt(c1v) + np.sqrt(c2v)) ** 2)
-    return -0.5 * A * A - 4.0 * N * c1p * A + 12.0 * N * (c1v + c2v)
-
-
-def _stationarity_slope(A, N, ks, single: bool):
-    """d g / d ln A of _stationarity, in closed form."""
-    c1v = cst.c1_from_set(A, ks)
-    p = A * cst.c1_prime_from_set(A, ks)                  # d c1 / d ln A
     k1, _k2, k3, _k4, v5, c2v = cst._unpack(ks)
+    p = A * c1p                                           # d c1 / d ln A
     dp = p + 8.0 * v5 ** 2 * (k1 * A - k3)                # d p / d ln A
     if single:
         ratio = np.sqrt(c2v / c1v)
-        return -A * A + 0.5 * ratio * p * p / c1v + (1.0 + ratio) * (3.0 * p - dp)
-    return -A * A + 4.0 * N * (3.0 * p - dp)
+        return (-0.5 * A * A - (1.0 + ratio) * c1p * A
+                + 3.0 * (np.sqrt(c1v) + np.sqrt(c2v)) ** 2,
+                -A * A + 0.5 * ratio * p * p / c1v + (1.0 + ratio) * (3.0 * p - dp))
+    return (-0.5 * A * A - 4.0 * N * c1p * A + 12.0 * N * (c1v + c2v),
+            -A * A + 4.0 * N * (3.0 * p - dp))
 
 
 def lower_bound_general(p: Params, n_rect: int = 100) -> float:
@@ -149,7 +145,7 @@ def optimize_A(N: int, theta: float, kappa: float = 0.125,
     otherwise, as the table does.  One row of _optimize_A_vec (a certified
     root for every N); raises OptimizerError where that row is infeasible.
     """
-    cst._check_n(N)
+    cst._check_count("N", N, 1)
     cst._check_theta(theta)
     cst._check_kappa(kappa)
     table = cst._k_table(np.array([float(theta)]), kappa, n_rect)
@@ -264,17 +260,16 @@ def _optimize_A_vec(N: int, kappa: float,
                       math.exp(math.log(1.0 / kappa) + 1e-9))
     with np.errstate(invalid="ignore"):
         feasible = ((a_lo < _A_MAX)
-                    & (_stationarity(a_lo, N, table, single) > 0.0)
-                    & (_stationarity(_A_MAX, N, table, single) < 0.0))
+                    & (_stationarity(a_lo, N, table, single)[0] > 0.0)
+                    & (_stationarity(_A_MAX, N, table, single)[0] < 0.0))
     if single:
         feasible &= _single_certificate(table, a_lo)
     rows = np.nonzero(feasible)[0]
     ks = {k: table[k][rows] for k in ("k1", "k2", "k3", "k4", "c5", "c2")}
 
     def neg_h(a, i):
-        ks_i = {k: v[i] for k, v in ks.items()}
-        g = _stationarity(a, N, ks_i, single)
-        return -g / a, (g - _stationarity_slope(a, N, ks_i, single)) / (a * a)
+        g, slope = _stationarity(a, N, {k: v[i] for k, v in ks.items()}, single)
+        return -g / a, (g - slope) / (a * a)
 
     a_out = np.full(table["theta"].size, np.nan)
     a_out[rows], _ = roots._newton_vec(neg_h, a_lo[rows], _A_MAX,
@@ -297,11 +292,10 @@ def optimize(N: int, kappa: float = 0.125, theta_grid_size: int = 10000,
     theta (the sweep scans ascending).  P1 and P2 are truncated at
     prime_cutoff.
     """
-    if not isinstance(theta_grid_size, (int, np.integer)) or theta_grid_size < 2:
-        raise DomainError(f"theta_grid_size must be an integer >= 2, got {theta_grid_size!r}")
-    cst._check_n(N)
+    cst._check_count("theta_grid_size", theta_grid_size, 2, _THETA_GRID_MAX)
+    cst._check_count("N", N, 1)
     cst._check_kappa(kappa)
-    cst._check_n_rect(n_rect)
+    cst._check_count("n_rect", n_rect, 1, cst._N_RECT_MAX)
     table = _theta_grid_table(float(kappa), int(n_rect), int(theta_grid_size),
                               int(prime_cutoff))
     a_vec, b_vec = _optimize_A_vec(N, kappa, table)

@@ -37,8 +37,12 @@ from .specfun import PRIME_CUTOFF, euler_product, gamma_ratio_quarter
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Theta rows per block of the c7 profile in _k_table.
+# Theta rows per block of the c7 profile in _k_table at n_rect = 100; a
+# block holds about _K_CHUNK * 100 (theta, u) points for every n_rect.
 _K_CHUNK = 2048
+
+# Largest n_rect: one theta row then holds 10^6 u points, about 300 MB.
+_N_RECT_MAX = 10 ** 6
 
 
 # -------------------------------------------------------------------- Params
@@ -57,7 +61,7 @@ class Params:
     A: float = float("nan")
 
     def __post_init__(self):
-        _check_n(self.N)
+        _check_count("N", self.N, 1)
         _check_theta(self.theta)
         _check_kappa(self.kappa)
         if not math.isnan(self.A) and not self.A > 0.0:
@@ -81,11 +85,11 @@ class ConstantSet:
     rho: float
 
 
-def _check_n(N: int) -> None:
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise DomainError(f"N must be an integer, got {N!r}")
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+def _check_count(name: str, value, lo: int, hi: float = math.inf) -> None:
+    """value must be an integer, not a bool, in [lo, hi]."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or not lo <= value <= hi):
+        raise DomainError(f"{name} must be an integer in [{lo}, {hi:g}], got {value!r}")
 
 
 def _check_theta(theta: float) -> None:
@@ -96,11 +100,6 @@ def _check_theta(theta: float) -> None:
 def _check_kappa(kappa: float) -> None:
     if not 0.0 < kappa <= 0.125:
         raise DomainError(f"kappa must lie in (0, 1/8], got {kappa!r}")
-
-
-def _check_n_rect(n_rect: int) -> None:
-    if not isinstance(n_rect, (int, np.integer)) or n_rect < 1:
-        raise DomainError(f"n_rect must be a positive integer, got {n_rect!r}")
 
 
 # ------------------------------------------------- formula kernels (array-ok)
@@ -198,13 +197,11 @@ def c7(u: float, theta: float, kappa: float = 0.125) -> float:
 # ---------------------------------------------------------- vector kernels
 
 def _c6_profile(thetas: np.ndarray, kappa: float, us: np.ndarray) -> np.ndarray:
-    """c6 on a grid of u values, one row per theta."""
-    th = thetas[:, None]
-    rho, _ = roots._rho_lemma_vec(np.sqrt(math.pi * kappa * us), th)
-    return ((np.exp(rho) + np.exp(rho * th))
-            / ((1.0 - th) * 2.0 * np.sqrt(math.pi * kappa * rho))
-            * (np.sqrt(us / rho) * math.sqrt(math.pi * kappa)
-               + gamma_ratio_quarter()))
+    """c6 on a grid of u values, one row per theta (c5 at the perturbed root)."""
+    rho, _ = roots._rho_lemma_vec(np.sqrt(math.pi * kappa * us), thetas)
+    return _c5_from_rho(rho, thetas[:, None], kappa,
+                        np.sqrt(us / rho) * math.sqrt(math.pi * kappa)
+                        + gamma_ratio_quarter())
 
 
 def _c7_profile(thetas: np.ndarray, kappa: float, us: np.ndarray) -> np.ndarray:
@@ -260,7 +257,7 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     if float(thetas.min()) <= 0.0 or float(thetas.max()) >= 1.0:
         raise DomainError("theta grid must lie inside (0,1)")
     _check_kappa(kappa)
-    _check_n_rect(n_rect)
+    _check_count("n_rect", n_rect, 1, _N_RECT_MAX)
     p1 = euler_product("P1", prime_cutoff).value
     p2 = euler_product("P2", prime_cutoff).value
     g = gamma_ratio_quarter()
@@ -271,8 +268,9 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     int_c7 = np.empty(size)
     int_vc7 = np.empty(size)
     quad_bracket = np.empty(size)
-    for lo in range(0, size, _K_CHUNK):
-        rows = slice(lo, lo + _K_CHUNK)
+    block = max(1, _K_CHUNK * 100 // n_rect)
+    for lo in range(0, size, block):
+        rows = slice(lo, lo + block)
         prof = _c7_profile(thetas[rows], kappa, us)
         int_c7[rows] = h * prof[:, 1:].sum(axis=1)
         quad_bracket[rows] = h * (prof[:, -1] - prof[:, 0])

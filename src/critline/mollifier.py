@@ -41,6 +41,12 @@ _VARIANTS = ("piecewise", "selberg")
 # inconsistency rather than rounding noise.
 _IMAG_TOL = 1.0e-8
 
+# Limits on user-sized work; each keeps one call near 300 MB peak memory.
+_XI_MAX = 1.0e6                 # polynomial length
+_WINDOW_STEPS_MAX = 10 ** 6     # Simpson steps per window, H / quad_step
+_WINDOWS_MAX = 10 ** 5          # windows per scan
+_FIGURE_ROWS_MAX = 10 ** 6      # rows of figure_data
+
 
 @dataclass(frozen=True)
 class MollifierConfig:
@@ -60,8 +66,8 @@ class MollifierConfig:
     quad_step: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.xi) and self.xi > 1.0):
-            raise DomainError(f"xi must be > 1, got {self.xi}")
+        if not 1.0 < self.xi <= _XI_MAX:
+            raise DomainError(f"xi must lie in (1, {_XI_MAX:g}], got {self.xi}")
         if not (0.0 < self.theta < 1.0):
             raise DomainError(f"theta must lie in (0, 1), got {self.theta}")
         if self.variant not in _VARIANTS:
@@ -74,6 +80,9 @@ class MollifierConfig:
         if not (math.isfinite(self.quad_step) and self.quad_step > 0.0):
             raise DomainError(
                 f"quad_step must be > 0, got {self.quad_step}")
+        if not self.H / self.quad_step <= _WINDOW_STEPS_MAX:
+            raise DomainError(f"H / quad_step must be at most {_WINDOW_STEPS_MAX:g}, "
+                              f"got {self.H / self.quad_step:g}")
 
 
 @dataclass(frozen=True)
@@ -198,6 +207,14 @@ def hardy_x(t: float) -> float:
 
 # ------------------------------------------------- single-pass window scan
 
+def _mollified_vec(t: np.ndarray, cfg: MollifierConfig
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(zeta, eta, X * |eta|^2) at 1/2 + it on a vector of ordinates."""
+    zeta, rotated = specfun._zeta_critical_vec(t)
+    e = _eta_vec(t, cfg)
+    return zeta, e, _real_part(rotated) * (e.real ** 2 + e.imag ** 2)
+
+
 def _scan(t_lo: float, t_hi: float, cfg: MollifierConfig
           ) -> Tuple[List[WindowStats], np.ndarray, np.ndarray]:
     """One pass over the abutting windows [t_lo + kH, t_lo + (k+1)H].
@@ -224,9 +241,7 @@ def _scan(t_lo: float, t_hi: float, cfg: MollifierConfig
         # (t + H) - t just above H from adding two intervals to a window.
         steps = math.ceil((w_hi - w_lo) / cfg.quad_step - 1.0e-9)
         u, w = specfun._simpson(w_lo, w_hi, max(2, steps))
-        zeta, rotated = specfun._zeta_critical_vec(u)
-        e = _eta_vec(u, cfg)
-        f = _real_part(rotated) * (e.real ** 2 + e.imag ** 2)
+        zeta, e, f = _mollified_vec(u, cfg)
         s = np.sign(f)
         live = np.nonzero(s)[0]
         flip = np.nonzero(s[live[1:]] != s[live[:-1]])[0]
@@ -254,21 +269,15 @@ def window_integrals(t: float, cfg: MollifierConfig) -> WindowStats:
 
 # ------------------------------------------------------------ zero detection
 
-def _mollified_vec(t: np.ndarray, cfg: MollifierConfig) -> np.ndarray:
-    """X(t) * |eta(t)|^2 on a vector of ordinates."""
-    e = _eta_vec(t, cfg)
-    return _hardy_x_vec(t) * (e.real ** 2 + e.imag ** 2)
-
-
 def _refine_crossings(lo: np.ndarray, hi: np.ndarray,
                       cfg: MollifierConfig) -> np.ndarray:
     """Bisection on X*|eta|^2 over bracketing pairs, to ~1e-9 width."""
     lo = lo.copy()
     hi = hi.copy()
-    f_lo = _mollified_vec(lo, cfg)
+    f_lo = _mollified_vec(lo, cfg)[2]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        f_mid = _mollified_vec(mid, cfg)
+        f_mid = _mollified_vec(mid, cfg)[2]
         go_right = (np.sign(f_mid) == np.sign(f_lo)) & (f_mid != 0.0)
         lo = np.where(go_right, mid, lo)
         f_lo = np.where(go_right, f_mid, f_lo)
@@ -302,6 +311,8 @@ def mollified_scan(t_lo: float, t_hi: float,
     if t_hi < t_lo:
         raise RangeError(f"need t_lo <= t_hi, got [{t_lo}, {t_hi}]")
     _check_range(max(abs(t_lo), abs(t_hi)), "scan range")
+    if not (t_hi - t_lo) / cfg.H <= _WINDOWS_MAX:
+        raise DomainError(f"a scan covers at most {_WINDOWS_MAX:g} windows of length H")
     windows, lo, hi = _scan(t_lo, t_hi, cfg)
     ordinates = np.sort(_refine_crossings(lo, hi, cfg)) if lo.size else lo
     return Detection(count=int(ordinates.size),
@@ -334,7 +345,10 @@ def figure_data(t_lo: float, t_hi: float, step: float,
     if t_hi < t_lo:
         raise RangeError(f"need t_lo <= t_hi, got [{t_lo}, {t_hi}]")
     _check_range(max(abs(t_lo), abs(t_hi)), "grid")
-    n_rows = int(math.floor((t_hi - t_lo) / step + 1.0e-9)) + 1
+    span = (t_hi - t_lo) / step + 1.0e-9
+    if not span < _FIGURE_ROWS_MAX:
+        raise DomainError(f"figure_data emits at most {_FIGURE_ROWS_MAX:g} rows")
+    n_rows = int(math.floor(span)) + 1
     t = t_lo + step * np.arange(n_rows)
     x = _hardy_x_vec(t)
     e = _eta_vec(t, cfg)

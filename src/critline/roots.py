@@ -69,7 +69,7 @@ def _newton_vec(fdf: Callable[[np.ndarray, np.ndarray], tuple],
     9 that the table needs.  Returns the roots and, beside them, the
     number of f evaluations each element took.
     """
-    shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), np.shape(x0))
+    shape = np.broadcast(lo, hi, x0).shape
     lo, hi, x = (np.array(v, dtype=float).ravel() for v in
                  np.broadcast_arrays(lo, hi, x0))
     lo_seen, hi_seen = np.zeros((2, x.size), dtype=bool)  # f known there
@@ -136,37 +136,38 @@ def _rho_lemma_fdf(x, a, theta, b):
 # ---------------------------------------------------------- vector kernels
 
 def _rho_theta_vec(thetas) -> tuple[np.ndarray, np.ndarray]:
-    """rho(theta) and iteration counts over an array of theta in [0, 1).
+    """rho(theta) and iteration counts over a 1-d array of theta in [0, 1).
 
     The root lies in (1/2, 1): f is theta - 1 < 0 at 1/2 and
     2 theta - 1 + e^{1-theta} > 0 at 1, and it is strictly increasing
     past the root.  Newton starts at 1.
     """
     thetas = np.asarray(thetas, dtype=float)
-    flat = thetas.ravel()
     lo, hi = _RHO_THETA_BRACKET
-    return _newton_vec(lambda x, i: _rho_theta_fdf(x, flat[i]),
+    return _newton_vec(lambda x, i: _rho_theta_fdf(x, thetas[i]),
                        lo, np.full(thetas.shape, hi), hi)
 
 
 def _a_of_x(x, theta, b):
     """a(X) and a'(X), the closed-form inverse of rho(a, theta), for X >= 1/2.
 
-    With e = e^{(1-theta)X}, F = e (2X - 1) + 2 theta X - 1 and
+    With e = e^{(1-theta)X}, (F, F') = _rho_theta_fdf(X, theta) and
     D = 1 + e - F: a = b sqrt(X) F / D and, since D' = (1-theta) e - F',
     a' = a (1/(2X) - D'/D) + b sqrt(X) F'/D.
     """
     e = np.exp((1.0 - theta) * x)
     rx = np.sqrt(x)
-    big_f = e * (2.0 * x - 1.0) + 2.0 * theta * x - 1.0
-    d_f = e * ((1.0 - theta) * (2.0 * x - 1.0) + 2.0) + 2.0 * theta
+    big_f, d_f = _rho_theta_fdf(x, theta)
     d = 1.0 + e - big_f
     a = b * rx * big_f / d
     return a, a * (0.5 / x - ((1.0 - theta) * e - d_f) / d) + b * rx * d_f / d
 
 
-def _rho_lemma_vec(a, theta) -> tuple[np.ndarray, np.ndarray]:
-    """rho(a, theta) and iteration counts, a >= 0 and 0 <= theta < 1.
+def _rho_lemma_vec(a, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """rho(a, theta) and iteration counts on a (theta x a) grid.
+
+    a is one 1-d row of values a >= 0, shared by every theta of the 1-d
+    thetas, 0 <= theta < 1; both results have shape (thetas.size, a.size).
 
     Outer bracket.  [1e-8, 2] holds for every such (a, theta).  With e,
     F and D as in _a_of_x, f = a (F - e - 1) + b sqrt(X) F.  At X = 2
@@ -177,14 +178,11 @@ def _rho_lemma_vec(a, theta) -> tuple[np.ndarray, np.ndarray]:
     Starts.  f is linear in a: f = D (a(X) - a) with D > 0 up to the pole
     of a(X) = b sqrt(X) F / D.  On X >= 1/2, F' >= 2e and -D' >= e, so
     a' >= e (a + b sqrt(X)) / D > 0: a(X) increases from 0 at rho(theta)
-    to +inf, and rho(a, theta) is the X with a(X) = a.  The node grid has
-    one row per theta: the broadcast shape splits into leading axes,
-    along which theta varies, and trailing ones, along which it is
-    constant (if theta varies along the last axis, each element is a
-    row).  Each row has _RHO_NODES = n uniform nodes X_0 < ... < X_{n-1}
-    from rho(theta) to rho(a_max, theta), a_max the largest a of the call
-    (one Newton solve per row on the outer bracket), at least 2^-20 wide.
-    With a_k the computed a(X_k), an element's cell is
+    to +inf, and rho(a, theta) is the X with a(X) = a.  Each theta row
+    has _RHO_NODES = n uniform nodes X_0 < ... < X_{n-1} from rho(theta)
+    to rho(a_max, theta), a_max the largest a (one Newton solve per row on
+    the outer bracket), at least 2^-20 wide.  With a_k the computed
+    a(X_k), an element's cell is
     j = #{k : a_k <= a} - 1, so a_j <= a < a_{j+1} (j = -1 or n-1 off the
     ends).  Newton starts at the cubic Hermite interpolant of the inverse
     map through (a_k, X_k) with slopes 1/a'(X_k) on that cell, clipped to
@@ -203,42 +201,33 @@ def _rho_lemma_vec(a, theta) -> tuple[np.ndarray, np.ndarray]:
     the table's grid takes about two f evaluations per element.
     """
     b = gamma_ratio_quarter()
-    a, theta = np.asarray(a, dtype=float), np.asarray(theta, dtype=float)
-    shape = np.broadcast_shapes(a.shape, theta.shape)
-    th = np.broadcast_to(theta, shape)
-    lead = len(shape)
-    while lead and (th.strides[lead - 1] == 0 or shape[lead - 1] == 1):
-        lead -= 1
-    th_row = th[(Ellipsis,) + (0,) * (len(shape) - lead)].ravel()
-    a2 = np.broadcast_to(a, shape).reshape(th_row.size, -1)
+    a, thetas = np.asarray(a, dtype=float), np.asarray(thetas, dtype=float)
     n = _RHO_NODES
     lo_out, hi_out = _RHO_LEMMA_BRACKET
 
-    a_max = float(a2.max())
-    x_bot, _ = _rho_theta_vec(th_row)
-    x_top, _ = _newton_vec(lambda x, i: _rho_lemma_fdf(x, a_max, th_row[i], b),
-                           lo_out, np.full(th_row.shape, hi_out), 1.0)
+    a_max = float(a.max())
+    x_bot, _ = _rho_theta_vec(thetas)
+    x_top, _ = _newton_vec(lambda x, i: _rho_lemma_fdf(x, a_max, thetas[i], b),
+                           lo_out, np.full(thetas.shape, hi_out), 1.0)
     step = (np.maximum(x_top, x_bot + 2.0 ** -20) - x_bot)[:, None] / (n - 1)
     x_bot = x_bot[:, None]
-    a_k, da_k = _a_of_x(x_bot + step * np.arange(n), th_row[:, None], b)
+    a_k, da_k = _a_of_x(x_bot + step * np.arange(n), thetas[:, None], b)
 
-    j = np.count_nonzero(a_k[:, None, :] <= a2[:, :, None], axis=2) - 1
+    j = np.count_nonzero(a_k[:, None, :] <= a[:, None], axis=2) - 1
     c = np.clip(j, 0, n - 2)
-    cell = c + n * np.arange(th_row.size)[:, None]
+    cell = c + n * np.arange(thetas.size)[:, None]
     a_l = np.take(a_k, cell)
     d_a = np.take(a_k, cell + 1) - a_l
-    t = np.clip((a2 - a_l) / d_a, 0.0, 1.0)
+    t = np.clip((a - a_l) / d_a, 0.0, 1.0)
     t2 = t * t
     x0 = (x_bot + step * c + step * (3.0 * t2 - 2.0 * t2 * t)
           + d_a * ((t2 * t - 2.0 * t2 + t) / np.take(da_k, cell)
                    + (t2 * t - t2) / np.take(da_k, cell + 1)))
     lo = np.where(j >= 1, x_bot + step * (j - 1), lo_out)
     hi = np.where(j <= n - 3, x_bot + step * (j + 2), hi_out)
-    a_flat = a2.ravel()
-    th_flat = np.broadcast_to(th_row[:, None], a2.shape).ravel()
-    x, its = _newton_vec(lambda x, i: _rho_lemma_fdf(x, a_flat[i], th_flat[i], b),
-                         lo, hi, np.clip(x0, lo, hi))
-    return x.reshape(shape), its.reshape(shape)
+    a_flat, th_flat = np.tile(a, thetas.size), np.repeat(thetas, a.size)
+    return _newton_vec(lambda x, i: _rho_lemma_fdf(x, a_flat[i], th_flat[i], b),
+                       lo, hi, np.clip(x0, lo, hi))
 
 
 # ------------------------------------------------------------ scalar roots
@@ -273,5 +262,5 @@ def rho_lemma_a(a: float, theta: float) -> RootSolution:
     if not 0.0 <= theta < 1.0:
         raise DomainError(f"rho_lemma_a needs 0 <= theta < 1, got {theta}")
     x, its = _rho_lemma_vec(np.array([a]), np.array([theta]))
-    f = _rho_lemma_fdf(x, a, theta, gamma_ratio_quarter())[0]
-    return _solution(x, its, f, _RHO_LEMMA_BRACKET)
+    f = _rho_lemma_fdf(x[0], a, theta, gamma_ratio_quarter())[0]
+    return _solution(x[0], its[0], f, _RHO_LEMMA_BRACKET)

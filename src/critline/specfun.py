@@ -119,6 +119,9 @@ def gamma_ratio_quarter() -> float:
 # Entries of the (n x primes) remainder block _tau_vec forms at a time.
 _TAU_BLOCK = 1 << 18
 
+# Largest n tau_z accepts: it sieves the primes up to sqrt(n), 3.2e7 here.
+_TAU_N_MAX = 10 ** 15
+
 
 def _tau_vec(n: np.ndarray, z: float) -> np.ndarray:
     """tau_z of every entry of an integer array n >= 1, by trial division.
@@ -158,8 +161,8 @@ def tau_z(n: int, z: float) -> float:
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"tau_z needs an integer n, got {n!r}")
-    if n < 1:
-        raise DomainError(f"tau_z needs n >= 1, got {n}")
+    if not 1 <= n <= _TAU_N_MAX:
+        raise DomainError(f"tau_z needs 1 <= n <= {_TAU_N_MAX:.0e}, got {n}")
     return float(_tau_vec(np.array([n]), float(z))[0])
 
 

@@ -156,8 +156,8 @@ def test_certified_root_matches_scan_oracle(n):
     table = bnd._theta_grid_table(0.125, 100, 500, cst.PRIME_CUTOFF)
     grid = np.linspace(math.log(8.0) + 1e-9, math.log(1e16), 600)
     with np.errstate(invalid="ignore"):
-        g = bnd._stationarity(np.exp(grid)[None, :], n,
-                              {k: v[:, None] for k, v in table.items()}, n == 1)
+        g, _ = bnd._stationarity(np.exp(grid)[None, :], n,
+                                 {k: v[:, None] for k, v in table.items()}, n == 1)
     trans = (g[:, :-1] > 0) & (g[:, 1:] < 0)
     last = np.array([np.nonzero(t)[0][-1] if t.any() else -1 for t in trans])
     a_star, b_vec = bnd._optimize_A_vec(n, 0.125, table)
@@ -168,8 +168,8 @@ def test_certified_root_matches_scan_oracle(n):
     assert (np.exp(grid[last[rows]]) <= a).all()
     assert (a <= np.exp(grid[last[rows] + 1])).all()
     # |g(A*)| on the scale of rounding in g's largest term, A^2 / 2
-    g_star = bnd._stationarity(a, n, {k: v[rows] for k, v in table.items()},
-                               n == 1)
+    g_star, _ = bnd._stationarity(a, n, {k: v[rows] for k, v in table.items()},
+                                  n == 1)
     assert (np.abs(g_star) <= 8 * np.finfo(float).eps * 0.5 * a * a).all()
 
 
@@ -280,8 +280,8 @@ def test_k_signs_on_table_grid():
         bnd._concavity_threshold(8.0 * table["c5"] ** 2, table["k1"], table["k3"]),
         math.exp(math.log(8.0) + 1e-9))
     with np.errstate(invalid="ignore"):
-        feasible = ((bnd._stationarity(a_lo, 1, table, True) > 0.0)
-                    & (bnd._stationarity(1e16, 1, table, True) < 0.0))
+        feasible = ((bnd._stationarity(a_lo, 1, table, True)[0] > 0.0)
+                    & (bnd._stationarity(1e16, 1, table, True)[0] < 0.0))
     assert feasible.sum() > 9000
     assert bnd._single_certificate(table, a_lo)[feasible].all()
 
@@ -319,9 +319,9 @@ def test_stationarity_slope_matches_difference_quotient():
     for n, single in ((1, True), (7, False)):
         la = math.log(a_ref)
         h = 1e-6
-        numeric = (bnd._stationarity(math.exp(la + h), n, ks, single)
-                   - bnd._stationarity(math.exp(la - h), n, ks, single)) / (2 * h)
-        assert bnd._stationarity_slope(math.exp(la), n, ks, single) == \
+        numeric = (bnd._stationarity(math.exp(la + h), n, ks, single)[0]
+                   - bnd._stationarity(math.exp(la - h), n, ks, single)[0]) / (2 * h)
+        assert bnd._stationarity(math.exp(la), n, ks, single)[1] == \
             pytest.approx(numeric, rel=1e-6)
 
 

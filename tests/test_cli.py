@@ -238,6 +238,22 @@ def test_domain_error_exit_3(capsys):
     assert diag["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["detect", "--xi", "1e13"],
+    ["detect", "--quad-step", "1e-13"],
+    ["detect", "--t-hi", "100", "--H", "1e-9"],
+    ["mollify", "--step", "1e-9"],
+    ["constants", "--theta", "0.3", "--n-rect", str(10 ** 12)],
+    ["optimize", "--N", "2", "--theta-grid", str(10 ** 11)],
+], ids=["xi", "quad_step", "windows", "figure_rows", "n_rect", "theta_grid"])
+def test_size_limit_exit_3(capsys, argv):
+    # without the size limits each of these runs out of memory or never ends
+    code, out, err = _run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_range_error_exit_3(capsys):
     code, _, err = _run(capsys, ["detect", "--t-lo", "5", "--t-hi", "4"])
     assert code == 3

@@ -95,6 +95,8 @@ def test_integrate_c7_gap_halves():
 def test_integrate_c7_n_rect_domain():
     with pytest.raises(DomainError):
         cst.integrate_c7(0.011, 0.125, n_rect=0)
+    with pytest.raises(DomainError):       # 10^6 rectangles at most
+        cst.integrate_c7(0.011, 0.125, n_rect=10 ** 6 + 1)
 
 
 # ------------------------------------------------------------------ c1

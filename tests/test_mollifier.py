@@ -35,6 +35,10 @@ def test_config_defaults_and_quad_step():
     {"variant": "boxcar"},
     {"H": 0.0},
     {"quad_step": -0.1},
+    {"xi": 1e13},
+    {"xi": math.inf},
+    {"quad_step": 1e-13},
+    {"H": 2.0, "quad_step": 1.9e-6},
 ])
 def test_config_rejects(kwargs):
     with pytest.raises(DomainError):
@@ -219,6 +223,8 @@ def test_detect_empty_and_errors():
         mo.detect_zeros(5.0, 4.0, CFG)
     with pytest.raises(RangeError):
         mo.detect_zeros(1.0e6 - 1.0, 1.0e6 + 1.0, CFG)
+    with pytest.raises(DomainError):       # 10^5 windows at most
+        mo.detect_zeros(0.0, 100.0, replace(CFG, H=0.99e-3))
 
 
 def test_detect_splits_consistently():
@@ -284,3 +290,7 @@ def test_figure_errors():
         mo.figure_data(10.0, 5.0, 0.1, CFG)
     with pytest.raises(RangeError):
         mo.figure_data(0.0, 1.0, 0.0, CFG)
+    with pytest.raises(DomainError):       # 10^6 rows at most
+        mo.figure_data(0.0, 100.0, 1e-4, CFG)
+    with pytest.raises(DomainError):
+        mo.figure_data(0.0, 1.0, 5e-324, CFG)

@@ -93,11 +93,11 @@ def _a_of_x(x, theta, b, exp=np.exp, sqrt=np.sqrt):
 def test_rho_lemma_inverse_map_on_table_grid():
     # every 20th theta of the 10^4 table grid, and the 101 quadrature u nodes
     kappa = 0.125
-    thetas = np.arange(1, 10000, 20)[:, None] / 10000
+    thetas = np.arange(1, 10000, 20) / 10000
     a = np.sqrt(math.pi * kappa * np.linspace(0.0, 1.0 / kappa, 101))
     x, its = roots._rho_lemma_vec(a, thetas)
     assert x.shape == its.shape == (500, 101)
-    err = np.abs(_a_of_x(x, thetas, gamma_ratio_quarter()) - a)
+    err = np.abs(_a_of_x(x, thetas[:, None], gamma_ratio_quarter()) - a)
     assert float(err.max()) <= 1e-14
 
 
@@ -105,28 +105,25 @@ def test_rho_lemma_table_grid_evaluation_count():
     # The cubic Hermite starts on 32 nodes leave about two f evaluations
     # per element over the table's (theta, u) grid (a linear start on the
     # same nodes needs more than three).
-    thetas = np.arange(1, 10000, 20)[:, None] / 10000
+    thetas = np.arange(1, 10000, 20) / 10000
     a = np.sqrt(math.pi * 0.125 * np.linspace(0.0, 8.0, 101))
     _, its = roots._rho_lemma_vec(a, thetas)
     assert its.mean() <= 2.5
 
 
 @pytest.mark.parametrize("a_shape, theta_shape", [
-    ((7,), ()), ((), (5,)), ((7,), (7,)), ((3, 7), (3, 1)), ((7, 1), (5,)),
+    ((7,), (5,)), ((1,), (5,)), ((7,), (1,)), ((1,), (1,)), ((101,), (3,)),
 ])
 def test_rho_lemma_vec_broadcast_layouts(a_shape, theta_shape):
-    # theta varying along leading axes gives one node grid per theta; along
-    # a trailing axis, one per element.  Either way each element matches
-    # its one-element call.
+    # One node grid per theta row, shared by the whole a row: each element
+    # of the (theta x a) result matches its one-element call.
     rng = np.random.default_rng(7)
     a = rng.uniform(0.0, 3.0, a_shape)
-    theta = rng.uniform(0.0, 0.99, theta_shape)
-    x, its = roots._rho_lemma_vec(a, theta)
-    a_b, th_b = np.broadcast_arrays(a, theta)
-    assert x.shape == its.shape == a_b.shape
-    want = [roots.rho_lemma_a(ai, ti).value
-            for ai, ti in zip(a_b.ravel(), th_b.ravel())]
-    assert x.ravel() == pytest.approx(want, rel=1e-15)
+    thetas = rng.uniform(0.0, 0.99, theta_shape)
+    x, its = roots._rho_lemma_vec(a, thetas)
+    assert x.shape == its.shape == theta_shape + a_shape
+    want = [[roots.rho_lemma_a(ai, ti).value for ai in a] for ti in thetas]
+    assert x.ravel() == pytest.approx(np.ravel(want), rel=1e-15)
 
 
 @pytest.mark.parametrize("a", [math.sqrt(math.pi), 10.0, 1e3, 1e6])

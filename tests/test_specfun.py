@@ -49,6 +49,10 @@ def test_tau_domain():
         specfun.tau_z(0, -0.5)
     with pytest.raises(DomainError):
         specfun.tau_z(-3, -0.5)
+    # above the stated limit 10^15, including n that overflow int64
+    for n in (10 ** 15 + 1, 2 ** 62, 2 ** 63, 2 ** 64):
+        with pytest.raises(DomainError):
+            specfun.tau_z(n, -0.5)
 
 
 def _tau_oracle(n, z):
