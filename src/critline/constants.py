@@ -27,6 +27,7 @@ are one-row calls into those kernels.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -37,9 +38,15 @@ from .specfun import PRIME_CUTOFF, euler_product, gamma_ratio_quarter
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Theta rows per block of the c7 profile in _k_table at n_rect = 100; a
-# block holds about _K_CHUNK * 100 (theta, u) points for every n_rect.
-_K_CHUNK = 2048
+# Theta rows per block of the c7 profile in _k_table at n_rect = 100: a
+# block holds about _K_CHUNK * 100 (theta, u) points for every n_rect, so
+# each of its arrays (about 200 kB) stays near the CPU caches.
+_K_CHUNK = 256
+
+# The (theta, u) points in flight across all of _k_table's worker threads,
+# about 300 bytes of temporaries each (20 MB in all); a single row larger
+# than this runs alone.
+_K_POINTS = 2 ** 16
 
 # Largest n_rect: one theta row then holds 10^6 u points, about 300 MB.
 _N_RECT_MAX = 10 ** 6
@@ -196,17 +203,23 @@ def c7(u: float, theta: float, kappa: float = 0.125) -> float:
 
 # ---------------------------------------------------------- vector kernels
 
-def _c6_profile(thetas: np.ndarray, kappa: float, us: np.ndarray) -> np.ndarray:
-    """c6 on a grid of u values, one row per theta (c5 at the perturbed root)."""
-    rho, _ = roots._rho_lemma_vec(np.sqrt(math.pi * kappa * us), thetas)
+def _c6_profile(thetas: np.ndarray, kappa: float, us: np.ndarray,
+                rows=None) -> np.ndarray:
+    """c6 on a grid of u values, one row per theta (c5 at the perturbed root).
+
+    rows is roots._rho_lemma_rows at the largest a = sqrt(pi kappa u), or
+    None to solve it here.
+    """
+    rho, _ = roots._rho_lemma_vec(np.sqrt(math.pi * kappa * us), thetas, rows)
     return _c5_from_rho(rho, thetas[:, None], kappa,
                         np.sqrt(us / rho) * math.sqrt(math.pi * kappa)
                         + gamma_ratio_quarter())
 
 
-def _c7_profile(thetas: np.ndarray, kappa: float, us: np.ndarray) -> np.ndarray:
-    """c7 on a grid of u values, one row per theta."""
-    v6 = _c6_profile(thetas, kappa, us)
+def _c7_profile(thetas: np.ndarray, kappa: float, us: np.ndarray,
+                rows=None) -> np.ndarray:
+    """c7 on a grid of u values, one row per theta (rows as in _c6_profile)."""
+    v6 = _c6_profile(thetas, kappa, us, rows)
     v4 = _c4_closed(thetas)[:, None]
     return (0.5 + 2.0 * kappa) * v6 * v6 + 2.0 * v4 * v6 * math.sqrt(kappa)
 
@@ -241,15 +254,34 @@ def k_constants(theta: float, kappa: float = 0.125, n_rect: int = 100,
     return ks
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
              prime_cutoff: int = PRIME_CUTOFF) -> dict[str, np.ndarray]:
     """The constant chain over a whole theta grid.
 
     Returns arrays keyed like the ConstantSet fields, plus "theta".  Row i
-    holds the constants at thetas[i]; the rho(theta) and perturbed-root
-    grids are solved by vectorized safeguarded Newton, the latter in about
-    two f evaluations per element from interpolated starts.  P1 and P2
-    are truncated at prime_cutoff.
+    holds the constants at thetas[i].  P1 and P2 are truncated at
+    prime_cutoff.
+
+    The row stage solves rho(theta) and rho(a_max, theta) once for every
+    row (roots._rho_lemma_rows); rho(theta) is also the rho, c5 and c3
+    columns.  The c7 profile, about two Newton f evaluations per (theta, u)
+    point, then runs in blocks of rows: _K_CHUNK rows at n_rect = 100,
+    fewer when the usable CPUs' blocks would together pass _K_POINTS
+    points, at least one.  The blocks run on min(CPUs, blocks) threads,
+    capped so that the points in flight stay within _K_POINTS; a row
+    larger than that runs alone.  numpy releases the interpreter lock in
+    the element work, each block writes its own rows, and each element's
+    root depends only on its (theta, u) and its row's roots, so the
+    result is bit-identical for any block size and worker count.  The
+    caller's numpy error state is applied on every worker.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:
@@ -264,18 +296,36 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     hi = 1.0 / kappa
     h = hi / n_rect
     us = np.linspace(0.0, hi, n_rect + 1)
+    rho, x_top = roots._rho_lemma_rows(
+        float(np.sqrt(math.pi * kappa * us).max()), thetas)
     size = thetas.size
     int_c7 = np.empty(size)
     int_vc7 = np.empty(size)
     quad_bracket = np.empty(size)
-    block = max(1, _K_CHUNK * 100 // n_rect)
-    for lo in range(0, size, block):
+
+    points = n_rect + 1
+    cpus = _usable_cpus()
+    block = max(1, min(_K_CHUNK * 100 // n_rect, _K_POINTS // (cpus * points)))
+    starts = range(0, size, block)
+    workers = min(cpus, len(starts), max(1, _K_POINTS // (block * points)))
+    err = np.geterr()
+
+    def run(lo):
         rows = slice(lo, lo + block)
-        prof = _c7_profile(thetas[rows], kappa, us)
-        int_c7[rows] = h * prof[:, 1:].sum(axis=1)
-        quad_bracket[rows] = h * (prof[:, -1] - prof[:, 0])
-        int_vc7[rows] = h * (us[1:] * prof[:, 1:]).sum(axis=1)
-    rho, _ = roots._rho_theta_vec(thetas)
+        with np.errstate(**err):
+            prof = _c7_profile(thetas[rows], kappa, us, (rho[rows], x_top[rows]))
+            int_c7[rows] = h * prof[:, 1:].sum(axis=1)
+            quad_bracket[rows] = h * (prof[:, -1] - prof[:, 0])
+            int_vc7[rows] = h * (us[1:] * prof[:, 1:]).sum(axis=1)
+
+    if workers == 1:
+        for lo in starts:
+            run(lo)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            for _ in pool.map(run, starts):     # re-raises a block's error
+                pass
     c5v = _c5_from_rho(rho, thetas, kappa, g)
     c3v = _c3_from_rho(rho, thetas, kappa, g, p1)
     c2v = _c2_from_c3(c3v, thetas, kappa)

@@ -163,11 +163,32 @@ def _a_of_x(x, theta, b):
     return a, a * (0.5 / x - ((1.0 - theta) * e - d_f) / d) + b * rx * d_f / d
 
 
-def _rho_lemma_vec(a, thetas) -> tuple[np.ndarray, np.ndarray]:
+def _rho_lemma_rows(a_max: float, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """The row stage of _rho_lemma_vec: rho(theta) and rho(a_max, theta).
+
+    Both depend only on the theta row (and the largest a), so a caller
+    that solves one a row in several blocks of theta rows solves these
+    once and passes each block its slice.  rho(a_max, theta) is one
+    Newton solve per row on the outer bracket.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    b = gamma_ratio_quarter()
+    lo_out, hi_out = _RHO_LEMMA_BRACKET
+    x_bot, _ = _rho_theta_vec(thetas)
+    x_top, _ = _newton_vec(lambda x, i: _rho_lemma_fdf(x, a_max, thetas[i], b),
+                           lo_out, np.full(thetas.shape, hi_out), 1.0)
+    return x_bot, x_top
+
+
+def _rho_lemma_vec(a, thetas, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """rho(a, theta) and iteration counts on a (theta x a) grid.
 
     a is one 1-d row of values a >= 0, shared by every theta of the 1-d
     thetas, 0 <= theta < 1; both results have shape (thetas.size, a.size).
+    rows is the pair _rho_lemma_rows(max(a), thetas); it is solved here
+    when not given.  Every element's root and count depend only on its own
+    (a, theta) and that row pair, so any split of the theta rows into
+    blocks gives the same bits.
 
     Outer bracket.  [1e-8, 2] holds for every such (a, theta).  With e,
     F and D as in _a_of_x, f = a (F - e - 1) + b sqrt(X) F.  At X = 2
@@ -180,11 +201,14 @@ def _rho_lemma_vec(a, thetas) -> tuple[np.ndarray, np.ndarray]:
     a' >= e (a + b sqrt(X)) / D > 0: a(X) increases from 0 at rho(theta)
     to +inf, and rho(a, theta) is the X with a(X) = a.  Each theta row
     has _RHO_NODES = n uniform nodes X_0 < ... < X_{n-1} from rho(theta)
-    to rho(a_max, theta), a_max the largest a (one Newton solve per row on
-    the outer bracket), at least 2^-20 wide.  With a_k the computed
-    a(X_k), an element's cell is
+    to rho(a_max, theta), a_max the largest a, at least 2^-20 wide.  With
+    a_k the computed a(X_k), an element's cell is
     j = #{k : a_k <= a} - 1, so a_j <= a < a_{j+1} (j = -1 or n-1 off the
-    ends).  Newton starts at the cubic Hermite interpolant of the inverse
+    ends).  The count is a sorted search: each a_k is placed in the
+    sorted a row, p_k = #{a < a_k}, and the element of sorted rank m
+    counts the k with p_k <= m, which are exactly those with a_k <= a; so
+    ties and any order of a give the same j as the direct count.
+    Newton starts at the cubic Hermite interpolant of the inverse
     map through (a_k, X_k) with slopes 1/a'(X_k) on that cell, clipped to
     the bracket [X_{j-1}, X_{j+2}], which is the cell widened by one node
     each way, an end past the grid replaced by the outer bracket's.
@@ -205,15 +229,18 @@ def _rho_lemma_vec(a, thetas) -> tuple[np.ndarray, np.ndarray]:
     n = _RHO_NODES
     lo_out, hi_out = _RHO_LEMMA_BRACKET
 
-    a_max = float(a.max())
-    x_bot, _ = _rho_theta_vec(thetas)
-    x_top, _ = _newton_vec(lambda x, i: _rho_lemma_fdf(x, a_max, thetas[i], b),
-                           lo_out, np.full(thetas.shape, hi_out), 1.0)
+    x_bot, x_top = rows if rows is not None else _rho_lemma_rows(
+        float(a.max()), thetas)
     step = (np.maximum(x_top, x_bot + 2.0 ** -20) - x_bot)[:, None] / (n - 1)
     x_bot = x_bot[:, None]
     a_k, da_k = _a_of_x(x_bot + step * np.arange(n), thetas[:, None], b)
 
-    j = np.count_nonzero(a_k[:, None, :] <= a[:, None], axis=2) - 1
+    m = a.size
+    order = np.argsort(a, kind="stable")
+    pos = np.searchsorted(a[order], a_k) + (m + 1) * np.arange(thetas.size)[:, None]
+    hits = np.bincount(pos.ravel(), minlength=thetas.size * (m + 1))
+    j = np.empty((thetas.size, m), dtype=np.intp)
+    j[:, order] = np.cumsum(hits.reshape(-1, m + 1)[:, :m], axis=1) - 1
     c = np.clip(j, 0, n - 2)
     cell = c + n * np.arange(thetas.size)[:, None]
     a_l = np.take(a_k, cell)

@@ -3,6 +3,9 @@
 bench/child.py wraps private library names from outside the library, so a
 refactor that renames one breaks the traced benchmark without failing any
 library test.  This runs the child as bench/run.py does, with tracing on.
+The table's 2 000-point theta grid is several blocks of the constant chain,
+so on a host with two or more CPUs it runs on _k_table's worker threads
+while the spans are recorded.
 """
 
 import json
@@ -21,7 +24,7 @@ STALE_TARGETS = {"critline.roots._bisect_vec", "critline.roots.solve_bracketed"}
 
 
 @pytest.mark.parametrize("argv", [
-    ["table", "--theta-grid", "50"],
+    ["table", "--theta-grid", "2000"],
     ["detect", "--t-lo", "9900", "--t-hi", "9902"],
     ["constants", "--theta", "0.3"],
 ], ids=["table", "detect", "constants"])
@@ -35,5 +38,10 @@ def test_traced_child_runs(argv):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["exit_code"] == 0
-    assert result["spans"]
+    spans = result["spans"]
+    assert spans
     assert set(result["missing"]) <= STALE_TARGETS
+    for span in spans:      # each child span lies inside its parent
+        if span["parent"] is not None:
+            parent = spans[span["parent"]]
+            assert parent["start"] <= span["start"] <= span["end"] <= parent["end"]

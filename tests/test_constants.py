@@ -1,6 +1,9 @@
 """Constant chain c2..c7, K1..K4, quadrature bracketing, c1 assembly."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -205,3 +208,82 @@ def test_k_table_rows_match_scalar_chain():
         ref = _mpmath_chain(float(theta))
         for name, want in ref.items():
             assert table[name][i] == pytest.approx(want, rel=1e-13), (theta, name)
+
+
+# ------------------------------------------------- blocks and worker threads
+
+def _k_table_on(monkeypatch, cpus, thetas, n_rect=100):
+    """_k_table as if the process could run on cpus CPUs, and for each c7
+    block the thread it ran on and that thread's numpy overflow mode."""
+    monkeypatch.setattr(cst, "_usable_cpus", lambda: cpus)
+    blocks = []
+    profile = cst._c7_profile
+
+    def recording(*args):
+        blocks.append((threading.get_ident(), np.geterr()["over"]))
+        return profile(*args)
+
+    monkeypatch.setattr(cst, "_c7_profile", recording)
+    try:
+        return cst._k_table(thetas, 0.125, n_rect), blocks
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("grid, n_rect", [(10000, 100), (2000, 1000)])
+def test_k_table_bits_independent_of_workers(monkeypatch, grid, n_rect):
+    # One worker with _K_CHUNK-row blocks, and three workers (possibly more
+    # than there are CPUs) with smaller blocks and frequent thread switches,
+    # give the same bits: no block's rows are lost or overwritten.
+    thetas = np.arange(1, grid) / grid
+    one, blocks = _k_table_on(monkeypatch, 1, thetas, n_rect)
+    assert {t for t, _ in blocks} == {threading.get_ident()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled, blocks = _k_table_on(monkeypatch, 3, thetas, n_rect)
+    finally:
+        sys.setswitchinterval(interval)
+    threads = {t for t, _ in blocks}
+    assert len(threads) > 1 and threading.get_ident() not in threads
+    assert one.keys() == pooled.keys()
+    for name in one:
+        assert one[name].tobytes() == pooled[name].tobytes(), name
+
+
+def test_k_table_applies_caller_error_state_on_workers(monkeypatch):
+    # numpy's error state is per thread; the pool carries the caller's.
+    with np.errstate(over="raise"):
+        _, blocks = _k_table_on(monkeypatch, 3, np.arange(1, 2000) / 2000)
+    assert len({t for t, _ in blocks}) > 1
+    assert {mode for _, mode in blocks} == {"raise"}
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_k_table_grid_peak_memory():
+    # Cache-sized blocks: the 10^4-point grid stays within 20 MB of traced
+    # allocations (2048-row blocks with a (rows x 101 x 32) cell search
+    # took over 55 MB).
+    thetas = np.arange(1, 10000) / 10000
+    cst._k_table(thetas[:2])
+    assert _traced_peak(lambda: cst._k_table(thetas)) <= 20e6
+
+
+def test_k_table_large_rows_run_one_at_a_time(monkeypatch):
+    # A row of n_rect + 1 = 50 001 points is most of the _K_POINTS budget,
+    # so however many CPUs there are, eight such rows run one after the
+    # other and peak near one row's memory.
+    monkeypatch.setattr(cst, "_usable_cpus", lambda: 4)
+    thetas = np.linspace(0.1, 0.8, 8)
+    cst._k_table(thetas[:1], 0.125, 10)
+    one = _traced_peak(lambda: cst._k_table(thetas[:1], 0.125, 50000))
+    eight = _traced_peak(lambda: cst._k_table(thetas, 0.125, 50000))
+    assert eight <= 1.3 * one

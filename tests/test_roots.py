@@ -126,6 +126,50 @@ def test_rho_lemma_vec_broadcast_layouts(a_shape, theta_shape):
     assert x.ravel() == pytest.approx(np.ravel(want), rel=1e-15)
 
 
+def test_rho_lemma_vec_cell_search_edge_cases():
+    # The sorted cell search against one-element calls on the same row
+    # stage: unsorted a with repeats, a = 0, a = a_max and a equal to a
+    # computed node value a(X_k) of each row.
+    thetas = np.array([0.011, 0.3, 0.9])
+    a_max = 3.0
+    rows = roots._rho_lemma_rows(a_max, thetas)
+    x_bot, x_top = rows
+    n = roots._RHO_NODES
+    step = (np.maximum(x_top, x_bot + 2.0 ** -20) - x_bot)[:, None] / (n - 1)
+    a_k, _ = roots._a_of_x(x_bot[:, None] + step * np.arange(n),
+                           thetas[:, None], gamma_ratio_quarter())
+    nodes = [a_k[0, 0], a_k[0, 5], a_k[1, 17], a_k[2, n - 2]]
+    assert 0.0 < min(nodes) and max(nodes) < a_max
+    a = np.array([1.5, 0.0, nodes[1], a_max, 0.7, nodes[0], 1.5, 0.0,
+                  nodes[2], a_max, nodes[3], nodes[1], 0.2])
+    brackets = []
+    newton = roots._newton_vec
+
+    def recording(fdf, lo, hi, x0):
+        brackets.append((lo, hi))
+        return newton(fdf, lo, hi, x0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_newton_vec", recording)
+        x, its = roots._rho_lemma_vec(a, thetas, rows)
+    assert x.shape == its.shape == (thetas.size, a.size)
+    # Each element's bracket is that of its cell j = #{k : a_k <= a} - 1.
+    j = np.count_nonzero(a_k[:, None, :] <= a[:, None], axis=2) - 1
+    assert j.min() == -1 and j.max() == n - 1
+    lo, hi = brackets[-1]
+    assert lo.tobytes() == np.where(j >= 1, x_bot[:, None] + step * (j - 1),
+                                    1e-8).tobytes()
+    assert hi.tobytes() == np.where(j <= n - 3, x_bot[:, None] + step * (j + 2),
+                                    2.0).tobytes()
+    for i, ai in enumerate(a):
+        x1, its1 = roots._rho_lemma_vec(np.array([ai]), thetas, rows)
+        assert x[:, i].tolist() == x1[:, 0].tolist(), ai
+        assert its[:, i].tolist() == its1[:, 0].tolist(), ai
+    # Without the row stage given, it is solved at max(a) = a_max.
+    again, its_again = roots._rho_lemma_vec(a, thetas)
+    assert again.tobytes() == x.tobytes() and its_again.tobytes() == its.tobytes()
+
+
 @pytest.mark.parametrize("a", [math.sqrt(math.pi), 10.0, 1e3, 1e6])
 def test_rho_lemma_fixed_bracket_large_a(a):
     # a(X) is increasing, so a(X (1 - d)) <= a <= a(X (1 + d)) in 40-digit
