@@ -1,21 +1,15 @@
 """Command-line surface for the toolkit.
 
-Six subcommands:
-
-  constants   constant set at one (theta, kappa); add --A for c1, c1'
-  optimize    best (A, theta) and bound for one N
-  table       the eight reference rows N = 1,2,3,4,5,10,100,1000
-  asymptotic  large-N constants and explicit bound at (N, eps)
-  mollify     critical-line figure data as CSV
-  detect      mollified sign-change zero scan with window statistics
+Six subcommands, one entry each in _COMMANDS; `critline --help` lists
+them.
 
 JSON is the default machine format (every record echoes its parsed
 flags under "params"); `table` defaults to aligned text and `mollify` to
 CSV.  Each handler reads the parsed argparse namespace and passes the
 values, --prime-cutoff included, to the library as ordinary arguments.
 Identical invocations produce byte-identical output.  Exit codes:
-0 success, 2 usage, 3 domain/range/consistency error, 4 infeasible
-optimization.
+0 success, 2 usage or an unwritable --output path, 3 domain/range/
+consistency error, 4 infeasible optimization.
 """
 
 from __future__ import annotations
@@ -24,22 +18,12 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import bound as bnd
 from . import constants as cst
 from . import mollifier as mo
 from .errors import CritlineError, OptimizerError
-
-_FORMATS: Dict[str, tuple] = {
-    "constants": ("json", "text"),
-    "optimize": ("json", "text"),
-    "table": ("text", "json", "csv"),
-    "asymptotic": ("json", "text"),
-    "mollify": ("csv", "json"),
-    "detect": ("json",),
-}
-
 
 # ----------------------------------------------------------------- emitters
 
@@ -65,11 +49,9 @@ def _emit(payload: dict, fmt: str) -> str:
 
 def _echo(args: argparse.Namespace) -> dict:
     """The parsed flags echoed under "params"; prime_cutoff only if given."""
-    record = {key: value for key, value in vars(args).items()
-              if key not in ("output_format", "output_path")}
-    if args.prime_cutoff is None:
-        del record["prime_cutoff"]
-    return record
+    return {key: value for key, value in vars(args).items()
+            if key not in ("output_format", "output_path")
+            and not (key == "prime_cutoff" and value is None)}
 
 
 def _cutoff(args: argparse.Namespace) -> int:
@@ -176,82 +158,70 @@ def _run_detect(args: argparse.Namespace) -> str:
     })
 
 
-_HANDLERS = {
-    "constants": _run_constants,
-    "optimize": _run_optimize,
-    "table": _run_table,
-    "asymptotic": _run_asymptotic,
-    "mollify": _run_mollify,
-    "detect": _run_detect,
+# name: (handler, formats with the default first, flag group, help).  The
+# flag groups nest: chain < rect < grid; scan is the mollifier's.
+_COMMANDS = {
+    "constants": (_run_constants, ("json", "text"), "rect",
+                  "constant set at one (theta, kappa); add --A for c1, c1'"),
+    "optimize": (_run_optimize, ("json", "text"), "grid",
+                 "best (A, theta) and bound for one N"),
+    "table": (_run_table, ("text", "json", "csv"), "grid",
+              "the eight reference rows N = 1,2,3,4,5,10,100,1000"),
+    "asymptotic": (_run_asymptotic, ("json", "text"), "chain",
+                   "large-N constants and explicit bound at (N, eps)"),
+    "mollify": (_run_mollify, ("csv", "json"), "scan",
+                "critical-line figure data: t, X and two mollified traces"),
+    "detect": (_run_detect, ("json",), "scan",
+               "mollified sign-change zero scan with window statistics"),
 }
 
 
 # ------------------------------------------------------------------ parsing
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime-cutoff", type=int, default=None,
-                        help="Euler-product prime cutoff (default 10^6)")
-    common.add_argument("--output", dest="output_path", default=None,
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", dest="output_path", default=None,
                         help="write to this path instead of stdout")
+    chain = argparse.ArgumentParser(add_help=False, parents=[output])
+    chain.add_argument("--prime-cutoff", type=int, default=None,
+                       help="Euler-product prime cutoff (default 10^6)")
+    chain.add_argument("--kappa", type=float, default=0.125)
+    rect = argparse.ArgumentParser(add_help=False, parents=[chain])
+    rect.add_argument("--n-rect", type=int, default=100)
+    grid = argparse.ArgumentParser(add_help=False, parents=[rect])
+    grid.add_argument("--theta-grid", type=int, default=10000)
+    scan = argparse.ArgumentParser(add_help=False, parents=[output])
+    cfg = mo.MollifierConfig
+    scan.add_argument("--t-lo", type=float, default=0.0)
+    scan.add_argument("--t-hi", type=float, default=100.0)
+    scan.add_argument("--xi", type=float, default=cfg.xi)
+    scan.add_argument("--theta", type=float, default=cfg.theta)
+    scan.add_argument("--variant", default=cfg.variant, choices=mo._VARIANTS)
+    scan.add_argument("--H", type=float, default=cfg.H)
+    scan.add_argument("--quad-step", type=float, default=cfg.quad_step,
+                      help="scan/quadrature spacing (default H/64)")
+    groups = {"chain": chain, "rect": rect, "grid": grid, "scan": scan}
 
     parser = argparse.ArgumentParser(
         prog="critline",
         description="Critical-line zero-proportion bounds and a mollified "
                     "zero-detection demonstrator.")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, formats, flags, text) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[groups[flags]], help=text)
+        p.add_argument("--format", dest="output_format", choices=formats,
+                       default=formats[0],
+                       help=f"output format (default {formats[0]})")
 
-    def add_command(command: str, text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(command, parents=[common], help=text)
-        p.add_argument("--format", dest="output_format",
-                       choices=_FORMATS[command],
-                       default=_FORMATS[command][0],
-                       help=f"output format (default {_FORMATS[command][0]})")
-        return p
-
-    p_const = add_command("constants", "constant set at one (theta, kappa)")
-    p_const.add_argument("--theta", type=float, required=True)
-    p_const.add_argument("--kappa", type=float, default=0.125)
-    p_const.add_argument("--A", type=float, default=None,
-                         help="also report c1 and c1' at this A")
-    p_const.add_argument("--n-rect", type=int, default=100)
-
-    p_opt = add_command("optimize", "best (A, theta) and bound for one N")
-    p_opt.add_argument("--N", type=int, required=True)
-    p_opt.add_argument("--kappa", type=float, default=0.125)
-    p_opt.add_argument("--n-rect", type=int, default=100)
-    p_opt.add_argument("--theta-grid", type=int, default=10000)
-
-    p_tab = add_command("table", "the eight reference rows")
-    p_tab.add_argument("--kappa", type=float, default=0.125)
-    p_tab.add_argument("--n-rect", type=int, default=100)
-    p_tab.add_argument("--theta-grid", type=int, default=10000)
-
-    p_asy = add_command("asymptotic", "large-N constants and bound at (N, eps)")
-    p_asy.add_argument("--N", type=float, required=True)
-    p_asy.add_argument("--eps", type=float, required=True)
-    p_asy.add_argument("--kappa", type=float, default=0.125)
-
-    def add_mollifier_flags(p: argparse.ArgumentParser,
-                            default_t_hi: float) -> None:
-        p.add_argument("--t-lo", type=float, default=0.0)
-        p.add_argument("--t-hi", type=float, default=default_t_hi)
-        p.add_argument("--xi", type=float, default=50.0)
-        p.add_argument("--theta", type=float, default=0.5)
-        p.add_argument("--variant", default="piecewise",
-                       choices=("piecewise", "selberg"))
-        p.add_argument("--H", type=float, default=1.0)
-        p.add_argument("--quad-step", type=float, default=None,
-                       help="scan/quadrature spacing (default H/64)")
-
-    p_mol = add_command("mollify", "figure data: t, X, mollified traces")
-    add_mollifier_flags(p_mol, 100.0)
-    p_mol.add_argument("--step", type=float, default=0.05,
-                       help="output grid spacing")
-
-    p_det = add_command("detect", "mollified zero scan with window statistics")
-    add_mollifier_flags(p_det, 100.0)
-
+    cmd = sub.choices
+    cmd["constants"].add_argument("--theta", type=float, required=True)
+    cmd["constants"].add_argument("--A", type=float, default=None,
+                                  help="also report c1 and c1' at this A")
+    cmd["optimize"].add_argument("--N", type=int, required=True)
+    cmd["asymptotic"].add_argument("--N", type=float, required=True)
+    cmd["asymptotic"].add_argument("--eps", type=float, required=True)
+    cmd["mollify"].add_argument("--step", type=float, default=0.05,
+                                help="output grid spacing")
     return parser
 
 
@@ -260,18 +230,22 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit code."""
     try:
-        artifact = _HANDLERS[args.command](args)
+        artifact = _COMMANDS[args.command][0](args)
     except OptimizerError as exc:
         _diagnostic(exc)
         return 4
     except CritlineError as exc:
         _diagnostic(exc)
         return 3
-    if args.output_path:
+    if not args.output_path:
+        sys.stdout.write(artifact)
+        return 0
+    try:
         with open(args.output_path, "w", encoding="utf-8") as fh:
             fh.write(artifact)
-    else:
-        sys.stdout.write(artifact)
+    except OSError as exc:    # the --output argument is unusable
+        _diagnostic(exc)
+        return 2
     return 0
 
 

@@ -169,8 +169,9 @@ def eta(t: float, cfg: MollifierConfig) -> complex:
 
 # ---------------------------------------------------------- rotated function
 
-def _check_range(t_abs_max: float, what: str) -> None:
-    if t_abs_max > specfun._ZETA_T_MAX:
+def _check_range(t, what: str) -> None:
+    """Refuse t (a number, pair or array) if any ordinate leaves the range."""
+    if not np.all(np.abs(t) <= specfun._ZETA_T_MAX):     # NaN fails too
         raise RangeError(f"{what} leaves the validated range "
                          f"|t| <= {specfun._ZETA_T_MAX:g}")
 
@@ -187,8 +188,7 @@ def _real_part(rotated: np.ndarray) -> np.ndarray:
 def _hardy_x_vec(t: np.ndarray) -> np.ndarray:
     """X(t) = exp(i vartheta(t)) zeta(1/2+it) for a vector of ordinates."""
     t = np.asarray(t, dtype=float)
-    _check_range(float(np.max(np.abs(t))) if t.size else 0.0,
-                 "rotated function")
+    _check_range(t, "rotated function")
     return _real_part(specfun._zeta_critical_vec(t)[1])
 
 
@@ -263,7 +263,7 @@ def window_integrals(t: float, cfg: MollifierConfig) -> WindowStats:
     """Simpson values of I, J and M over [t, t+H] plus grid sign changes."""
     t = float(t)
     t_hi = t + cfg.H
-    _check_range(max(abs(t), abs(t_hi)), f"window [{t:g}, {t_hi:g}]")
+    _check_range((t, t_hi), f"window [{t:g}, {t_hi:g}]")
     return _scan(t, t_hi, cfg)[0][0]
 
 
@@ -310,7 +310,7 @@ def mollified_scan(t_lo: float, t_hi: float,
     t_hi = float(t_hi)
     if t_hi < t_lo:
         raise RangeError(f"need t_lo <= t_hi, got [{t_lo}, {t_hi}]")
-    _check_range(max(abs(t_lo), abs(t_hi)), "scan range")
+    _check_range((t_lo, t_hi), "scan range")
     if not (t_hi - t_lo) / cfg.H <= _WINDOWS_MAX:
         raise DomainError(f"a scan covers at most {_WINDOWS_MAX:g} windows of length H")
     windows, lo, hi = _scan(t_lo, t_hi, cfg)
@@ -344,7 +344,7 @@ def figure_data(t_lo: float, t_hi: float, step: float,
         raise RangeError(f"step must be > 0, got {step}")
     if t_hi < t_lo:
         raise RangeError(f"need t_lo <= t_hi, got [{t_lo}, {t_hi}]")
-    _check_range(max(abs(t_lo), abs(t_hi)), "grid")
+    _check_range((t_lo, t_hi), "grid")
     span = (t_hi - t_lo) / step + 1.0e-9
     if not span < _FIGURE_ROWS_MAX:
         raise DomainError(f"figure_data emits at most {_FIGURE_ROWS_MAX:g} rows")

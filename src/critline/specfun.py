@@ -9,8 +9,9 @@ Gamma(1/4)/Gamma(3/4), the oscillatory integrals Delta_r and the
 composite-Simpson rule they and the mollifier windows integrate with.
 
 All operations are pure; the only module state is two bounded caches,
-one of read-only prime arrays and one of Euler products, and the
-precomputed Bernoulli and Riemann-Siegel coefficient tables.
+one of read-only prime arrays and one of Euler products, the
+precomputed Bernoulli and Riemann-Siegel coefficient tables, and
+Gamma(1/4)/Gamma(3/4), computed once at import.
 """
 
 from __future__ import annotations
@@ -108,10 +109,13 @@ def theta_phase(t: float) -> float:
 
 # --------------------------------------------------------- special constants
 
+_GAMMA_RATIO_QUARTER = float(
+    np.exp(np.subtract(*_loggamma_vec([0.25, 0.75]))).real)
+
+
 def gamma_ratio_quarter() -> float:
-    """Gamma(1/4)/Gamma(3/4), absolute error well below 1e-12."""
-    lg14, lg34 = _loggamma_vec([0.25, 0.75])
-    return float(np.exp(lg14 - lg34).real)
+    """Gamma(1/4)/Gamma(3/4), absolute error well below 1e-12, computed once."""
+    return _GAMMA_RATIO_QUARTER
 
 
 # ----------------------------------------------------- divisor coefficients
@@ -418,7 +422,7 @@ def zeta_critical(t: float) -> complex:
     [1e3, 1e6]: at most 4e-11, and 1.6e-12 above 1e4.
     """
     t = float(t)
-    if abs(t) > _ZETA_T_MAX:
+    if not abs(t) <= _ZETA_T_MAX:     # NaN fails too
         raise RangeError(
             f"zeta_critical validated only for |t| <= {_ZETA_T_MAX:g}, got {t}")
     return complex(_zeta_critical_vec(np.array([t]))[0][0])

@@ -126,6 +126,16 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().startswith("t,x,")
 
 
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = _run(capsys, ["asymptotic", "--N", "1e20", "--eps",
+                                   "0.01", "--output", str(target)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "FileNotFoundError"
+    assert not target.exists()
+
+
 def test_prime_cutoff_flag(capsys):
     _, out_default, _ = _run(capsys, ["constants", "--theta", "0.011"])
     code, out_small, _ = _run(capsys, ["constants", "--theta", "0.011",
@@ -159,7 +169,7 @@ def test_prime_cutoff_below_two_exit_3(capsys, cutoff):
 
 
 # The exact params echo of each subcommand; with --prime-cutoff 1000 each
-# also has prime_cutoff.
+# command of the bound chain also has prime_cutoff.
 _ECHO_CASES = {
     "constants": (["constants", "--theta", "0.011"],
                   {"A": None, "command": "constants", "kappa": 0.125,
@@ -185,8 +195,13 @@ _ECHO_CASES = {
 }
 
 
-@pytest.mark.parametrize("with_cutoff", [False, True])
-@pytest.mark.parametrize("command", sorted(_ECHO_CASES))
+_SCAN_COMMANDS = ("detect", "mollify")
+
+
+@pytest.mark.parametrize("command,with_cutoff", [
+    (command, with_cutoff) for command in sorted(_ECHO_CASES)
+    for with_cutoff in (False, True)
+    if not (with_cutoff and command in _SCAN_COMMANDS)])
 def test_params_echo_frozen(capsys, command, with_cutoff):
     argv, want = _ECHO_CASES[command]
     if with_cutoff:
@@ -216,6 +231,24 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as info:
         cli.main(["optimize"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", _SCAN_COMMANDS)
+def test_scan_commands_refuse_prime_cutoff(capsys, command):
+    # the scan never reads the Euler-product cutoff, so it takes no flag
+    with pytest.raises(SystemExit) as info:
+        cli.main(_ECHO_CASES[command][0] + ["--prime-cutoff", "1000"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [[]] + [[name] for name in cli._COMMANDS],
+                         ids=["critline"] + list(cli._COMMANDS))
+def test_help_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv + ["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: critline")
 
 
 def test_unknown_command_exit_2():
@@ -258,6 +291,11 @@ def test_range_error_exit_3(capsys):
     code, _, err = _run(capsys, ["detect", "--t-lo", "5", "--t-hi", "4"])
     assert code == 3
     assert "Error" in json.loads(err)["error"]
+    for argv in (["detect", "--t-lo", "5", "--t-hi", "nan"],
+                 ["mollify", "--t-hi", "nan"]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "RangeError"
 
 
 def test_detect_empty_range(capsys):
@@ -279,7 +317,8 @@ def test_precondition_error_exit_3(capsys):
 def test_optimizer_error_exit_4(capsys, monkeypatch):
     def boom(cfg):
         raise OptimizerError("no feasible stationary point")
-    monkeypatch.setitem(cli._HANDLERS, "optimize", boom)
+    monkeypatch.setitem(cli._COMMANDS, "optimize",
+                        (boom,) + cli._COMMANDS["optimize"][1:])
     code, _, err = _run(capsys, ["optimize", "--N", "1"])
     assert code == 4
     assert json.loads(err)["error"] == "OptimizerError"

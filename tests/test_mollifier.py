@@ -155,8 +155,9 @@ def test_hardy_x_first_zero_bracket():
 
 
 def test_hardy_x_range():
-    with pytest.raises(RangeError):
-        mo.hardy_x(1.0e6 + 0.5)
+    for t in (1.0e6 + 0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(RangeError):
+            mo.hardy_x(t)
 
 
 # --------------------------------------------------------- window integrals
@@ -204,8 +205,9 @@ def test_window_detection_implication():
 
 
 def test_window_range_guard():
-    with pytest.raises(RangeError):
-        mo.window_integrals(1.0e6 - 0.5, CFG)
+    for t in (1.0e6 - 0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(RangeError):
+            mo.window_integrals(t, CFG)
 
 
 # ----------------------------------------------------------- zero detection
@@ -223,6 +225,10 @@ def test_detect_empty_and_errors():
         mo.detect_zeros(5.0, 4.0, CFG)
     with pytest.raises(RangeError):
         mo.detect_zeros(1.0e6 - 1.0, 1.0e6 + 1.0, CFG)
+    for t_lo, t_hi in ((5.0, math.nan), (math.nan, 5.0), (math.nan, math.nan),
+                       (5.0, math.inf), (-math.inf, 5.0)):
+        with pytest.raises(RangeError):
+            mo.detect_zeros(t_lo, t_hi, CFG)
     with pytest.raises(DomainError):       # 10^5 windows at most
         mo.detect_zeros(0.0, 100.0, replace(CFG, H=0.99e-3))
 
@@ -288,6 +294,10 @@ def test_figure_crossing_alignment():
 def test_figure_errors():
     with pytest.raises(RangeError):
         mo.figure_data(10.0, 5.0, 0.1, CFG)
+    for t_lo, t_hi in ((5.0, math.nan), (math.nan, 5.0), (5.0, math.inf),
+                       (-math.inf, 5.0)):
+        with pytest.raises(RangeError):
+            mo.figure_data(t_lo, t_hi, 0.1, CFG)
     with pytest.raises(RangeError):
         mo.figure_data(0.0, 1.0, 0.0, CFG)
     with pytest.raises(DomainError):       # 10^6 rows at most

@@ -141,8 +141,9 @@ def test_zeta_critical_conjugate():
 
 def test_zeta_critical_range():
     assert specfun._ZETA_T_MAX == 1.0e6
-    with pytest.raises(RangeError):
-        specfun.zeta_critical(1.0e6 + 0.5)
+    for t in (1.0e6 + 0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(RangeError):
+            specfun.zeta_critical(t)
 
 
 # ------------------------------------------------------- Riemann-Siegel zeta
