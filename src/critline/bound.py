@@ -378,9 +378,12 @@ def asymptotic_constants(eps: float, kappa: float = 0.125,
 
 def asymptotic_bound(N: float, eps: float, kappa: float = 0.125,
                      prime_cutoff: int = PRIME_CUTOFF) -> float:
-    """The large-N lower bound at (N, eps); N must clear the N0 threshold."""
-    ac = asymptotic_constants(eps, kappa, prime_cutoff)
+    """The large-N lower bound at (N, eps); N must be finite and clear the
+    N0 threshold."""
     n = float(N)
+    if not math.isfinite(n):
+        raise DomainError(f"asymptotic_bound needs a finite N, got {n}")
+    ac = asymptotic_constants(eps, kappa, prime_cutoff)
     threshold = max(3.0, ac.n0 / eps ** 3)
     if n < threshold:
         raise PreconditionError(

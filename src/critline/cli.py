@@ -62,6 +62,8 @@ def _cutoff(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- handlers
 
 def _run_constants(args: argparse.Namespace) -> str:
+    if args.A is not None:
+        cst._check_A(args.A)
     ks = cst.k_constants(args.theta, args.kappa, n_rect=args.n_rect,
                          prime_cutoff=_cutoff(args))
     result = dataclasses.asdict(ks)

@@ -38,17 +38,14 @@ from .specfun import PRIME_CUTOFF, euler_product, gamma_ratio_quarter
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Theta rows per block of the c7 profile in _k_table at n_rect = 100: a
-# block holds about _K_CHUNK * 100 (theta, u) points for every n_rect, so
-# each of its arrays (about 200 kB) stays near the CPU caches.
-_K_CHUNK = 256
+# Workspace bytes of _k_table's c7 blocks, all worker threads together.
+# A block takes at most _POINT_BYTES per (theta, u) point, so 4 MB is 370
+# theta rows at n_rect = 100 on one thread or 185 on each of two, near the
+# CPU caches either way; a single row larger than the budget runs alone.
+_K_WORK_BYTES = 2 ** 22
+_POINT_BYTES = 112
 
-# The (theta, u) points in flight across all of _k_table's worker threads,
-# about 300 bytes of temporaries each (20 MB in all); a single row larger
-# than this runs alone.
-_K_POINTS = 2 ** 16
-
-# Largest n_rect: one theta row then holds 10^6 u points, about 300 MB.
+# Largest n_rect: one theta row then holds 10^6 u points, about 160 MB.
 _N_RECT_MAX = 10 ** 6
 
 
@@ -104,6 +101,14 @@ def _check_theta(theta: float) -> None:
         raise DomainError(f"theta must lie in (0,1), got {theta!r}")
 
 
+def _check_A(A: float) -> float:
+    """A as a float, which c1 needs finite and above 1 (ln A > 0)."""
+    A = float(A)
+    if not 1.0 < A < math.inf:
+        raise DomainError(f"c1 needs finite A > 1 (log changes sign), got {A}")
+    return A
+
+
 def _check_kappa(kappa: float) -> None:
     if not 0.0 < kappa <= 0.125:
         raise DomainError(f"kappa must lie in (0, 1/8], got {kappa!r}")
@@ -111,9 +116,20 @@ def _check_kappa(kappa: float) -> None:
 
 # ------------------------------------------------- formula kernels (array-ok)
 
-def _c5_from_rho(rho, theta, kappa, g):
-    return ((np.exp(rho) + np.exp(rho * theta))
-            / ((1.0 - theta) * 2.0 * np.sqrt(math.pi * kappa * rho)) * g)
+def _c5_from_rho(rho, theta, kappa, g, work=None):
+    """(e^rho + e^{rho theta}) / ((1-theta) 2 sqrt(pi kappa rho)) * g, its
+    arrays taken from work (a fresh roots._Workspace when None)."""
+    work = roots._Workspace() if work is None else work
+    shape = np.broadcast(rho, theta, g).shape
+    v = np.exp(rho, out=work.take(shape))
+    t = np.multiply(rho, theta, out=work.take(shape))
+    v += np.exp(t, out=t)
+    np.multiply(math.pi * kappa, rho, out=t)
+    np.sqrt(t, out=t)
+    t *= (1.0 - theta) * 2.0
+    v /= t
+    v *= g
+    return v
 
 
 def _c3_from_rho(rho, theta, kappa, g, p1):
@@ -204,24 +220,36 @@ def c7(u: float, theta: float, kappa: float = 0.125) -> float:
 # ---------------------------------------------------------- vector kernels
 
 def _c6_profile(thetas: np.ndarray, kappa: float, us: np.ndarray,
-                rows=None) -> np.ndarray:
+                rows=None, work=None) -> np.ndarray:
     """c6 on a grid of u values, one row per theta (c5 at the perturbed root).
 
     rows is roots._rho_lemma_rows at the largest a = sqrt(pi kappa u), or
-    None to solve it here.
+    None to solve it here.  Every array is taken from work, a
+    roots._Workspace (fresh when None); the caller's scope returns them.
     """
-    rho, _ = roots._rho_lemma_vec(np.sqrt(math.pi * kappa * us), thetas, rows)
-    return _c5_from_rho(rho, thetas[:, None], kappa,
-                        np.sqrt(us / rho) * math.sqrt(math.pi * kappa)
-                        + gamma_ratio_quarter())
+    work = roots._Workspace() if work is None else work
+    rho, _ = roots._rho_lemma_vec(np.sqrt(math.pi * kappa * us), thetas, rows,
+                                  work)
+    g = np.divide(us, rho, out=work.take(rho.shape))
+    np.sqrt(g, out=g)
+    g *= math.sqrt(math.pi * kappa)
+    g += gamma_ratio_quarter()
+    return _c5_from_rho(rho, thetas[:, None], kappa, g, work)
 
 
 def _c7_profile(thetas: np.ndarray, kappa: float, us: np.ndarray,
-                rows=None) -> np.ndarray:
-    """c7 on a grid of u values, one row per theta (rows as in _c6_profile)."""
-    v6 = _c6_profile(thetas, kappa, us, rows)
-    v4 = _c4_closed(thetas)[:, None]
-    return (0.5 + 2.0 * kappa) * v6 * v6 + 2.0 * v4 * v6 * math.sqrt(kappa)
+                rows=None, work=None) -> np.ndarray:
+    """c7 on a grid of u values, one row per theta (rows and work as in
+    _c6_profile)."""
+    work = roots._Workspace() if work is None else work
+    v6 = _c6_profile(thetas, kappa, us, rows, work)
+    v7 = np.multiply(0.5 + 2.0 * kappa, v6, out=work.take(v6.shape))
+    v7 *= v6
+    t = np.multiply(2.0 * _c4_closed(thetas)[:, None], v6,
+                    out=work.take(v6.shape))
+    t *= math.sqrt(kappa)
+    v7 += t
+    return v7
 
 
 # ------------------------------------------------------------- quadratures
@@ -254,6 +282,12 @@ def k_constants(theta: float, kappa: float = 0.125, n_rect: int = 100,
     return ks
 
 
+def _block_bytes(points: int) -> int:
+    """Workspace bytes of a c7 block of that many (theta, u) points:
+    _POINT_BYTES each, and 64-byte alignment for each of its arrays."""
+    return _POINT_BYTES * points + 4096
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     try:
@@ -273,14 +307,16 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     The row stage solves rho(theta) and rho(a_max, theta) once for every
     row (roots._rho_lemma_rows); rho(theta) is also the rho, c5 and c3
     columns.  The c7 profile, about two Newton f evaluations per (theta, u)
-    point, then runs in blocks of rows: _K_CHUNK rows at n_rect = 100,
-    fewer when the usable CPUs' blocks would together pass _K_POINTS
-    points, at least one.  The blocks run on min(CPUs, blocks) threads,
-    capped so that the points in flight stay within _K_POINTS; a row
-    larger than that runs alone.  numpy releases the interpreter lock in
-    the element work, each block writes its own rows, and each element's
-    root depends only on its (theta, u) and its row's roots, so the
-    result is bit-identical for any block size and worker count.  The
+    point, then runs in blocks of rows on min(CPUs, blocks) threads, the
+    k-th of w threads taking blocks k, k + w, ...  Each thread reuses one
+    roots._Workspace for all of its blocks, each block in a scope of it;
+    _k_table allocates these workspaces and drops them when it returns.
+    Together they hold _K_WORK_BYTES: a block has as many rows as its
+    thread's share fits at _POINT_BYTES per point, at least one, so a row
+    larger than the budget runs alone.  numpy releases the interpreter
+    lock in the element work, each block writes its own rows, and each
+    element's root depends only on its (theta, u) and its row's roots, so
+    the result is bit-identical for any block size and worker count.  The
     caller's numpy error state is applied on every worker.
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -303,29 +339,38 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     int_vc7 = np.empty(size)
     quad_bracket = np.empty(size)
 
-    points = n_rect + 1
-    cpus = _usable_cpus()
-    block = max(1, min(_K_CHUNK * 100 // n_rect, _K_POINTS // (cpus * points)))
-    starts = range(0, size, block)
-    workers = min(cpus, len(starts), max(1, _K_POINTS // (block * points)))
+    fit = max(1, _K_WORK_BYTES // (_POINT_BYTES * us.size))
+    workers = min(_usable_cpus(), fit, size)
+    block = min(fit // workers, size)
+    workers = min(workers, -(-size // block))
+    works = [roots._Workspace(_block_bytes(us.size * block))
+             for _ in range(workers)]
     err = np.geterr()
 
-    def run(lo):
-        rows = slice(lo, lo + block)
+    def run(worker):
+        work = works[worker]
         with np.errstate(**err):
-            prof = _c7_profile(thetas[rows], kappa, us, (rho[rows], x_top[rows]))
-            int_c7[rows] = h * prof[:, 1:].sum(axis=1)
-            quad_bracket[rows] = h * (prof[:, -1] - prof[:, 0])
-            int_vc7[rows] = h * (us[1:] * prof[:, 1:]).sum(axis=1)
+            for lo in range(worker * block, size, block * workers):
+                rows = slice(lo, lo + block)
+                with work.scope():
+                    prof = _c7_profile(thetas[rows], kappa, us,
+                                       (rho[rows], x_top[rows]), work)
+                    np.sum(prof[:, 1:], axis=1, out=int_c7[rows])
+                    np.subtract(prof[:, -1], prof[:, 0],
+                                out=quad_bracket[rows])
+                    prof[:, 1:] *= us[1:]
+                    np.sum(prof[:, 1:], axis=1, out=int_vc7[rows])
 
     if workers == 1:
-        for lo in starts:
-            run(lo)
+        run(0)
     else:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(run, starts):     # re-raises a block's error
-                pass
+            for _ in pool.map(run, range(workers)):
+                pass                    # re-raises a worker's error
+    int_c7 *= h
+    quad_bracket *= h
+    int_vc7 *= h
     c5v = _c5_from_rho(rho, thetas, kappa, g)
     c3v = _c3_from_rho(rho, thetas, kappa, g, p1)
     c2v = _c2_from_c3(c3v, thetas, kappa)
@@ -338,9 +383,7 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
 
 def c1(A: float, theta: float, kappa: float = 0.125, n_rect: int = 100) -> float:
     """8 c5^2 (K1 A ln A + K2 A + K3 ln A + K4), natural log, A > 1."""
-    A = float(A)
-    if A <= 1.0:
-        raise DomainError(f"c1 needs A > 1 (log changes sign), got {A}")
+    A = _check_A(A)
     ks = k_constants(theta, kappa, n_rect)
     return float(c1_from_set(A, ks))
 

@@ -22,11 +22,14 @@ _rho_lemma_vec solve whole grids, and the public rho_theta and
 rho_lemma_a are one-element calls into them.  The second equation is
 linear in a, so its inverse a(X) is explicit (_a_of_x); _rho_lemma_vec
 interpolates it on a small node grid per theta to start each element
-within a narrow bracket.
+within a narrow bracket.  A grid solved block by block runs on one
+_Workspace, whose arrays every block reuses.
 """
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,61 +55,144 @@ class RootSolution:
     iterations: int
 
 
+class _Workspace:
+    """One preallocated byte arena, handed out as scratch arrays stack-wise.
+
+    take(shape, dtype) returns the next C-contiguous array of the arena,
+    or a fresh array once the arena is full, so an empty workspace just
+    allocates.  The arrays taken inside a `with work.scope():` go back to
+    the arena when it exits: a caller that runs each block of a grid in
+    its own scope reuses the same bytes for every block.  peak is the
+    deepest the arena has been used.
+    """
+
+    def __init__(self, nbytes: int = 0):
+        self._arena = np.empty(nbytes, np.uint8)
+        self._address = self._arena.ctypes.data
+        self._top = 0
+        self.peak = 0
+
+    def take(self, shape, dtype=float) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        start = self._top + (-(self._address + self._top)) % 64
+        end = start + size * dtype.itemsize
+        if end > self._arena.size:
+            return np.empty(shape, dtype)
+        self._top = end
+        self.peak = max(self.peak, end)
+        return self._arena[start:end].view(dtype).reshape(shape)
+
+    @contextmanager
+    def scope(self):
+        top = self._top
+        try:
+            yield
+        finally:
+            self._top = top
+
+
 def _newton_vec(fdf: Callable[[np.ndarray, np.ndarray], tuple],
-                lo, hi, x0) -> tuple[np.ndarray, np.ndarray]:
+                lo, hi, x0, work=None) -> tuple[np.ndarray, np.ndarray]:
     """Safeguarded Newton on arrays of brackets (internal).
 
     Requires f(lo_i) <= 0 <= f(hi_i) for every element and x0 inside
     [lo, hi]; callers with a decreasing f pass (-f, -f').  fdf(x, idx)
-    returns (f, f') at the still-active elements, idx being their flat
-    indices into the broadcast brackets.  Each step shrinks the bracket by
-    the sign of f.  A Newton iterate is replaced by the midpoint when it
-    falls outside the closed bracket, or lands, by more than the stop
-    tolerance, on an end where f is already known (nonzero): from two
-    ends a few ulps apart each Newton step can land exactly on the other,
-    a 2-cycle.  An element stops when f = 0 or its step is at most
-    ~1e-15 |x|; 100 iterations is a safeguard cap, far above the at most
-    9 that the table needs.  Returns the roots and, beside them, the
-    number of f evaluations each element took.
+    returns (f, f') at x, idx being the flat indices of x's elements into
+    the broadcast brackets.  Each step shrinks the bracket by the sign of
+    f.  A Newton iterate is replaced by the midpoint when it falls outside
+    the closed bracket, or lands, by more than the stop tolerance, on an
+    end where f is already known (nonzero): from two ends a few ulps apart
+    each Newton step can land exactly on the other, a 2-cycle.  An element
+    stops when f = 0 or its step is at most ~1e-15 |x|; 100 iterations is
+    a safeguard cap, far above the at most 9 that the table needs.
+    Returns the roots and, beside them, the number of f evaluations each
+    element took.
+
+    The elements iterate densely: fdf gets all n of them, idx =
+    arange(n), and an element that has stopped keeps its x, is evaluated
+    there with the rest and has every update masked off.  Once at most
+    half of the elements still iterate, those are packed into new arrays
+    and idx shrinks to them.  Every rule acts on each element alone, so
+    its root and count are those of a one-element solve in any layout.
+    With a _Workspace, lo, hi and x0 must be writable C-contiguous float
+    arrays of the full shape: Newton iterates in them, x0 becomes the
+    roots, the counts are taken from work and the rest of the state from
+    a scope of it (fdf may take its arrays from the same workspace).
+    Without one it works on copies.
     """
     shape = np.broadcast(lo, hi, x0).shape
-    lo, hi, x = (np.array(v, dtype=float).ravel() for v in
-                 np.broadcast_arrays(lo, hi, x0))
-    lo_seen, hi_seen = np.zeros((2, x.size), dtype=bool)  # f known there
-    out = np.empty_like(x)
+    n = math.prod(shape)
+    if work is None:                    # copies, in a workspace of their own
+        work = _Workspace()
+        copies = [work.take(shape) for _ in range(3)]
+        for dst, src in zip(copies, (lo, hi, x0)):
+            np.copyto(dst, src)
+        lo, hi, x0 = copies
     cap = 100
-    its = np.full(x.size, cap)          # kept by elements that hit the cap
-    idx = np.arange(x.size)
-    for k in range(cap):
-        if idx.size == 0:
-            break
-        f, df = fdf(x, idx)
-        neg, pos = f < 0.0, f > 0.0
-        np.copyto(lo, x, where=neg)
-        np.copyto(hi, x, where=pos)
-        lo_seen |= neg
-        hi_seen |= pos
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - f / df
-        # Off the open bracket (NaN included): x stays where f = 0, a step
-        # onto an end stays unless it revisits a point, the rest bisect.
-        fix = np.nonzero(~((xn > lo) & (xn < hi)))[0]
-        if fix.size:
-            xf, xo = xn[fix], x[fix]
-            near = np.abs(xf - xo) <= 1e-15 * np.abs(xo)
-            on_end = (((xf == lo[fix]) & (near | ~lo_seen[fix]))
-                      | ((xf == hi[fix]) & (near | ~hi_seen[fix])))
-            xn[fix] = np.where(f[fix] == 0.0, xo,
-                               np.where(on_end, xf, 0.5 * (lo[fix] + hi[fix])))
-        done = np.abs(xn - x) <= 1e-15 * np.abs(x)
-        x = xn
-        if done.any():
-            out[idx[done]] = x[done]
-            its[idx[done]] = k + 1
-            keep = ~done
-            x, lo, hi, idx = x[keep], lo[keep], hi[keep], idx[keep]
-            lo_seen, hi_seen = lo_seen[keep], hi_seen[keep]
-    out[idx] = x
+    its = work.take(n, np.intp)
+    its.fill(cap)                       # kept by elements that hit the cap
+    out = x = x0.reshape(-1)
+    lo, hi = lo.reshape(-1), hi.reshape(-1)
+    with work.scope():
+        seen_lo, seen_hi, act = (work.take(n, bool) for _ in range(3))
+        seen_lo.fill(False)             # f known at the bracket end
+        seen_hi.fill(False)
+        act.fill(True)                  # still iterating
+        idx = work.take(n, np.intp)     # arange(n), built in place
+        idx.fill(1)
+        idx[:1] = 0
+        np.cumsum(idx, out=idx)
+        count = its
+        for k in range(cap):
+            live = np.count_nonzero(act)
+            if live == 0:
+                break
+            if 2 * live <= idx.size:    # pack the live elements
+                if x is not out:
+                    out[idx], its[idx] = x, count
+                idx, x, lo, hi, seen_lo, seen_hi = (
+                    v[act] for v in (idx, x, lo, hi, seen_lo, seen_hi))
+                count, act = np.full(live, cap), np.ones(live, bool)
+            m = idx.size
+            with work.scope():
+                f, df = fdf(x, idx)
+                neg = np.less(f, 0.0, out=work.take(m, bool))
+                pos = np.greater(f, 0.0, out=work.take(m, bool))
+                np.copyto(lo, x, where=neg)
+                np.copyto(hi, x, where=pos)
+                seen_lo |= neg
+                seen_hi |= pos
+                xn = work.take(m)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(f, df, out=xn)
+                    np.subtract(x, xn, out=xn)
+                # Off the open bracket (NaN included): x stays where f = 0,
+                # a step onto an end stays unless it revisits a point, the
+                # rest bisect.
+                off = np.greater(xn, lo, out=neg)
+                off &= np.less(xn, hi, out=pos)
+                np.logical_not(off, out=off)
+                off &= act
+                fix = np.flatnonzero(off)
+                if fix.size:
+                    xf, xo, lf, hf = xn[fix], x[fix], lo[fix], hi[fix]
+                    near = np.abs(xf - xo) <= 1e-15 * np.abs(xo)
+                    on_end = (((xf == lf) & (near | ~seen_lo[fix]))
+                              | ((xf == hf) & (near | ~seen_hi[fix])))
+                    xn[fix] = np.where(f[fix] == 0.0, xo,
+                                       np.where(on_end, xf, 0.5 * (lf + hf)))
+                step = np.subtract(xn, x, out=work.take(m))
+                np.abs(step, out=step)
+                tol = np.abs(x, out=work.take(m))
+                tol *= 1e-15
+                done = np.less_equal(step, tol, out=neg)
+                done &= act
+                np.copyto(count, k + 1, where=done)
+                np.copyto(x, xn, where=act)
+                act ^= done
+        if x is not out:
+            out[idx], its[idx] = x, count
     return out.reshape(shape), its.reshape(shape)
 
 
@@ -120,17 +206,42 @@ def _rho_theta_fdf(x, theta):
             2.0 * theta + e * ((1.0 - theta) * (2.0 * x - 1.0) + 2.0))
 
 
-def _rho_lemma_fdf(x, a, theta, b):
-    """(f, f') of the perturbed-root equation in X; numpy-broadcastable."""
-    rx = np.sqrt(x)
-    w = a + b * rx
-    low = 2.0 * a + b * rx
-    e = np.exp((1.0 - theta) * x)
-    u = 2.0 * x * w - low
-    half = 0.5 * b / rx                       # dw/dX = d(low)/dX
-    return (e * u + 2.0 * theta * x * w - low,
-            e * ((1.0 - theta) * u + 2.0 * w + b * rx - half)
-            + 2.0 * theta * w + theta * b * rx - half)
+def _rho_lemma_fdf(x, a, theta, b, work=None):
+    """(f, f') of the perturbed-root equation in X; numpy-broadcastable.
+
+    Both results are taken from work (a fresh _Workspace when None), the
+    temporaries from a scope of it.
+    """
+    work = _Workspace() if work is None else work
+    shape = np.broadcast(x, a, theta).shape
+    f, df = work.take(shape), work.take(shape)
+    with work.scope():
+        rx = np.sqrt(x, out=work.take(shape))
+        brx = np.multiply(b, rx, out=work.take(shape))
+        w = np.add(a, brx, out=work.take(shape))
+        low = np.add(2.0 * a, brx, out=work.take(shape))
+        e = np.multiply(1.0 - theta, x, out=work.take(shape))
+        np.exp(e, out=e)
+        u = np.multiply(2.0, x, out=work.take(shape))       # 2X w - low
+        u *= w
+        u -= low
+        # f' = e ((1 - theta) u + 2w + b sqrt(X) - half)
+        #      + 2 theta w + theta b sqrt(X) - half,  half = dw/dX
+        np.multiply(1.0 - theta, u, out=df)
+        df += np.multiply(2.0, w, out=f)        # f is set below
+        df += brx
+        half = np.divide(0.5 * b, rx, out=brx)
+        df -= half
+        df *= e
+        # f = e u + 2 theta X w - low
+        np.multiply(2.0 * theta, x, out=f)
+        f *= w
+        f += np.multiply(e, u, out=u)
+        f -= low
+        df += np.multiply(2.0 * theta, w, out=low)
+        df += np.multiply(theta * b, rx, out=low)
+        df -= half
+    return f, df
 
 
 # ---------------------------------------------------------- vector kernels
@@ -180,7 +291,8 @@ def _rho_lemma_rows(a_max: float, thetas) -> tuple[np.ndarray, np.ndarray]:
     return x_bot, x_top
 
 
-def _rho_lemma_vec(a, thetas, rows=None) -> tuple[np.ndarray, np.ndarray]:
+def _rho_lemma_vec(a, thetas, rows=None,
+                   work=None) -> tuple[np.ndarray, np.ndarray]:
     """rho(a, theta) and iteration counts on a (theta x a) grid.
 
     a is one 1-d row of values a >= 0, shared by every theta of the 1-d
@@ -188,7 +300,9 @@ def _rho_lemma_vec(a, thetas, rows=None) -> tuple[np.ndarray, np.ndarray]:
     rows is the pair _rho_lemma_rows(max(a), thetas); it is solved here
     when not given.  Every element's root and count depend only on its own
     (a, theta) and that row pair, so any split of the theta rows into
-    blocks gives the same bits.
+    blocks gives the same bits.  With a _Workspace, work, the results and
+    the Newton state are taken from it and the scratch from scopes of it;
+    without one every array is new.
 
     Outer bracket.  [1e-8, 2] holds for every such (a, theta).  With e,
     F and D as in _a_of_x, f = a (F - e - 1) + b sqrt(X) F.  At X = 2
@@ -228,6 +342,9 @@ def _rho_lemma_vec(a, thetas, rows=None) -> tuple[np.ndarray, np.ndarray]:
     a, thetas = np.asarray(a, dtype=float), np.asarray(thetas, dtype=float)
     n = _RHO_NODES
     lo_out, hi_out = _RHO_LEMMA_BRACKET
+    own = _Workspace() if work is None else work
+    shape = (thetas.size, a.size)
+    lo, hi, x0 = own.take(shape), own.take(shape), own.take(shape)
 
     x_bot, x_top = rows if rows is not None else _rho_lemma_rows(
         float(a.max()), thetas)
@@ -235,26 +352,72 @@ def _rho_lemma_vec(a, thetas, rows=None) -> tuple[np.ndarray, np.ndarray]:
     x_bot = x_bot[:, None]
     a_k, da_k = _a_of_x(x_bot + step * np.arange(n), thetas[:, None], b)
 
-    m = a.size
-    order = np.argsort(a, kind="stable")
-    pos = np.searchsorted(a[order], a_k) + (m + 1) * np.arange(thetas.size)[:, None]
-    hits = np.bincount(pos.ravel(), minlength=thetas.size * (m + 1))
-    j = np.empty((thetas.size, m), dtype=np.intp)
-    j[:, order] = np.cumsum(hits.reshape(-1, m + 1)[:, :m], axis=1) - 1
-    c = np.clip(j, 0, n - 2)
-    cell = c + n * np.arange(thetas.size)[:, None]
-    a_l = np.take(a_k, cell)
-    d_a = np.take(a_k, cell + 1) - a_l
-    t = np.clip((a - a_l) / d_a, 0.0, 1.0)
-    t2 = t * t
-    x0 = (x_bot + step * c + step * (3.0 * t2 - 2.0 * t2 * t)
-          + d_a * ((t2 * t - 2.0 * t2 + t) / np.take(da_k, cell)
-                   + (t2 * t - t2) / np.take(da_k, cell + 1)))
-    lo = np.where(j >= 1, x_bot + step * (j - 1), lo_out)
-    hi = np.where(j <= n - 3, x_bot + step * (j + 2), hi_out)
-    a_flat, th_flat = np.tile(a, thetas.size), np.repeat(thetas, a.size)
-    return _newton_vec(lambda x, i: _rho_lemma_fdf(x, a_flat[i], th_flat[i], b),
-                       lo, hi, np.clip(x0, lo, hi))
+    with own.scope():
+        m = a.size
+        order = np.argsort(a, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(m)
+        hits = own.take((thetas.size, m + 1), np.intp)
+        hits.fill(0)
+        np.add.at(hits.reshape(-1), np.searchsorted(a[order], a_k)
+                  + (m + 1) * np.arange(thetas.size)[:, None], 1)
+        cell = np.cumsum(hits[:, :m], axis=1, out=own.take(shape, np.intp))
+        cell -= 1                       # j in sorted order
+        j = np.take(cell, rank, axis=1, out=own.take(shape, np.intp),
+                    mode="clip")
+        off = own.take(shape, bool)
+        np.multiply(step, np.subtract(j, 1, out=cell), out=lo)
+        lo += x_bot
+        np.copyto(lo, lo_out, where=np.less(j, 1, out=off))
+        np.multiply(step, np.add(j, 2, out=cell), out=hi)
+        hi += x_bot
+        np.copyto(hi, hi_out, where=np.greater(j, n - 3, out=off))
+        c = np.clip(j, 0, n - 2, out=j)
+        # x0 = x_bot + step c + step (3t^2 - 2t^3)
+        #      + d_a ((t^3 - 2t^2 + t) / s_l + (t^3 - t^2) / s_r)
+        np.multiply(step, c, out=x0)
+        x0 += x_bot
+        np.add(c, n * np.arange(thetas.size)[:, None], out=cell)
+        t = np.take(a_k, cell, out=own.take(shape), mode="clip")     # a_l
+        cell += 1
+        d_a = np.take(a_k, cell, out=own.take(shape), mode="clip")
+        d_a -= t
+        np.subtract(a, t, out=t)
+        t /= d_a
+        np.clip(t, 0.0, 1.0, out=t)
+        t2 = np.multiply(t, t, out=own.take(shape))
+        t3 = np.multiply(t2, t, out=own.take(shape))
+        h, g = own.take(shape), own.take(shape)
+        np.multiply(3.0, t2, out=h)
+        np.multiply(2.0, t2, out=g)
+        g *= t
+        h -= g
+        h *= step
+        x0 += h
+        np.multiply(2.0, t2, out=h)
+        np.subtract(t3, h, out=h)
+        h += t
+        cell -= 1
+        h /= np.take(da_k, cell, out=t, mode="clip")                 # s_l
+        np.subtract(t3, t2, out=g)
+        cell += 1
+        g /= np.take(da_k, cell, out=t, mode="clip")                 # s_r
+        h += g
+        h *= d_a
+        x0 += h
+        np.clip(x0, lo, hi, out=x0)
+
+    def fdf(x, idx):
+        if x.size == lo.size:           # dense: the whole (theta x a) grid
+            f, df = _rho_lemma_fdf(x.reshape(shape), a, thetas[:, None],
+                                   b, own)
+            return f.reshape(-1), df.reshape(-1)
+        row, col = np.divmod(idx, m)
+        return _rho_lemma_fdf(x, a[col], thetas[row], b)
+
+    if work is None:                    # a one-off call: Newton copies
+        return _newton_vec(fdf, lo, hi, x0)
+    return _newton_vec(fdf, lo, hi, x0, work)
 
 
 # ------------------------------------------------------------ scalar roots

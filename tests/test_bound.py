@@ -368,6 +368,9 @@ def test_asymptotic_bound_value_and_guard():
         ASYMPTOTIC_BOUND_1E20_EPS001, rel=1e-12)
     with pytest.raises(PreconditionError):
         bnd.asymptotic_bound(2, 0.01)
+    for n in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            bnd.asymptotic_bound(n, 0.01)
     # just below the eps^-3-scaled threshold at small eps
     a = bnd.asymptotic_constants(1e-3)
     n_min = max(3.0, a.n0 / 1e-9)

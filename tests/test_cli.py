@@ -272,6 +272,22 @@ def test_domain_error_exit_3(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["constants", "--theta", "0.011", "--A", "0"],
+    ["constants", "--theta", "0.011", "--A", "0.5"],
+    ["constants", "--theta", "0.011", "--A", "nan"],
+    ["constants", "--theta", "0.011", "--A", "inf"],
+    ["asymptotic", "--N", "nan", "--eps", "0.01"],
+    ["asymptotic", "--N", "inf", "--eps", "0.01"],
+], ids=["A_0", "A_half", "A_nan", "A_inf", "N_nan", "N_inf"])
+def test_out_of_domain_flag_exit_3(capsys, argv):
+    # c1 needs 1 < A < inf, the asymptotic bound a finite N: no traceback,
+    # no NaN record (not valid JSON) and no negative c1
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("argv", [
     ["detect", "--xi", "1e13"],
     ["detect", "--quad-step", "1e-13"],
     ["detect", "--t-hi", "100", "--H", "1e-9"],

@@ -1,6 +1,7 @@
 """Constant chain c2..c7, K1..K4, quadrature bracketing, c1 assembly."""
 
 import math
+import mmap
 import sys
 import threading
 import tracemalloc
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from critline import constants as cst
+from critline import roots
 from critline import specfun
 from critline.errors import DomainError
 
@@ -114,6 +116,12 @@ def test_c1_frozen_and_consistent():
 def test_c1_domain():
     with pytest.raises(DomainError):
         cst.c1(0.5, 0.011)
+
+
+@pytest.mark.parametrize("A", [1.0, -1.0, math.nan, math.inf])
+def test_c1_needs_finite_A_above_one(A):
+    with pytest.raises(DomainError, match="c1 needs finite A > 1"):
+        cst.c1(A, 0.011)
 
 
 def test_c1_growth_dominated_by_A_logA():
@@ -232,9 +240,10 @@ def _k_table_on(monkeypatch, cpus, thetas, n_rect=100):
 
 @pytest.mark.parametrize("grid, n_rect", [(10000, 100), (2000, 1000)])
 def test_k_table_bits_independent_of_workers(monkeypatch, grid, n_rect):
-    # One worker with _K_CHUNK-row blocks, and three workers (possibly more
-    # than there are CPUs) with smaller blocks and frequent thread switches,
-    # give the same bits: no block's rows are lost or overwritten.
+    # One worker with blocks of the whole budget, and three workers
+    # (possibly more than there are CPUs) with smaller blocks and frequent
+    # thread switches, give the same bits: no block's rows are lost or
+    # overwritten.
     thetas = np.arange(1, grid) / grid
     one, blocks = _k_table_on(monkeypatch, 1, thetas, n_rect)
     assert {t for t, _ in blocks} == {threading.get_ident()}
@@ -269,18 +278,72 @@ def _traced_peak(fn):
 
 
 def test_k_table_grid_peak_memory():
-    # Cache-sized blocks: the 10^4-point grid stays within 20 MB of traced
-    # allocations (2048-row blocks with a (rows x 101 x 32) cell search
-    # took over 55 MB).
+    # One workspace per worker, within _K_WORK_BYTES in all: the 10^4-point
+    # grid stays within 8 MB of traced allocations (a fresh array for every
+    # numpy operation of 256-row blocks took 15.5 MB, 2048-row blocks with
+    # a (rows x 101 x 32) cell search over 55 MB).
     thetas = np.arange(1, 10000) / 10000
     cst._k_table(thetas[:2])
-    assert _traced_peak(lambda: cst._k_table(thetas)) <= 20e6
+    assert _traced_peak(lambda: cst._k_table(thetas)) <= 8e6
+
+
+def test_k_table_keeps_no_workspace():
+    # The workspaces are dropped when _k_table returns.
+    thetas = np.arange(1, 10000) / 10000
+    cst._k_table(thetas)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cst._k_table(thetas)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert abs(after - before) <= 1e6
+
+
+def test_k_table_warm_minor_page_faults():
+    # Reused workspaces touch fresh pages only for their first block: a
+    # warm 10^4-point grid takes under 10 000 minor page faults (a fresh
+    # array for every numpy operation took about 65 000).
+    resource = pytest.importorskip("resource")
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    start = faults()
+    with mmap.mmap(-1, 2 ** 20) as fresh:
+        fresh[::4096] = b"x" * 256      # touch 256 new pages
+    if faults() == start:
+        pytest.skip("no minor page fault counter on this platform")
+    thetas = np.arange(1, 10000) / 10000
+    cst._k_table(thetas)
+    start = faults()
+    cst._k_table(thetas)
+    assert faults() - start < 10000
+
+
+def test_k_table_blocks_fit_their_workspace():
+    # A c7 block takes at most _block_bytes from its workspace at every
+    # n_rect, from one row to the rows the whole budget gives one thread,
+    # so no block of _k_table allocates.
+    thetas = np.arange(1, 10000) / 10000
+    for n_rect in (1, 10, 100, 1000):
+        us = np.linspace(0.0, 8.0, n_rect + 1)
+        rows = roots._rho_lemma_rows(float(np.sqrt(math.pi * 0.125 * us).max()),
+                                     thetas)
+        fit = max(1, cst._K_WORK_BYTES // (cst._POINT_BYTES * us.size))
+        for r in sorted({1, 7, min(fit, thetas.size)}):
+            work = roots._Workspace(2 * cst._block_bytes(us.size * r))
+            with work.scope():
+                cst._c7_profile(thetas[:r], 0.125, us,
+                                (rows[0][:r], rows[1][:r]), work)
+            assert work.peak <= cst._block_bytes(us.size * r), (n_rect, r)
 
 
 def test_k_table_large_rows_run_one_at_a_time(monkeypatch):
-    # A row of n_rect + 1 = 50 001 points is most of the _K_POINTS budget,
-    # so however many CPUs there are, eight such rows run one after the
-    # other and peak near one row's memory.
+    # A row of n_rect + 1 = 50 001 points needs more workspace than the
+    # whole _K_WORK_BYTES budget, so however many CPUs there are, eight such
+    # rows run one after the other and peak near one row's memory.
     monkeypatch.setattr(cst, "_usable_cpus", lambda: 4)
     thetas = np.linspace(0.1, 0.8, 8)
     cst._k_table(thetas[:1], 0.125, 10)

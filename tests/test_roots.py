@@ -293,3 +293,84 @@ def test_newton_vec_breaks_two_cycle():
     assert got[0] == 0.0
     assert its[0] == 3
     assert got[1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+
+
+# ------------------------------------- dense blocks against one-element solves
+
+def _alone(fdf, lo, hi, x0):
+    """Each element of a block solved by itself: roots and counts."""
+    got = [roots._newton_vec(lambda x, i, k=k: fdf(x, np.full(1, k)),
+                             lo[k:k + 1], hi[k:k + 1], x0[k:k + 1])
+           for k in range(x0.size)]
+    return (np.concatenate([x for x, _ in got]),
+            np.concatenate([its for _, its in got]))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 0.99),
+                          st.floats(0.0, 1.0)),
+                min_size=6, max_size=60))
+def test_newton_vec_dense_block_matches_one_element_solves(params):
+    # rho(a, theta) on the outer bracket [1e-8, 2].  Element k starts at its
+    # root (one evaluation) when k % 3 == 0, 1e-9 away (two) when k % 3 ==
+    # 1, and anywhere in the bracket (three or more) otherwise, so the
+    # block stops unevenly and is packed on the way; each element's root
+    # and count must be, bit for bit, those of its solve alone.
+    a, theta, s = (np.array(v) for v in zip(*params))
+    b = gamma_ratio_quarter()
+    n = a.size
+    lo, hi = np.full(n, 1e-8), np.full(n, 2.0)
+
+    def fdf(x, i):
+        return roots._rho_lemma_fdf(x, a[i], theta[i], b)
+
+    root, _ = roots._newton_vec(fdf, lo, hi, 1e-8 + s * (2.0 - 1e-8))
+    x0 = np.where(np.arange(n) % 3 == 0, root,
+                  np.where(np.arange(n) % 3 == 1, root * (1.0 + 1e-9),
+                           np.clip(s * 2.0, 1e-8, 2.0)))
+    dense, its = roots._newton_vec(fdf, lo, hi, x0)
+    alone, its_alone = _alone(fdf, lo, hi, x0)
+    assert dense.tobytes() == alone.tobytes()
+    assert its.tobytes() == its_alone.tobytes()
+    assert its.min() == 1 and 2 in its and its.max() >= 3
+
+
+def test_newton_vec_guard_cases_inside_a_dense_block():
+    # The 2-cycle, root-on-bracket-end and arctan cases above, each several
+    # times, shuffled among ordinary roots x^2 = c: the dense block takes
+    # each guard exactly as a one-element solve does.
+    h = 2.0 ** -50
+    cases = [  # (kind, lo, hi, x0, parameter)
+        ("cycle", -1.0, 1.0, h, 0.0),
+        ("cube", 1.0, 2.0, 2.0, 0.0),
+        ("line", 1.0, 2.0, 2.0, 0.0),
+        ("line", 2.0, 3.0, 3.0, 0.0),
+        ("atan", -10.0, 10.0, 10.0, -3.7),
+        ("atan", -10.0, 10.0, 10.0, 7.1),
+    ] * 4 + [("square", 0.0, 4.0, 4.0, c) for c in np.linspace(0.5, 15.0, 40)]
+    order = np.random.default_rng(3).permutation(len(cases))
+    kind, lo, hi, x0, p = zip(*[cases[k] for k in order])
+    kind, lo, hi, x0, p = (np.array(v) for v in (kind, lo, hi, x0, p))
+
+    def fdf(x, i):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.sqrt(np.abs(x))
+            d = x - p[i]
+            table = {"cycle": (np.sign(x) * r, 0.5 / r),
+                     "cube": ((x - 2.0) ** 3, 3.0 * (x - 2.0) ** 2),
+                     "line": (x - 2.0, np.ones_like(x)),
+                     "atan": (np.arctan(d), 1.0 / (1.0 + d * d)),
+                     "square": (x * x - p[i], 2.0 * x)}
+        f = np.select([kind[i] == k for k in table], [v[0] for v in table.values()])
+        df = np.select([kind[i] == k for k in table], [v[1] for v in table.values()])
+        return f, df
+
+    dense, its = roots._newton_vec(fdf, lo, hi, x0)
+    alone, its_alone = _alone(fdf, lo, hi, x0)
+    assert dense.tobytes() == alone.tobytes()
+    assert its.tobytes() == its_alone.tobytes()
+    assert (dense[kind == "cycle"] == 0.0).all() and (its[kind == "cycle"] == 3).all()
+    assert (dense[kind == "cube"] == 2.0).all() and (its[kind == "cube"] == 1).all()
+    assert dense[kind == "atan"] == pytest.approx(p[kind == "atan"], rel=1e-14)
+    assert dense[kind == "square"] == pytest.approx(np.sqrt(p[kind == "square"]),
+                                                    rel=1e-15)
