@@ -47,8 +47,10 @@ def main():
         pkg = packaged(n, eps)
         ratio = mine / pkg if pkg != 0.0 else float("nan")
         print(f"  1e{exp:<5} {mine:>15.6e} {pkg:>15.6e} {ratio:>8.3f}")
-    print("\nboth displays go negative below roughly N = 1e300 at this eps;")
-    print("the positive regime needs ln N to beat the 862 and 1.2e7 terms")
+    print("\nboth displays are negative at every N a double can hold (ln N <= 709.8):")
+    print("at this eps the proof display turns positive only near ln N = 1010")
+    print("(N ~ 1e439) and the packaged form near ln N = 1018, once ln N beats")
+    print("the 862 and 1.2e7 terms")
 
 
 if __name__ == "__main__":

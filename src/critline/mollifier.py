@@ -21,6 +21,14 @@ exposes the weight, the polynomial, the rotated function, a single-pass
 scan over abutting H-windows that yields both the sign-change zero
 detector and the window integrals I/J/M over [t, t+H], and a plain
 tabular emitter for plotting.
+
+zeta and eta are Dirichlet sums.  The scan takes each window's Simpson
+nodes t0 + delta_j as one row, so n^{-it} = n^{-i t0} n^{-i delta_j}: one
+extended-precision phase per row and term, and one table of offsets that
+every row shares (specfun._dirichlet_rows, the simplest form of
+Odlyzko-Schonhage).  Single ordinates are rows of one node.  Against
+mpmath, the scan's X is within 3.8e-11 on [1e3, 1e6] (3.1e-12 above
+1e4), its zeta within 3e-14 below 1000, and eta within 3.4e-14 up to 1e6.
 """
 
 from __future__ import annotations
@@ -41,11 +49,14 @@ _VARIANTS = ("piecewise", "selberg")
 # inconsistency rather than rounding noise.
 _IMAG_TOL = 1.0e-8
 
-# Limits on user-sized work; each keeps one call near 300 MB peak memory.
+# Limits on user-sized work; at each, one call peaks below 200 MB of arrays.
 _XI_MAX = 1.0e6                 # polynomial length
 _WINDOW_STEPS_MAX = 10 ** 6     # Simpson steps per window, H / quad_step
 _WINDOWS_MAX = 10 ** 5          # windows per scan
 _FIGURE_ROWS_MAX = 10 ** 6      # rows of figure_data
+
+# Nodes _scan evaluates at a time.
+_SCAN_NODES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -136,30 +147,24 @@ def mollifier_weight(x: float, cfg: MollifierConfig) -> float:
 @lru_cache(maxsize=8)
 def _coefficients(xi: float, theta: float,
                   variant: str) -> Tuple[np.ndarray, np.ndarray]:
-    """(log n, tau_{-1/2}(n) * M(n) / sqrt(n)) for 1 <= n <= xi, cached.
+    """(ln n, tau_{-1/2}(n) M(n) / sqrt(n)) for 1 <= n <= xi, cached.
 
-    The arrays are read-only: every caller with the same key shares them.
+    ln n is in np.longdouble, as specfun._dirichlet_rows takes it.  The
+    arrays are read-only: every caller with the same key shares them.
     """
     n = np.arange(1, int(math.floor(xi)) + 1)
     amp = (specfun._tau_vec(n, -0.5) * _weight_vec(n, xi, theta, variant)
            / np.sqrt(n))
-    logn = np.log(n)
+    logn = np.log(n.astype(np.longdouble))
     logn.setflags(write=False)
     amp.setflags(write=False)
     return logn, amp
 
 
 def _eta_vec(t: np.ndarray, cfg: MollifierConfig) -> np.ndarray:
-    """eta evaluated at 1/2 + it for a vector of ordinates."""
+    """eta at 1/2 + it; t as specfun._dirichlet_rows takes it."""
     logn, amp = _coefficients(cfg.xi, cfg.theta, cfg.variant)
-    t = np.asarray(t, dtype=float)
-    flat = t.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    block = max(1, int(4.0e6 / max(logn.size, 1)))
-    for lo in range(0, flat.size, block):
-        tb = flat[lo:lo + block]
-        out[lo:lo + block] = np.exp(-1j * np.outer(tb, logn)) @ amp
-    return out.reshape(t.shape)
+    return specfun._dirichlet_rows(t, logn, amp)
 
 
 def eta(t: float, cfg: MollifierConfig) -> complex:
@@ -200,7 +205,8 @@ def hardy_x(t: float) -> float:
     the Riemann-Siegel Z(t) with C_0 ... C_4, whose truncation error is at
     most 0.017 |t|^(-11/4) (Gabcke 1979), 1e-10 at 1000.  With phase
     rounding included, the measured error against mpmath.siegelz at 70
-    points in [1e3, 1e6] is at most 4e-11, and 1.6e-12 above 1e4.
+    points in [1e3, 1e6] is at most 3.8e-11, and 1.3e-12 above 1e4; on the
+    scan's rows of window nodes it is 3.1e-12 above 1e4.
     """
     return float(_hardy_x_vec(np.array([float(t)]))[0])
 
@@ -219,43 +225,62 @@ def _scan(t_lo: float, t_hi: float, cfg: MollifierConfig
           ) -> Tuple[List[WindowStats], np.ndarray, np.ndarray]:
     """One pass over the abutting windows [t_lo + kH, t_lo + (k+1)H].
 
-    Each window's Simpson nodes get one zeta and one eta evaluation.  From
-    them come X*|eta|^2, its sign-change brackets and, for every full
-    window, I, J and M.  A window ending within 1e-12 of t_hi counts as
-    full; the last window is otherwise clipped at t_hi and only scanned.
-    Every bracket lies inside one window's grid, so abutting windows
-    cannot double-count a crossing.  Returns the full windows' statistics
-    and the bracket ends.
+    Every window's Simpson nodes get one zeta and one eta evaluation.
+    From them come X*|eta|^2, its sign-change brackets and, for every
+    full window, I, J and M.  A window ending within 1e-12 of t_hi counts
+    as full; the last window is otherwise clipped at t_hi and only
+    scanned.  Every bracket lies inside one window's grid, so abutting
+    windows cannot double-count a crossing.  Returns the full windows'
+    statistics and the bracket ends.
+
+    The windows of one grid are evaluated together, each a row of nodes
+    that shares one table of node offsets with the others
+    (specfun._dirichlet_rows), at most _SCAN_NODES nodes at a time.
     """
-    windows: List[WindowStats] = []
+    count = int(math.ceil((t_hi - t_lo) / cfg.H - 1.0e-12))
+    lo = t_lo + np.arange(count) * cfg.H
+    full = lo + cfg.H <= t_hi + 1.0e-12
+    hi = np.where(full, lo + cfg.H, t_hi)
+    keep = hi > lo
+    lo, hi, full = lo[keep], hi[keep], full[keep]
+    # Simpson spacing <= quad_step; the 1e-9 slack keeps rounding in
+    # (t + H) - t just above H from adding two intervals to a window.
+    steps = np.ceil((hi - lo) / cfg.quad_step - 1.0e-9).astype(int)
+    steps = np.maximum(2, steps + steps % 2)
+    sums = np.empty((lo.size, 3), dtype=complex)    # I, J, M + H
+    changes = np.empty(lo.size, dtype=int)
     bracket_lo: List[np.ndarray] = [np.empty(0)]
     bracket_hi: List[np.ndarray] = [np.empty(0)]
-    n_windows = int(math.ceil((t_hi - t_lo) / cfg.H - 1.0e-12))
-    for k in range(n_windows):
-        w_lo = t_lo + k * cfg.H
-        full = w_lo + cfg.H <= t_hi + 1.0e-12
-        w_hi = w_lo + cfg.H if full else t_hi
-        if w_hi <= w_lo:
-            break
-        # Simpson spacing <= quad_step; the 1e-9 slack keeps rounding in
-        # (t + H) - t just above H from adding two intervals to a window.
-        steps = math.ceil((w_hi - w_lo) / cfg.quad_step - 1.0e-9)
-        u, w = specfun._simpson(w_lo, w_hi, max(2, steps))
-        zeta, e, f = _mollified_vec(u, cfg)
-        s = np.sign(f)
-        live = np.nonzero(s)[0]
-        flip = np.nonzero(s[live[1:]] != s[live[:-1]])[0]
-        bracket_lo.append(u[live[flip]])
-        bracket_hi.append(u[live[flip + 1]])
-        if full:
-            windows.append(WindowStats(
-                t=w_lo,
-                H=cfg.H,
-                I=float(w @ f),
-                J=float(w @ np.abs(f)),
-                M_val=complex(w @ (zeta * e * e)) - cfg.H,
-                sign_changes=int(flip.size),
-            ))
+    grid = 2 * steps + full        # a clipped window has a grid of its own
+    for key in sorted(set(grid.tolist())):
+        group = np.flatnonzero(grid == key)
+        n = int(steps[group[0]])
+        per = max(1, _SCAN_NODES // (n + 1))
+        for first in range(0, group.size, per):
+            win = group[first:first + per]
+            u, w = specfun._simpson(lo[win, None], hi[win, None], n)
+            f = np.empty(u.shape)
+            g = np.empty(u.shape, dtype=complex)
+            piece = max(1, _SCAN_NODES // win.size)
+            for c in range(0, n + 1, piece):
+                cols = slice(c, c + piece)
+                zeta, e, f[:, cols] = _mollified_vec(u[:, cols], cfg)
+                g[:, cols] = zeta * e * e
+            sums[win] = np.stack([np.einsum("ij,ij->i", w, v)
+                                  for v in (f, np.abs(f), g)], axis=1)
+            sign = np.sign(f).ravel()
+            live = np.flatnonzero(sign)
+            row = live // (n + 1)
+            flip = np.flatnonzero((sign[live[1:]] != sign[live[:-1]])
+                                  & (row[1:] == row[:-1]))
+            bracket_lo.append(u.ravel()[live[flip]])
+            bracket_hi.append(u.ravel()[live[flip + 1]])
+            changes[win] = np.bincount(row[flip], minlength=win.size)
+    windows = [WindowStats(t=float(lo[k]), H=cfg.H, I=float(sums[k, 0].real),
+                           J=float(sums[k, 1].real),
+                           M_val=complex(sums[k, 2]) - cfg.H,
+                           sign_changes=int(changes[k]))
+               for k in np.flatnonzero(full)]
     return windows, np.concatenate(bracket_lo), np.concatenate(bracket_hi)
 
 

@@ -303,111 +303,173 @@ _RS_COEF = np.array([
      1.2479701645409117e-05, 4.863945184002094e-07],
 ]).T
 
-# The Riemann-Siegel phases theta(t) - t ln n reach theta(t) itself, 5.5e6
-# at t = 1e6, where a double's spacing is 9e-10; they are formed and
-# reduced mod 2 pi in extended precision.
+# The phases t ln n and theta(t) reach 1.4e7 and 5.5e6 at t = 1e6, where a
+# double's spacing is 2e-9; they are formed and reduced mod 2 pi in
+# extended precision.
 _PI_LD = np.arccos(np.longdouble(-1.0))
 _TWO_PI_LD = 2 * _PI_LD
 
+# Entries of the (rows x n) phase block, and of the (n x nodes) table,
+# that _dirichlet_rows forms at a time, and the most nodes in its rows.
+_ROW_BLOCK = 1 << 17
+_ROW_NODES = 128
+
 
 def _mod_two_pi(phase: np.ndarray) -> np.ndarray:
-    """Extended-precision phases reduced to [-pi, pi], as doubles."""
-    return (phase - _TWO_PI_LD * np.round(phase / _TWO_PI_LD)).astype(float)
+    """Extended-precision phases reduced to about [-pi, pi], as doubles."""
+    turns = np.rint(phase.astype(float) / (2.0 * math.pi))
+    return (phase - turns * _TWO_PI_LD).astype(float)
 
 
-def _zeta_em_vec(t: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin zeta(1/2 + it) for a vector of ordinates.
+def _dirichlet_rows(t: np.ndarray, logn: np.ndarray, coef: np.ndarray,
+                    n_row: np.ndarray | None = None) -> np.ndarray:
+    """sum_{n <= n_row[r]} coef[n-1] n^{-it} at every node t of row r.
 
-    Truncation length N ~ 3|t|/(2 pi) keeps the correction-term ratio near
-    1/9, so twelve Bernoulli terms push the remainder far below 1e-10; the
-    cost is O(|t|) per point.
+    t holds ordinates, one node a row, or 2-D rows t[r, 0] + j h with one
+    step h (up to rounding); logn holds ln n in np.longdouble; n_row
+    defaults to every term.  With delta_j = t[0, j] - t[0, 0] and the
+    rounding offset eps = t[r, j] - t[r, 0] - delta_j, n^{-it} =
+    n^{-i t[r, 0]} n^{-i delta_j} (1 - i eps ln n) up to (eps ln n)^2 / 2.
+    The row phases t[r, 0] ln n are reduced mod 2 pi in extended
+    precision, all rows share the table n^{-i delta_j}, and each row's
+    sums are a matrix product of their own.  Rows longer than _ROW_NODES
+    are cut into shorter ones.
     """
     t = np.asarray(t, dtype=float)
-    flat = t.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    tmax = float(np.max(np.abs(flat))) if flat.size else 0.0
-    nterms = int(3.0 * tmax / (2.0 * math.pi)) + 12
-    logn = np.log(np.arange(1, nterms, dtype=float))
-    block = max(1, int(4.0e6 / max(nterms, 1)))
-    for lo in range(0, flat.size, block):
-        tb = flat[lo:lo + block]
-        s = 0.5 + 1j * tb
-        # main sum over n < N
-        mat = np.exp(np.outer(-s, logn))
-        acc = mat.sum(axis=1)
-        # boundary terms at N
-        lN = math.log(nterms)
-        n_ms = np.exp(-s * lN)                     # N^{-s}
-        acc += nterms * n_ms / (s - 1.0) + 0.5 * n_ms
-        # Bernoulli corrections: B_{2k}/(2k)! * N^{1-2k-s} * prod(s+j)
-        poly = s.copy()
-        npow = n_ms / nterms                       # N^{-s-1}
-        for k, coef in enumerate(_EM_COEF, start=1):
-            acc += coef * poly * npow
-            poly = poly * (s + (2 * k - 1)) * (s + 2 * k)
-            npow = npow / (nterms * nterms)
-        out[lo:lo + block] = acc
+    rows = t.reshape(-1, t.shape[-1] if t.ndim == 2 else 1)
+    size = logn.size
+    if n_row is None:
+        n_row = np.full(rows.shape[0], size)
+    out = np.empty(rows.shape, dtype=complex)
+    width = max(1, min(_ROW_NODES, _ROW_BLOCK // size))
+    if rows.shape[1] > width:       # cut long rows into rows of `width`
+        cut = rows.shape[1] - rows.shape[1] % width
+        out[:, :cut] = _dirichlet_rows(
+            rows[:, :cut].reshape(-1, width), logn, coef,
+            np.repeat(n_row, cut // width)).reshape(-1, cut)
+        if cut < rows.shape[1]:
+            out[:, cut:] = _dirichlet_rows(rows[:, cut:], logn, coef, n_row)
+        return out.reshape(t.shape)
+    ln = logn.astype(float)
+    weight = np.stack([coef, coef * ln])        # the sum and its eps slope
+    delta = rows[:1] - rows[:1, :1]
+    table = np.exp(-1j * np.outer(ln, delta))
+    eps = rows - rows[:, :1] - delta
+    block = max(1, _ROW_BLOCK // size)
+    for r in range(0, rows.shape[0], block):
+        phase = np.exp(-1j * _mod_two_pi(
+            rows[r:r + block, :1].astype(np.longdouble) * logn))
+        terms = n_row[r:r + block]
+        if rows.shape[1] == 1:                  # table 1, eps 0
+            phase[np.arange(size) >= terms[:, None]] = 0.0
+            out[r:r + block, 0] = np.einsum("rn,n->r", phase, coef)
+            continue
+        for k in sorted(set(terms.tolist())):
+            pick = np.flatnonzero(terms == k)
+            sums = np.matmul(phase[pick, None, :k] * weight[:, :k], table[:k])
+            out[r + pick] = sums[:, 0] - 1j * eps[r + pick] * sums[:, 1]
     return out.reshape(t.shape)
 
 
-def _riemann_siegel_vec(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Riemann-Siegel Z(t) and theta(t) mod 2 pi for t >= T_RS (1-D).
+def _zeta_em_vec(t: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin zeta(1/2 + it), t as _dirichlet_rows takes it.
 
-    Z(t) = 2 sum_{n <= m} n^{-1/2} cos(theta(t) - t ln n)
+    Each row's truncation length N ~ 3 max|t| / (2 pi) keeps the
+    correction-term ratio near 1/9, so twelve Bernoulli terms push the
+    remainder far below 1e-10; the cost is O(|t|) per point.
+    """
+    t = np.asarray(t, dtype=float)
+    rows = t.reshape(-1, t.shape[-1] if t.ndim == 2 else 1)
+    nterms = (3.0 * np.max(np.abs(rows), axis=1, initial=0.0)
+              / (2.0 * math.pi)).astype(int) + 12
+    n = np.arange(1, int(nterms.max(initial=12)))
+    acc = _dirichlet_rows(rows, np.log(n.astype(np.longdouble)),
+                          1.0 / np.sqrt(n), nterms - 1)
+    # boundary terms at N
+    s = 0.5 + 1j * rows
+    big = nterms[:, None].astype(float)
+    n_ms = np.exp(-s * np.log(big))                # N^{-s}
+    acc += big * n_ms / (s - 1.0) + 0.5 * n_ms
+    # Bernoulli corrections: B_{2k}/(2k)! * N^{1-2k-s} * prod(s+j)
+    poly = s.copy()
+    npow = n_ms / big                              # N^{-s-1}
+    for k, coef in enumerate(_EM_COEF, start=1):
+        acc += coef * poly * npow
+        poly = poly * (s + (2 * k - 1)) * (s + 2 * k)
+        npow = npow / (big * big)
+    return acc.reshape(t.shape)
+
+
+def _riemann_siegel_vec(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Riemann-Siegel Z(t) and theta(t) mod 2 pi for |t| >= T_RS.
+
+    Z(t) = 2 Re(e^{i theta(t)} sum_{n <= m} n^{-1/2 - it})
            + (-1)^{m-1} a^{-1/2} sum_{k=0}^{4} C_k(p) a^{-k},
 
-    with a = sqrt(t / 2 pi), m = floor(a) and p = a - m: O(sqrt t) terms.
+    with a = sqrt(|t| / 2 pi), m = floor(a) and p = a - m: O(sqrt t)
+    terms; Z is even and theta odd.  The terms all nodes of a row share go
+    through _dirichlet_rows, and a node with a larger m adds its own.
     theta comes from its Stirling series t/2 ln(t/2 pi) - t/2 - pi/8
     + 1/(48 t) + 7/(5760 t^3), whose next term is below 4e-19 here.
     """
-    tl = t.astype(np.longdouble)
-    theta = (0.5 * tl * np.log(tl / _TWO_PI_LD) - 0.5 * tl - _PI_LD / 8
-             + 1 / (48 * tl) + 7 / (5760 * tl ** 3))
-    a = np.sqrt(t / (2.0 * math.pi))
-    m = np.floor(a)
-    n = np.arange(1, int(np.max(m)) + 1)
+    t = np.asarray(t, dtype=float)
+    rows = t.reshape(-1, t.shape[-1] if t.ndim == 2 else 1)
+    tl = np.abs(rows).astype(np.longdouble)
+    theta = np.sign(rows) * _mod_two_pi(
+        0.5 * tl * np.log(tl / _TWO_PI_LD) - 0.5 * tl - _PI_LD / 8
+        + 1 / (48 * tl) + 7 / (5760 * tl ** 3))
+    a = np.sqrt(np.abs(rows) / (2.0 * math.pi))
+    m = np.floor(a).astype(int)
+    shared = m.min(axis=1)
+    n = np.arange(1, int(m.max()) + 1)
     logn = np.log(n.astype(np.longdouble))
     amp = 1.0 / np.sqrt(n)
-    z = np.empty(t.shape)
-    block = max(1, int(1.0e6 / n.size))
-    for lo in range(0, t.size, block):
-        rows = slice(lo, lo + block)
-        terms = amp * np.cos(_mod_two_pi(theta[rows, None]
-                                         - tl[rows, None] * logn))
-        terms[n > m[rows, None]] = 0.0
-        z[rows] = 2.0 * terms.sum(axis=1)
-    x = a - m - 0.5
-    ck = np.vander(x * x, _RS_COEF.shape[0], increasing=True) @ _RS_COEF
-    ck[:, 1::2] *= x[:, None]
-    corr = np.sum(ck * a[:, None] ** -np.arange(5.0), axis=1)
+    s = _dirichlet_rows(rows, logn, amp, shared)
+    extra = m - shared[:, None]
+    for d in range(1, int(extra.max()) + 1):
+        node = extra >= d
+        k = np.broadcast_to(shared[:, None] + (d - 1), m.shape)[node]
+        s[node] += amp[k] * np.exp(-1j * _mod_two_pi(
+            rows[node].astype(np.longdouble) * logn[k]))
+    z = 2.0 * (np.cos(theta) * s.real - np.sin(theta) * s.imag)
+    x = (a - m - 0.5)[..., None]
+    powers = (x * x) ** np.arange(_RS_COEF.shape[0])
+    ck = np.einsum("...j,jk->...k", powers, _RS_COEF)
+    ck[..., 1::2] *= x
+    corr = np.sum(ck * a[..., None] ** -np.arange(5.0), axis=-1)
     sign = np.where(m % 2 == 1, 1.0, -1.0)         # (-1)^(m-1)
-    return z + sign * corr / np.sqrt(a), _mod_two_pi(theta)
+    z += sign * corr / np.sqrt(a)
+    return z.reshape(t.shape), theta.reshape(t.shape)
 
 
 def _zeta_critical_vec(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """zeta(1/2 + it) and the rotated e^{i theta(t)} zeta(1/2 + it).
 
-    Below |t| = T_RS zeta is the Euler-Maclaurin sum and the rotated value
-    is exp(i theta) times it, real up to rounding.  From T_RS on, the
-    rotated value is the Riemann-Siegel Z(|t|) itself, exactly real, and
-    zeta = e^{-i theta(t)} Z; theta is odd, so zeta(1/2 - it) is the
-    conjugate of zeta(1/2 + it).
+    t is taken as _dirichlet_rows takes it.  Below |t| = T_RS zeta is the
+    Euler-Maclaurin sum and the rotated value is exp(i theta) times it,
+    real up to rounding.  From T_RS on, the rotated value is the
+    Riemann-Siegel Z(t) itself, exactly real, and zeta = e^{-i theta(t)} Z.
+    A row with nodes on both sides of T_RS is evaluated node by node.
     """
     t = np.asarray(t, dtype=float)
-    zeta = np.empty(t.shape, dtype=complex)
-    rotated = np.empty(t.shape, dtype=complex)
-    rs = np.abs(t) >= _T_RS
-    em = ~rs
+    rows = t.reshape(-1, t.shape[-1] if t.ndim == 2 else 1)
+    rs = np.abs(rows) >= _T_RS
+    em, whole = ~rs.any(axis=1), rs.all(axis=1)
+    zeta = np.empty(rows.shape, dtype=complex)
+    rotated = np.empty(rows.shape, dtype=complex)
     if em.any():
-        t_em = t[em]
-        zeta[em] = _zeta_em_vec(t_em)
-        rotated[em] = np.exp(1j * _theta_phase_vec(t_em)) * zeta[em]
-    if rs.any():
-        t_rs = t[rs]
-        z, theta = _riemann_siegel_vec(np.abs(t_rs))
-        zeta[rs] = np.exp(-1j * np.sign(t_rs) * theta) * z
-        rotated[rs] = z
-    return zeta, rotated
+        zeta[em] = _zeta_em_vec(rows[em])
+        rotated[em] = np.exp(1j * _theta_phase_vec(rows[em])) * zeta[em]
+    if whole.any():
+        z, theta = _riemann_siegel_vec(rows[whole])
+        zeta[whole] = np.exp(-1j * theta) * z
+        rotated[whole] = z
+    mixed = ~(em | whole)
+    if mixed.any():
+        for out, value in zip((zeta, rotated),
+                              _zeta_critical_vec(rows[mixed].ravel())):
+            out[mixed] = value.reshape(-1, rows.shape[1])
+    return zeta.reshape(t.shape), rotated.reshape(t.shape)
 
 
 def zeta_critical(t: float) -> complex:
@@ -416,10 +478,11 @@ def zeta_critical(t: float) -> complex:
     |t| < 1000: Euler-Maclaurin, abs error < 1e-10, O(|t|) terms.
     |t| >= 1000: Riemann-Siegel with C_0 ... C_4, O(sqrt |t|) terms.  Its
     truncation error is at most 0.017 |t|^(-11/4) (Gabcke 1979, K = 4),
-    i.e. 1e-10 at |t| = 1000.  The phases are reduced in extended
-    precision (np.longdouble; where that is a plain double, phase rounding
-    grows to ~4e-9 at 1e6).  Measured against mpmath at 70 points in
-    [1e3, 1e6]: at most 4e-11, and 1.6e-12 above 1e4.
+    i.e. 1e-10 at |t| = 1000.  Both sums over n run through
+    _dirichlet_rows, whose phases t ln n are reduced in extended precision
+    (np.longdouble; where that is a plain double, phase rounding grows to
+    ~4e-9 at 1e6).  Measured against mpmath at 70 points in [1e3, 1e6]: at
+    most 3.8e-11, and 1.6e-12 above 1e4; at 40 points in [1, 1000]: 2.3e-14.
     """
     t = float(t)
     if not abs(t) <= _ZETA_T_MAX:     # NaN fails too
@@ -430,18 +493,18 @@ def zeta_critical(t: float) -> complex:
 
 # -------------------------------------------------------------------- Delta_r
 
-def _simpson(lo: float, hi: float, n: int) -> Tuple[np.ndarray, np.ndarray]:
+def _simpson(lo, hi, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Composite-Simpson nodes and weights on [lo, hi], n intervals.
 
-    An odd n is rounded up to the next even count.
+    An odd n is rounded up to the next even count.  lo and hi may be
+    (k, 1) arrays: row i of the result is then the grid on [lo_i, hi_i].
     """
     n += n % 2
     u = lo + (hi - lo) * np.arange(n + 1) / n
     w = np.full(n + 1, 2.0)
     w[1::2] = 4.0
     w[0] = w[n] = 1.0
-    w *= (hi - lo) / (3.0 * n)
-    return u, w
+    return u, w * ((hi - lo) / (3.0 * n))
 
 
 def _delta_steps(x: float) -> int:

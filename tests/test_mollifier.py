@@ -1,6 +1,9 @@
 """Mollifier weights, the polynomial, the rotated function, detection."""
 
+import hashlib
+import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath as mp
@@ -13,7 +16,7 @@ from critline import mollifier as mo
 from critline import specfun
 from critline.errors import DomainError, RangeError
 
-from reference_values import ZETA_HALF
+from reference_values import DETECT_ANCHORS, ZETA_HALF
 
 mp.mp.dps = 30
 
@@ -117,12 +120,17 @@ def test_eta_conjugate_symmetry(t):
 
 
 def test_eta_against_direct_sum():
-    for t in (0.0, 3.7, 31.4):
-        direct = mp.mpc(0)
-        for n in range(1, 51):
-            w = mo.mollifier_weight(float(n), CFG)
-            direct += specfun.tau_z(n, -0.5) * w * mp.power(n, mp.mpc(-0.5, -t))
-        assert mo.eta(t, CFG) == pytest.approx(complex(direct), abs=1e-13)
+    # t ln n reaches 3.9e6 at the top of the range, where a double phase
+    # is off by up to 2e-10
+    for t, tol in ((0.0, 1e-13), (3.7, 1e-13), (31.4, 1e-13), (9876.5, 1e-12),
+                   (99999.5, 1e-12), (999999.5, 1e-12), (-999999.5, 1e-12)):
+        with mp.workdps(40):
+            direct = mp.mpc(0)
+            for n in range(1, 51):
+                w = mo.mollifier_weight(float(n), CFG)
+                direct += (specfun.tau_z(n, -0.5) * w
+                           * mp.power(n, mp.mpc(-0.5, -t)))
+        assert mo.eta(t, CFG) == pytest.approx(complex(direct), abs=tol)
 
 
 def test_eta_coefficients_bounded():
@@ -183,19 +191,64 @@ def test_window_trivial_mollifier():
 
 def test_full_windows_have_64_simpson_intervals(monkeypatch):
     # (t + H) - t often rounds just above H = 0.3; that must not add two
-    # intervals to the window's default H/64 grid.
+    # intervals to the window's default H/64 grid.  The scan asks for the
+    # grids of many windows at once, one row each.
     nodes = []
     simpson = specfun._simpson
 
     def spy(lo, hi, n):
         u, w = simpson(lo, hi, n)
-        nodes.append(u.size)
+        nodes.extend([u.shape[-1]] * (u.size // u.shape[-1]))
         return u, w
 
     monkeypatch.setattr(specfun, "_simpson", spy)
     found = mo.mollified_scan(0.1, 30.1, mo.MollifierConfig(H=0.3))
     assert len(found.windows) == len(nodes) == 100
     assert set(nodes) == {65}
+
+
+@pytest.mark.parametrize("t_lo, rel", [
+    (999.5, 1e-12), (10052.6, 1e-12), (-1050.0, 1e-12), (999900.0, 4e-12)])
+def test_scan_rows_match_single_nodes(monkeypatch, t_lo, rel):
+    # the seam, m = floor(sqrt(t / 2 pi)) stepping to 40 at 2 pi 40^2 =
+    # 10053.1, negative t and the top of the range: X |eta|^2 on the scan's
+    # rows of nodes against one node a row, and X against mpmath.  Near
+    # t = 1e6 each extended-precision phase t ln n ~ 6e6 is rounded by up
+    # to 1e-12 on either path.
+    cfg = mo.MollifierConfig()
+    single = mo._mollified_vec
+    rows = []
+
+    def spy(t, config):
+        out = single(t, config)
+        rows.append((np.array(t), out[2]))
+        return out
+
+    monkeypatch.setattr(mo, "_mollified_vec", spy)
+    mo._scan(t_lo, t_lo + 2.0, cfg)
+    (t, f), = rows
+    assert t.shape == (2, 65)
+    ref = single(t.ravel(), cfg)[2]
+    assert np.all(np.abs(f.ravel() - ref) <= rel * np.maximum(1.0, np.abs(ref)))
+    x = specfun._zeta_critical_vec(t)[1].real.ravel()
+    for node, value in zip(t.ravel()[::16], x[::16]):
+        assert value == pytest.approx(float(mp.siegelz(node)), abs=1e-10)
+
+
+@pytest.mark.parametrize("t_hi, cfg, budget_mb", [
+    (10.0, mo.MollifierConfig(H=1e-3), 8),            # 10^4 windows
+    (1.0, mo.MollifierConfig(quad_step=1e-6), 96),    # 10^6 + 1 nodes
+])
+def test_scan_memory_bounded(t_hi, cfg, budget_mb):
+    mo._scan(0.0, 0.01, cfg)                  # fills the coefficient cache
+    tracemalloc.start()
+    try:
+        windows, _, _ = mo._scan(0.0, t_hi, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(windows) == round(t_hi / cfg.H)
+    assert peak < budget_mb * 2 ** 20
 
 
 def test_window_detection_implication():
@@ -247,6 +300,9 @@ def test_detect_counts_match_nzeros(t_lo):
     count, ords = mo.detect_zeros(t_lo, t_lo + 100.0, mo.MollifierConfig())
     assert count == mp.nzeros(t_lo + 100.0) - mp.nzeros(t_lo)
     assert all(t_lo <= t <= t_lo + 100.0 for t in ords)
+    if t_lo in DETECT_ANCHORS:
+        digest = hashlib.sha256(json.dumps(ords).encode()).hexdigest()
+        assert (count, digest) == DETECT_ANCHORS[t_lo]
 
 
 def test_detect_matches_raw_sign_changes():
