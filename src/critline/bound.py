@@ -153,7 +153,7 @@ def optimize_A(N: int, theta: float, kappa: float = 0.125,
     if b_star[0] == -np.inf:
         raise OptimizerError(
             f"no positive stationary point of the bound for N={N} at theta={theta} "
-            f"in A within [{1.0 / kappa:.3g}, 1e16]")
+            f"in A within [{1.0 / kappa:.3g}, {_A_MAX:.3g}]")
     return float(a_star[0]), float(b_star[0])
 
 

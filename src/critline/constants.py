@@ -27,7 +27,6 @@ are one-row calls into those kernels.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,10 +37,10 @@ from .specfun import PRIME_CUTOFF, euler_product, gamma_ratio_quarter
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Workspace bytes of _k_table's c7 blocks, all worker threads together.
-# A block takes at most _POINT_BYTES per (theta, u) point, so 4 MB is 370
-# theta rows at n_rect = 100 on one thread or 185 on each of two, near the
-# CPU caches either way; a single row larger than the budget runs alone.
+# Workspace bytes of _k_table's c7 blocks.  A block takes at most
+# _POINT_BYTES per (theta, u) point, so 4 MB is 370 theta rows at
+# n_rect = 100, near the CPU caches; a row larger than the budget is a
+# block of its own.
 _K_WORK_BYTES = 2 ** 22
 _POINT_BYTES = 112
 
@@ -288,14 +287,6 @@ def _block_bytes(points: int) -> int:
     return _POINT_BYTES * points + 4096
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
 def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
              prime_cutoff: int = PRIME_CUTOFF) -> dict[str, np.ndarray]:
     """The constant chain over a whole theta grid.
@@ -307,17 +298,13 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     The row stage solves rho(theta) and rho(a_max, theta) once for every
     row (roots._rho_lemma_rows); rho(theta) is also the rho, c5 and c3
     columns.  The c7 profile, about two Newton f evaluations per (theta, u)
-    point, then runs in blocks of rows on min(CPUs, blocks) threads, the
-    k-th of w threads taking blocks k, k + w, ...  Each thread reuses one
-    roots._Workspace for all of its blocks, each block in a scope of it;
-    _k_table allocates these workspaces and drops them when it returns.
-    Together they hold _K_WORK_BYTES: a block has as many rows as its
-    thread's share fits at _POINT_BYTES per point, at least one, so a row
-    larger than the budget runs alone.  numpy releases the interpreter
-    lock in the element work, each block writes its own rows, and each
-    element's root depends only on its (theta, u) and its row's roots, so
-    the result is bit-identical for any block size and worker count.  The
-    caller's numpy error state is applied on every worker.
+    point, then runs in blocks of rows on the caller's thread, each block
+    in a scope of one roots._Workspace that _k_table allocates and drops
+    when it returns.  A block has as many rows as _K_WORK_BYTES holds at
+    _POINT_BYTES per point, at least one, so a row larger than the budget
+    is a block of its own.  Each element's root depends only on its
+    (theta, u) and its row's roots, so the result is bit-identical for any
+    block size.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1 or thetas.size == 0:
@@ -339,35 +326,17 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     int_vc7 = np.empty(size)
     quad_bracket = np.empty(size)
 
-    fit = max(1, _K_WORK_BYTES // (_POINT_BYTES * us.size))
-    workers = min(_usable_cpus(), fit, size)
-    block = min(fit // workers, size)
-    workers = min(workers, -(-size // block))
-    works = [roots._Workspace(_block_bytes(us.size * block))
-             for _ in range(workers)]
-    err = np.geterr()
-
-    def run(worker):
-        work = works[worker]
-        with np.errstate(**err):
-            for lo in range(worker * block, size, block * workers):
-                rows = slice(lo, lo + block)
-                with work.scope():
-                    prof = _c7_profile(thetas[rows], kappa, us,
-                                       (rho[rows], x_top[rows]), work)
-                    np.sum(prof[:, 1:], axis=1, out=int_c7[rows])
-                    np.subtract(prof[:, -1], prof[:, 0],
-                                out=quad_bracket[rows])
-                    prof[:, 1:] *= us[1:]
-                    np.sum(prof[:, 1:], axis=1, out=int_vc7[rows])
-
-    if workers == 1:
-        run(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            for _ in pool.map(run, range(workers)):
-                pass                    # re-raises a worker's error
+    block = min(max(1, _K_WORK_BYTES // (_POINT_BYTES * us.size)), size)
+    work = roots._Workspace(_block_bytes(us.size * block))
+    for lo in range(0, size, block):
+        rows = slice(lo, lo + block)
+        with work.scope():
+            prof = _c7_profile(thetas[rows], kappa, us,
+                               (rho[rows], x_top[rows]), work)
+            np.sum(prof[:, 1:], axis=1, out=int_c7[rows])
+            np.subtract(prof[:, -1], prof[:, 0], out=quad_bracket[rows])
+            prof[:, 1:] *= us[1:]
+            np.sum(prof[:, 1:], axis=1, out=int_vc7[rows])
     int_c7 *= h
     quad_bracket *= h
     int_vc7 *= h

@@ -227,25 +227,28 @@ def _scan(t_lo: float, t_hi: float, cfg: MollifierConfig
 
     Every window's Simpson nodes get one zeta and one eta evaluation.
     From them come X*|eta|^2, its sign-change brackets and, for every
-    full window, I, J and M.  A window ending within 1e-12 of t_hi counts
-    as full; the last window is otherwise clipped at t_hi and only
-    scanned.  Every bracket lies inside one window's grid, so abutting
-    windows cannot double-count a crossing.  Returns the full windows'
-    statistics and the bracket ends.
+    full window, I, J and M.  A window ending at most
+    1e-12 + 4 ulp(max(|t_lo|, |t_hi|)) past t_hi counts as full; the last
+    window is otherwise clipped at t_hi and only scanned.  Every bracket
+    lies inside one window's grid, so abutting windows cannot double-count
+    a crossing.  Returns the full windows' statistics and the bracket ends.
 
     The windows of one grid are evaluated together, each a row of nodes
     that shares one table of node offsets with the others
     (specfun._dirichlet_rows), at most _SCAN_NODES nodes at a time.
     """
-    count = int(math.ceil((t_hi - t_lo) / cfg.H - 1.0e-12))
+    # lo + H rounds by up to a few ulps of t, 1.2e-10 near t = 1e6.
+    edge = 1.0e-12 + 4.0 * math.ulp(max(abs(t_lo), abs(t_hi)))
+    count = int(math.ceil((t_hi - t_lo - edge) / cfg.H - 1.0e-12))
     lo = t_lo + np.arange(count) * cfg.H
-    full = lo + cfg.H <= t_hi + 1.0e-12
+    full = lo + cfg.H <= t_hi + edge
     hi = np.where(full, lo + cfg.H, t_hi)
     keep = hi > lo
     lo, hi, full = lo[keep], hi[keep], full[keep]
-    # Simpson spacing <= quad_step; the 1e-9 slack keeps rounding in
-    # (t + H) - t just above H from adding two intervals to a window.
-    steps = np.ceil((hi - lo) / cfg.quad_step - 1.0e-9).astype(int)
+    # Simpson spacing <= quad_step.  A full window's count comes from H,
+    # as (t + H) - t can exceed H by far more than the 1e-9 slack.
+    span = np.where(full, cfg.H, hi - lo)
+    steps = np.ceil(span / cfg.quad_step - 1.0e-9).astype(int)
     steps = np.maximum(2, steps + steps % 2)
     sums = np.empty((lo.size, 3), dtype=complex)    # I, J, M + H
     changes = np.empty(lo.size, dtype=int)

@@ -415,9 +415,7 @@ def _rho_lemma_vec(a, thetas, rows=None,
         row, col = np.divmod(idx, m)
         return _rho_lemma_fdf(x, a[col], thetas[row], b)
 
-    if work is None:                    # a one-off call: Newton copies
-        return _newton_vec(fdf, lo, hi, x0)
-    return _newton_vec(fdf, lo, hi, x0, work)
+    return _newton_vec(fdf, lo, hi, x0, own)
 
 
 # ------------------------------------------------------------ scalar roots

@@ -4,8 +4,7 @@ bench/child.py wraps private library names from outside the library, so a
 refactor that renames one breaks the traced benchmark without failing any
 library test.  This runs the child as bench/run.py does, with tracing on.
 The table's 2 000-point theta grid is several blocks of the constant chain,
-so on a host with two or more CPUs it runs on _k_table's worker threads
-while the spans are recorded.
+which run one after the other in _k_table while the spans are recorded.
 """
 
 import json

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,7 +106,8 @@ def test_optimize_n1_uses_single_formula():
 def test_optimize_A_raises_on_infeasible_row():
     table = cst._k_table(np.array([0.998]))
     assert bnd._optimize_A_vec(2, 0.125, table)[1][0] == -np.inf
-    with pytest.raises(OptimizerError):
+    # The message states the search window's cap.
+    with pytest.raises(OptimizerError, match=re.escape(f", {bnd._A_MAX:.3g}]")):
         bnd.optimize_A(2, 0.998)
 
 

@@ -2,8 +2,6 @@
 
 import math
 import mmap
-import sys
-import threading
 import tracemalloc
 
 import mpmath
@@ -218,54 +216,25 @@ def test_k_table_rows_match_scalar_chain():
             assert table[name][i] == pytest.approx(want, rel=1e-13), (theta, name)
 
 
-# ------------------------------------------------- blocks and worker threads
-
-def _k_table_on(monkeypatch, cpus, thetas, n_rect=100):
-    """_k_table as if the process could run on cpus CPUs, and for each c7
-    block the thread it ran on and that thread's numpy overflow mode."""
-    monkeypatch.setattr(cst, "_usable_cpus", lambda: cpus)
-    blocks = []
-    profile = cst._c7_profile
-
-    def recording(*args):
-        blocks.append((threading.get_ident(), np.geterr()["over"]))
-        return profile(*args)
-
-    monkeypatch.setattr(cst, "_c7_profile", recording)
-    try:
-        return cst._k_table(thetas, 0.125, n_rect), blocks
-    finally:
-        monkeypatch.undo()
-
+# ------------------------------------------------------------------ blocks
 
 @pytest.mark.parametrize("grid, n_rect", [(10000, 100), (2000, 1000)])
-def test_k_table_bits_independent_of_workers(monkeypatch, grid, n_rect):
-    # One worker with blocks of the whole budget, and three workers
-    # (possibly more than there are CPUs) with smaller blocks and frequent
-    # thread switches, give the same bits: no block's rows are lost or
-    # overwritten.
+def test_k_table_bits_independent_of_block_size(monkeypatch, grid, n_rect):
+    # Blocks of 1 row, of 7 rows and of the default budget give the same
+    # bits: no block's rows are lost or overwritten.  One-row blocks run
+    # on the smaller grid only (on the 10^4 grid they take about 9 s).
     thetas = np.arange(1, grid) / grid
-    one, blocks = _k_table_on(monkeypatch, 1, thetas, n_rect)
-    assert {t for t, _ in blocks} == {threading.get_ident()}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pooled, blocks = _k_table_on(monkeypatch, 3, thetas, n_rect)
-    finally:
-        sys.setswitchinterval(interval)
-    threads = {t for t, _ in blocks}
-    assert len(threads) > 1 and threading.get_ident() not in threads
-    assert one.keys() == pooled.keys()
-    for name in one:
-        assert one[name].tobytes() == pooled[name].tobytes(), name
-
-
-def test_k_table_applies_caller_error_state_on_workers(monkeypatch):
-    # numpy's error state is per thread; the pool carries the caller's.
-    with np.errstate(over="raise"):
-        _, blocks = _k_table_on(monkeypatch, 3, np.arange(1, 2000) / 2000)
-    assert len({t for t, _ in blocks}) > 1
-    assert {mode for _, mode in blocks} == {"raise"}
+    point = cst._POINT_BYTES * (n_rect + 1)
+    rows = (7,) if grid == 10000 else (1, 7)
+    tables = []
+    for budget in (*(r * point for r in rows), cst._K_WORK_BYTES):
+        monkeypatch.setattr(cst, "_K_WORK_BYTES", budget)
+        tables.append(cst._k_table(thetas, 0.125, n_rect))
+    default = tables[-1]
+    for table in tables[:-1]:
+        assert table.keys() == default.keys()
+        for name in default:
+            assert table[name].tobytes() == default[name].tobytes(), name
 
 
 def _traced_peak(fn):
@@ -278,17 +247,17 @@ def _traced_peak(fn):
 
 
 def test_k_table_grid_peak_memory():
-    # One workspace per worker, within _K_WORK_BYTES in all: the 10^4-point
-    # grid stays within 8 MB of traced allocations (a fresh array for every
-    # numpy operation of 256-row blocks took 15.5 MB, 2048-row blocks with
-    # a (rows x 101 x 32) cell search over 55 MB).
+    # One workspace of _K_WORK_BYTES: the 10^4-point grid stays within 8 MB
+    # of traced allocations (a fresh array for every numpy operation of
+    # 256-row blocks took 15.5 MB, 2048-row blocks with a (rows x 101 x 32)
+    # cell search over 55 MB).
     thetas = np.arange(1, 10000) / 10000
     cst._k_table(thetas[:2])
     assert _traced_peak(lambda: cst._k_table(thetas)) <= 8e6
 
 
 def test_k_table_keeps_no_workspace():
-    # The workspaces are dropped when _k_table returns.
+    # The workspace is dropped when _k_table returns.
     thetas = np.arange(1, 10000) / 10000
     cst._k_table(thetas)
     tracemalloc.start()
@@ -302,7 +271,7 @@ def test_k_table_keeps_no_workspace():
 
 
 def test_k_table_warm_minor_page_faults():
-    # Reused workspaces touch fresh pages only for their first block: a
+    # The reused workspace touches fresh pages only for its first block: a
     # warm 10^4-point grid takes under 10 000 minor page faults (a fresh
     # array for every numpy operation took about 65 000).
     resource = pytest.importorskip("resource")
@@ -324,8 +293,8 @@ def test_k_table_warm_minor_page_faults():
 
 def test_k_table_blocks_fit_their_workspace():
     # A c7 block takes at most _block_bytes from its workspace at every
-    # n_rect, from one row to the rows the whole budget gives one thread,
-    # so no block of _k_table allocates.
+    # n_rect, from one row to the rows of the whole budget, so no block of
+    # _k_table allocates.
     thetas = np.arange(1, 10000) / 10000
     for n_rect in (1, 10, 100, 1000):
         us = np.linspace(0.0, 8.0, n_rect + 1)
@@ -340,11 +309,10 @@ def test_k_table_blocks_fit_their_workspace():
             assert work.peak <= cst._block_bytes(us.size * r), (n_rect, r)
 
 
-def test_k_table_large_rows_run_one_at_a_time(monkeypatch):
+def test_k_table_large_rows_run_one_at_a_time():
     # A row of n_rect + 1 = 50 001 points needs more workspace than the
-    # whole _K_WORK_BYTES budget, so however many CPUs there are, eight such
-    # rows run one after the other and peak near one row's memory.
-    monkeypatch.setattr(cst, "_usable_cpus", lambda: 4)
+    # whole _K_WORK_BYTES budget, so eight such rows run one after the
+    # other and peak near one row's memory.
     thetas = np.linspace(0.1, 0.8, 8)
     cst._k_table(thetas[:1], 0.125, 10)
     one = _traced_peak(lambda: cst._k_table(thetas[:1], 0.125, 50000))

@@ -190,9 +190,11 @@ def test_window_trivial_mollifier():
 
 
 def test_full_windows_have_64_simpson_intervals(monkeypatch):
-    # (t + H) - t often rounds just above H = 0.3; that must not add two
-    # intervals to the window's default H/64 grid.  The scan asks for the
-    # grids of many windows at once, one row each.
+    # (t + H) - t often rounds just above H: by a few ulps of H = 0.3 near
+    # t = 0, by more than 1e-9 of H at H = 0.3 or 1e-3 near t = 1e6.  That
+    # must neither add two intervals to a full window's default H/64 grid
+    # nor make the last of 100 windows a clipped one.  The scan asks for
+    # the grids of many windows at once, one row each.
     nodes = []
     simpson = specfun._simpson
 
@@ -202,9 +204,11 @@ def test_full_windows_have_64_simpson_intervals(monkeypatch):
         return u, w
 
     monkeypatch.setattr(specfun, "_simpson", spy)
-    found = mo.mollified_scan(0.1, 30.1, mo.MollifierConfig(H=0.3))
-    assert len(found.windows) == len(nodes) == 100
-    assert set(nodes) == {65}
+    for t_lo, H in [(0.1, 0.3), (999900.0, 0.3), (999000.0, 1e-3)]:
+        nodes.clear()
+        found = mo.mollified_scan(t_lo, t_lo + 100 * H, mo.MollifierConfig(H=H))
+        assert len(found.windows) == len(nodes) == 100, (t_lo, H)
+        assert set(nodes) == {65}, (t_lo, H)
 
 
 @pytest.mark.parametrize("t_lo, rel", [

@@ -145,9 +145,9 @@ def test_rho_lemma_vec_cell_search_edge_cases():
     brackets = []
     newton = roots._newton_vec
 
-    def recording(fdf, lo, hi, x0):
-        brackets.append((lo, hi))
-        return newton(fdf, lo, hi, x0)
+    def recording(fdf, lo, hi, x0, work=None):
+        brackets.append((lo.copy(), hi.copy()))     # Newton iterates in them
+        return newton(fdf, lo, hi, x0, work)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roots, "_newton_vec", recording)
