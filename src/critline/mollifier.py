@@ -18,9 +18,10 @@ Since |eta|^2 >= 0, the product X(t)*|eta(t)|^2 changes sign exactly where
 X does (outside the measure-zero set where eta vanishes), while the
 mollifier flattens the large excursions of X between zeros.  The module
 exposes the weight, the polynomial, the rotated function, a single-pass
-scan over abutting H-windows that yields both the sign-change zero
-detector and the window integrals I/J/M over [t, t+H], and a plain
-tabular emitter for plotting.
+scan over abutting H-windows that yields both the sign-change zero detector
+and the window integrals I/J/M over [t, t+H], and a plain tabular emitter
+for plotting.  Sign changes are refined below 1e-9 width by the ITP method,
+at most two evaluations beyond bisection's count.
 
 zeta and eta are Dirichlet sums.  The scan takes each window's Simpson
 nodes t0 + delta_j as one row, so n^{-it} = n^{-i t0} n^{-i delta_j}: one
@@ -57,6 +58,7 @@ _FIGURE_ROWS_MAX = 10 ** 6      # rows of figure_data
 
 # Nodes _scan evaluates at a time.
 _SCAN_NODES = 1 << 11
+_ITP_EPS = 5.0e-10      # _refine_crossings closes brackets below 2 eps
 
 
 @dataclass(frozen=True)
@@ -222,16 +224,16 @@ def _mollified_vec(t: np.ndarray, cfg: MollifierConfig
 
 
 def _scan(t_lo: float, t_hi: float, cfg: MollifierConfig
-          ) -> Tuple[List[WindowStats], np.ndarray, np.ndarray]:
+          ) -> Tuple[List[WindowStats], np.ndarray]:
     """One pass over the abutting windows [t_lo + kH, t_lo + (k+1)H].
 
     Every window's Simpson nodes get one zeta and one eta evaluation.
-    From them come X*|eta|^2, its sign-change brackets and, for every
-    full window, I, J and M.  A window ending at most
-    1e-12 + 4 ulp(max(|t_lo|, |t_hi|)) past t_hi counts as full; the last
-    window is otherwise clipped at t_hi and only scanned.  Every bracket
-    lies inside one window's grid, so abutting windows cannot double-count
-    a crossing.  Returns the full windows' statistics and the bracket ends.
+    From them come f = X*|eta|^2, each full window's I, J and M, and the
+    sign-change brackets.  A window ending at most 1e-12 + 4 ulp(t) past
+    t_hi, t = max(|t_lo|, |t_hi|), counts as full; the last window is
+    otherwise clipped at t_hi and only scanned.  Every bracket lies inside
+    one window's grid, so abutting windows cannot double-count a crossing.
+    Returns the full windows' statistics and the rows lo, hi, f(lo), f(hi).
 
     The windows of one grid are evaluated together, each a row of nodes
     that shares one table of node offsets with the others
@@ -252,8 +254,7 @@ def _scan(t_lo: float, t_hi: float, cfg: MollifierConfig
     steps = np.maximum(2, steps + steps % 2)
     sums = np.empty((lo.size, 3), dtype=complex)    # I, J, M + H
     changes = np.empty(lo.size, dtype=int)
-    bracket_lo: List[np.ndarray] = [np.empty(0)]
-    bracket_hi: List[np.ndarray] = [np.empty(0)]
+    ends: List[np.ndarray] = [np.empty((4, 0))]
     grid = 2 * steps + full        # a clipped window has a grid of its own
     for key in sorted(set(grid.tolist())):
         group = np.flatnonzero(grid == key)
@@ -276,15 +277,15 @@ def _scan(t_lo: float, t_hi: float, cfg: MollifierConfig
             row = live // (n + 1)
             flip = np.flatnonzero((sign[live[1:]] != sign[live[:-1]])
                                   & (row[1:] == row[:-1]))
-            bracket_lo.append(u.ravel()[live[flip]])
-            bracket_hi.append(u.ravel()[live[flip + 1]])
+            at = live[np.stack([flip, flip + 1])]
+            ends.append(np.concatenate([u.ravel()[at], f.ravel()[at]]))
             changes[win] = np.bincount(row[flip], minlength=win.size)
     windows = [WindowStats(t=float(lo[k]), H=cfg.H, I=float(sums[k, 0].real),
                            J=float(sums[k, 1].real),
                            M_val=complex(sums[k, 2]) - cfg.H,
                            sign_changes=int(changes[k]))
                for k in np.flatnonzero(full)]
-    return windows, np.concatenate(bracket_lo), np.concatenate(bracket_hi)
+    return windows, np.concatenate(ends, axis=1)
 
 
 def window_integrals(t: float, cfg: MollifierConfig) -> WindowStats:
@@ -297,22 +298,36 @@ def window_integrals(t: float, cfg: MollifierConfig) -> WindowStats:
 
 # ------------------------------------------------------------ zero detection
 
-def _refine_crossings(lo: np.ndarray, hi: np.ndarray,
-                      cfg: MollifierConfig) -> np.ndarray:
-    """Bisection on X*|eta|^2 over bracketing pairs, to ~1e-9 width."""
-    lo = lo.copy()
-    hi = hi.copy()
-    f_lo = _mollified_vec(lo, cfg)[2]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        f_mid = _mollified_vec(mid, cfg)[2]
-        go_right = (np.sign(f_mid) == np.sign(f_lo)) & (f_mid != 0.0)
-        lo = np.where(go_right, mid, lo)
-        f_lo = np.where(go_right, f_mid, f_lo)
-        hi = np.where(go_right, hi, mid)
-        if float(np.max(hi - lo)) < 1.0e-9:
+def _refine_crossings(lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
+                      f_hi: np.ndarray, cfg: MollifierConfig) -> np.ndarray:
+    """ITP refinement of brackets of X*|eta|^2 with f_lo, f_hi at the ends.
+
+    Interpolate, truncate, project (Oliveira and Takahashi 2021): the regula
+    falsi point, moved max(0.1 w^2 / w0, eps/2) towards the midpoint, is
+    kept where every bracket still closes below 2 eps = 1e-9 within
+    ceil(log2(w0 / 1e-9)) + 2 evaluations.  Only open brackets are evaluated,
+    strictly inside; an exact zero closes its bracket.  Returns midpoints.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
+    n_max = np.ceil(np.log2((b - a) / (2.0 * _ITP_EPS))) + 1.0
+    kappa = 0.1 / (b - a)
+    for j in range(60):
+        k = np.flatnonzero(b - a >= 2.0 * _ITP_EPS)
+        if not k.size:
             break
-    return 0.5 * (lo + hi)
+        w, mid = b[k] - a[k], 0.5 * (a[k] + b[k])
+        x = a[k] + w * fa[k] / (fa[k] - fb[k])                 # interpolate
+        step = np.maximum(kappa[k] * w * w, 0.5 * _ITP_EPS)    # truncate
+        toward = np.sign(mid - x)
+        x = np.where(step <= np.abs(mid - x), x + toward * step, mid)
+        reach = _ITP_EPS * 2.0 ** (n_max[k] - j) - 0.5 * w     # project
+        x = np.where(np.abs(x - mid) <= reach, x, mid - toward * reach)
+        x = np.clip(x, np.nextafter(a[k], b[k]), np.nextafter(b[k], a[k]))
+        y = _mollified_vec(x, cfg)[2]
+        keep = np.sign(y) == np.sign([fb[k], fa[k]])   # a zero moves a and b
+        a[k], fa[k] = np.where(keep[0], (a[k], fa[k]), (x, y))
+        b[k], fb[k] = np.where(keep[1], (b[k], fb[k]), (x, y))
+    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -330,9 +345,9 @@ def mollified_scan(t_lo: float, t_hi: float,
 
     Scans each window [t_lo + kH, t_lo + (k+1)H] (the last clipped at
     t_hi) on its Simpson grid of spacing <= quad_step, brackets every sign
-    change and refines each by bisection; the same node values give each
-    full window's WindowStats.  An empty range gives no zeros and no
-    windows.
+    change and refines each by ITP from the scan's values at its ends; the
+    same node values give each full window's WindowStats.  An empty range
+    gives no zeros and no windows.
     """
     t_lo = float(t_lo)
     t_hi = float(t_hi)
@@ -341,8 +356,8 @@ def mollified_scan(t_lo: float, t_hi: float,
     _check_range((t_lo, t_hi), "scan range")
     if not (t_hi - t_lo) / cfg.H <= _WINDOWS_MAX:
         raise DomainError(f"a scan covers at most {_WINDOWS_MAX:g} windows of length H")
-    windows, lo, hi = _scan(t_lo, t_hi, cfg)
-    ordinates = np.sort(_refine_crossings(lo, hi, cfg)) if lo.size else lo
+    windows, ends = _scan(t_lo, t_hi, cfg)
+    ordinates = np.sort(_refine_crossings(*ends, cfg))
     return Detection(count=int(ordinates.size),
                      ordinates=[float(v) for v in ordinates],
                      windows=windows)

@@ -91,6 +91,6 @@ ASYMPTOTIC_BOUND_1E20_EPS001 = -3.405896177148476e-26
 # detect_zeros(t_lo, t_lo + 100) at the default MollifierConfig: the zero
 # count and the sha256 of json.dumps(ordinates), frozen byte for byte.
 DETECT_ANCHORS = {
-    9900.0: (117, "46f28c107f5564b501d87f03879566f8ce28e7ffa574e942b14ec62f0ec00ff3"),
-    999900.0: (191, "a4cee72f25630d4509439c99d57ec8c02e2b39c43fabf3c15d8261a2564d35f1"),
+    9900.0: (117, "4a89a5e02716f8887fb74b90ed6df2d09a5e5b189820b73acba272150f3dc477"),
+    999900.0: (191, "0b1fddf7420f87e0a075d5b42b55290abef94da452db8dea17d0d5d9313091a8"),
 }

@@ -353,7 +353,7 @@ GOLDEN_STDOUT = {
         "1fb4449a44650a37e54a9afe67f9f790929104893428566fa654829ed3f2075c",
     "mollify": "798803b57705730d0adf908eb5da51fced571a6d37fe0f7868bb5fbe6a45edc0",
     "detect --t-lo 0 --t-hi 100":
-        "3d347a84e7ace7fc09fbad7156af438ff28189c385c44868b541f2a11edf5e79",
+        "f1745136a672aad17157071b9da69b8857af3a6d3ef362e3f4dfece8525a39b7",
     "asymptotic --N 1e20 --eps 0.01":
         "4a01e54cdd9df23df0c95f456c40d8a956f9b303b8a04f285b405b33e5c24293",
 }

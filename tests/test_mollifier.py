@@ -247,7 +247,7 @@ def test_scan_memory_bounded(t_hi, cfg, budget_mb):
     mo._scan(0.0, 0.01, cfg)                  # fills the coefficient cache
     tracemalloc.start()
     try:
-        windows, _, _ = mo._scan(0.0, t_hi, cfg)
+        windows, _ = mo._scan(0.0, t_hi, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -273,7 +273,7 @@ def test_detect_first_zero():
     count, ords = mo.detect_zeros(14.0, 15.0, CFG)
     assert count == 1
     oracle = float(mp.zetazero(1).imag)
-    assert abs(ords[0] - oracle) < 1e-4
+    assert abs(ords[0] - oracle) < 1e-9
 
 
 def test_detect_empty_and_errors():
@@ -309,6 +309,26 @@ def test_detect_counts_match_nzeros(t_lo):
         assert (count, digest) == DETECT_ANCHORS[t_lo]
 
 
+@pytest.mark.parametrize("t_lo, t_hi, pick", [
+    (0.0, 100.0, slice(None, None, 4)),
+    (9900.0, 10000.0, slice(None, None, 15)),
+    (999900.0, 1.0e6, slice(None, None, 24)),
+    (7000.0, 7010.0, slice(None)),        # Lehmer's pair, 0.038 apart
+])
+def test_detect_ordinates_match_siegelz(t_lo, t_hi, pick):
+    count, ords = mo.detect_zeros(t_lo, t_hi, mo.MollifierConfig())
+    if t_lo == 7000.0:
+        pick = [i for i, t in enumerate(ords)
+                if min(abs(t - 7005.0629), abs(t - 7005.1006)) < 1e-3]
+        assert len(pick) == 2
+    picked = np.array(ords)[pick]
+    assert len(picked) >= 2
+    # a zero of Z within 1e-9 of t: Z at 30 digits changes sign across
+    # [t - 1e-9, t + 1e-9], two evaluations where findroot takes eight
+    for t in map(mp.mpf, picked):
+        assert mp.siegelz(t - 1e-9) * mp.siegelz(t + 1e-9) < 0, t
+
+
 def test_detect_matches_raw_sign_changes():
     # mollification by |eta|^2 >= 0 cannot create or destroy crossings
     count, _ = mo.detect_zeros(10.0, 50.0, CFG)
@@ -317,6 +337,81 @@ def test_detect_matches_raw_sign_changes():
     s = np.sign(raw)
     s = s[s != 0]
     assert count == int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+# ----------------------------------------------------------- ITP refinement
+
+def _refine_spied(monkeypatch, lo, hi, f_lo, f_hi, f=None):
+    """_refine_crossings with every evaluation recorded.
+
+    f, if given, stands in for X*|eta|^2.  Returns the midpoints, the
+    number of evaluation calls and each bracket's last ends, rebuilt from
+    the evaluated points (a only moves right and b only left).
+    """
+    real = mo._mollified_vec
+    xs, ys = [], []
+
+    def spy(t, cfg):
+        out = (None, None, f(t)) if f else real(t, cfg)
+        xs.append(np.array(t))
+        ys.append(np.array(out[2]))
+        return out
+
+    monkeypatch.setattr(mo, "_mollified_vec", spy)
+    mids = mo._refine_crossings(lo, hi, f_lo, f_hi, mo.MollifierConfig())
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    a, b = lo.copy(), hi.copy()
+    for i in range(lo.size):
+        inside = (x > lo[i]) & (x < hi[i])
+        same = inside & (np.sign(y) == np.sign(f_lo[i]))
+        a[i] = x[same].max(initial=lo[i])
+        b[i] = x[inside & ~same].min(initial=hi[i])
+    return mids, len(xs), a, b
+
+
+def _step(r):
+    return lambda t: np.sign(t - r)
+
+
+def _kinked(r, left, right):
+    return lambda t: np.where(t < r, left, right) * (t - r)
+
+
+@pytest.mark.parametrize("f, lo, hi, roots, hits", [
+    (_step(0.1234567), [0.0], [0.5], [0.1234567], 0),
+    (lambda t: (t - 0.3141592) ** 3, [0.0], [0.5], [0.3141592], 0),
+    # regula falsi's worst case: slopes 1e-6 and 1e6 on either side of r
+    (_kinked(0.0271828, 1e-6, 1e6), [0.0], [0.5], [0.0271828], 0),
+    (_kinked(0.4271828, 1e6, 1e-6), [0.0], [0.5], [0.4271828], 0),
+    # an exact zero at the dyadic 0.25, hit by the first step; the second
+    # bracket goes on alone
+    (lambda t: np.where(t < 0.75, t - 0.25, np.cbrt(t - 1.3)),
+     [0.0, 1.0], [0.5, 1.5], [0.25, 1.3], 1),
+    # near t = 1e6, where 1e-9 is about 9 ulp
+    (_step(999999.9012345), [999999.9], [999999.9 + 0.3 / 64],
+     [999999.9012345], 0),
+], ids=["step", "triple", "kink-left", "kink-right", "dyadic", "step-1e6"])
+def test_refine_contract_on_synthetic_functions(monkeypatch, f, lo, hi,
+                                                roots, hits):
+    # bisection takes ceil(log2(w0 / 1e-9)) steps, 29 at w0 = 0.5
+    lo, hi, roots = np.array(lo), np.array(hi), np.array(roots)
+    mids, calls, a, b = _refine_spied(monkeypatch, lo, hi, f(lo), f(hi), f)
+    assert calls <= math.ceil(math.log2(np.max(hi - lo) / 1e-9)) + 2
+    exact = f(mids) == 0.0
+    assert np.count_nonzero(exact) == hits
+    assert np.all(mids[exact] == roots[exact])
+    assert np.all(((b - a < 1e-9) & (a <= roots) & (roots <= b)) | exact)
+    assert np.all((mids == 0.5 * (a + b)) | exact)
+
+
+@pytest.mark.parametrize("t_lo", [9900.0, 999900.0])
+def test_refine_evaluation_count(monkeypatch, t_lo):
+    # bisection from H/64 to 1e-9 took 25 evaluation calls
+    _, ends = mo._scan(t_lo, t_lo + 100.0, mo.MollifierConfig())
+    mids, calls, a, b = _refine_spied(monkeypatch, *ends)
+    assert calls <= 8
+    assert np.all(b - a < 1e-9)
+    assert np.all(mids == 0.5 * (a + b))
 
 
 # -------------------------------------------------------------- figure data
