@@ -14,7 +14,7 @@ Modules:
 
 The Euler products P1 and P2 are truncated at PRIME_CUTOFF (10^6) unless
 a prime_cutoff keyword says otherwise: k_constants, optimize,
-asymptotic_constants and asymptotic_bound take one.
+optimize_many, asymptotic_constants and asymptotic_bound take one.
 """
 
 from .errors import (
@@ -66,6 +66,7 @@ from .bound import (
     lower_bound_single,
     optimize,
     optimize_A,
+    optimize_many,
 )
 from .mollifier import (
     Detection,
@@ -127,6 +128,7 @@ __all__ = [
     "mollifier_weight",
     "optimize",
     "optimize_A",
+    "optimize_many",
     "primes_up_to",
     "rho_lemma_a",
     "rho_theta",

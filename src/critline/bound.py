@@ -8,7 +8,9 @@ L-functions is bounded below by
 
 for any A > 1/kappa.  The optimizer locates the stationary A of the
 chosen formula from the analytic derivative, sweeps a theta grid, and
-reports the best (A*, theta*).  For every N the stationary A is a
+reports the best (A*, theta*).  optimize_many does this for several N at
+once, one constant-chain call per refinement pass for all of them, and
+optimize is its one-element case.  For every N the stationary A is a
 certified root: the stationarity function is proven concave beyond an
 explicit threshold, where Newton finds its one root.  The asymptotic
 machinery packages the same chain into the large-N constants (lambda-,
@@ -18,6 +20,7 @@ lambda+, N0, ...) and evaluates the final large-N display.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -129,10 +132,16 @@ def lower_bound_single(p: Params, n_rect: int = 100) -> float:
 
 
 def _require_window(p: Params) -> None:
+    """A set, above 1/kappa, and at most the largest double whose cube is
+    finite (b(A) divides by A^3)."""
     if math.isnan(p.A):
         raise DomainError("Params.A is unset")
     if not p.A > 1.0 / p.kappa:
         raise DomainError(f"bound needs A > 1/kappa = {1.0 / p.kappa:g}, got A = {p.A:g}")
+    a_top = sys.float_info.max ** (1.0 / 3.0)
+    if not p.A <= a_top:
+        raise DomainError(f"bound needs A <= {a_top:.6g}, beyond which A^3 overflows, "
+                          f"got A = {p.A:g}")
 
 
 # -------------------------------------------------------------- optimizer
@@ -282,47 +291,62 @@ def _optimize_A_vec(N: int, kappa: float,
 
 def optimize(N: int, kappa: float = 0.125, theta_grid_size: int = 10000,
              n_rect: int = 100, prime_cutoff: int = PRIME_CUTOFF) -> BoundReport:
-    """Sweep the theta grid, optimize A at each point, return the best.
+    """Sweep the theta grid, optimize A at each point, return the best:
+    the one-element case of optimize_many."""
+    return optimize_many((N,), kappa, theta_grid_size, n_rect, prime_cutoff)[0]
 
-    The winning grid theta is refined on local grids: each pass re-runs
-    the vectorized chain and A-search on 51 points centred on the best
-    theta so far, one grid cell either side at first and 25x narrower
-    every pass.  The centre is always one of the points, so the refined
-    bound is never below the grid bound.  Ties resolve to the smaller
-    theta (the sweep scans ascending).  P1 and P2 are truncated at
-    prime_cutoff.
+
+def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
+                  n_rect: int = 100, prime_cutoff: int = PRIME_CUTOFF) -> list[BoundReport]:
+    """optimize for every N in Ns, sharing each constant-chain call.
+
+    Pass 0 runs each N's A-search on the cached theta grid.  Each later
+    pass refines every N on its own local grid: 51 points centred on its
+    best theta so far, one grid cell either side at first and 25x
+    narrower every pass.  A local point outside (0, 1) is replaced by the
+    centre, so the grids stay a rectangle.  The centre is always one of
+    the points and a copy of it never wins the strict > update, so the
+    refined bound is never below the grid bound.  Ties resolve to the
+    smaller theta (the sweep scans ascending).  P1 and P2 are truncated
+    at prime_cutoff.
+
+    A refinement pass is one _k_table call on every N's local grid, laid
+    end to end, and each N's A-search reads only its own 51 rows.  Every
+    _k_table row depends only on its own theta and the A-search acts on
+    each row alone, so each report is bit-identical to optimize(N) alone.
     """
+    cst._check_count("len(Ns)", len(Ns), 1)
+    for N in Ns:
+        cst._check_count("N", N, 1)
     cst._check_count("theta_grid_size", theta_grid_size, 2, _THETA_GRID_MAX)
-    cst._check_count("N", N, 1)
     cst._check_kappa(kappa)
     cst._check_count("n_rect", n_rect, 1, cst._N_RECT_MAX)
-    table = _theta_grid_table(float(kappa), int(n_rect), int(theta_grid_size),
-                              int(prime_cutoff))
-    a_vec, b_vec = _optimize_A_vec(N, kappa, table)
-    feasible = b_vec > 0.0
-    if not feasible.any():
-        raise OptimizerError(
-            f"every theta grid point is infeasible for N={N}, kappa={kappa}")
-    i_best = int(np.argmax(b_vec))
-    theta_best = float(table["theta"][i_best])
-    a_best, b_best = float(a_vec[i_best]), float(b_vec[i_best])
+    tables = [_theta_grid_table(float(kappa), int(n_rect), int(theta_grid_size),
+                                int(prime_cutoff))] * len(Ns)
+    best = [(0.0, 0.0, -math.inf)] * len(Ns)           # (theta, A, bound) per N
+    step = 1.0 / theta_grid_size
+    for pass_ in range(_REFINE_PASSES + 1):
+        if pass_:
+            step /= _REFINE_HALF
+            centres = np.array([[theta] for theta, _, _ in best])
+            thetas = centres + step * np.arange(-_REFINE_HALF, _REFINE_HALF + 1)
+            thetas = np.where((thetas > 0.0) & (thetas < 1.0), thetas, centres)
+            local = cst._k_table(thetas.ravel(), kappa, n_rect, prime_cutoff=prime_cutoff)
+            tables = [{k: v.reshape(thetas.shape)[j] for k, v in local.items()}
+                      for j in range(len(Ns))]
+        for j, (N, table) in enumerate(zip(Ns, tables)):
+            a_vec, b_vec = _optimize_A_vec(N, kappa, table)
+            if not (b_vec > 0.0).any():         # pass 0 only: later grids hold the centre
+                raise OptimizerError(
+                    f"every theta grid point is infeasible for N={N}, kappa={kappa}")
+            i = int(np.argmax(b_vec))
+            if b_vec[i] > best[j][2]:
+                best[j] = (float(table["theta"][i]), float(a_vec[i]), float(b_vec[i]))
 
-    step = 1.0 / theta_grid_size / _REFINE_HALF
-    for _ in range(_REFINE_PASSES):
-        thetas = theta_best + step * np.arange(-_REFINE_HALF, _REFINE_HALF + 1)
-        thetas = thetas[(thetas > 0.0) & (thetas < 1.0)]
-        a_vec, b_vec = _optimize_A_vec(
-            N, kappa, cst._k_table(thetas, kappa, n_rect, prime_cutoff=prime_cutoff))
-        i = int(np.argmax(b_vec))
-        if b_vec[i] > b_best:
-            theta_best = float(thetas[i])
-            a_best, b_best = float(a_vec[i]), float(b_vec[i])
-        step /= _REFINE_HALF
-
-    method = "single_L" if N == 1 else "general"
-    return BoundReport(N=int(N), A_star=a_best, theta_star=theta_best,
-                       kappa=float(kappa), bound=b_best, method=method,
-                       n_rect=int(n_rect), theta_grid=int(theta_grid_size))
+    return [BoundReport(N=int(N), A_star=a, theta_star=theta, kappa=float(kappa),
+                        bound=b, method="single_L" if N == 1 else "general",
+                        n_rect=int(n_rect), theta_grid=int(theta_grid_size))
+            for N, (theta, a, b) in zip(Ns, best)]
 
 
 # ------------------------------------------------------------- asymptotics
@@ -346,7 +370,7 @@ def asymptotic_constants(eps: float, kappa: float = 0.125,
     p2 = cst.euler_product("P2", prime_cutoff).value
     rho0 = roots.rho_theta(0.0).value
     rho4 = roots.rho_theta(0.25).value
-    c5m = (math.exp(rho0) + 1.0) / (2.0 * math.sqrt(math.pi * kappa * rho0)) * g
+    c5m = float(cst._c5_from_rho(rho0, 0.0, kappa, g))
     c5p = ((math.exp(rho4) + math.exp(rho4 / 4.0))
            / (2.0 * math.sqrt(math.pi * kappa * rho4)) * g)
     k1_zero = p1 * (32.0 / 3.0) / math.sqrt(math.pi)
@@ -355,7 +379,7 @@ def asymptotic_constants(eps: float, kappa: float = 0.125,
     c3p = ((1.0 / (8.0 * kappa) + 1.5)
            * ((math.exp(rho4) + math.exp(rho4 / 4.0)) * g
               / math.sqrt(math.pi * rho4)) ** 4 * p1)
-    c2p = 6.0 * (c3p + 1.0 + 2.0 * math.sqrt(c3p)) / (kappa * kappa)
+    c2p = float(cst._c2_from_c3(c3p, 1.0, kappa))
     c4p = 13.0 / (5.0 * math.sqrt(math.pi))
     # c6+(v) = E (s sqrt(v) + G) with E = e/sqrt(pi kappa/2), s = sqrt(2 pi kappa);
     # its K2+ integrand integrates in closed form over [0, 1/kappa].

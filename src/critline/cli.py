@@ -74,13 +74,13 @@ def _run_constants(args: argparse.Namespace) -> str:
                  args.output_format)
 
 
-def _optimize(args: argparse.Namespace, N: int) -> bnd.BoundReport:
-    return bnd.optimize(N, kappa=args.kappa, theta_grid_size=args.theta_grid,
-                        n_rect=args.n_rect, prime_cutoff=_cutoff(args))
+def _optimize(args: argparse.Namespace, Ns) -> List[bnd.BoundReport]:
+    return bnd.optimize_many(Ns, kappa=args.kappa, theta_grid_size=args.theta_grid,
+                             n_rect=args.n_rect, prime_cutoff=_cutoff(args))
 
 
 def _run_optimize(args: argparse.Namespace) -> str:
-    report = _optimize(args, args.N)
+    report, = _optimize(args, (args.N,))
     return _emit({"params": _echo(args),
                   "result": dataclasses.asdict(report)}, args.output_format)
 
@@ -94,7 +94,7 @@ def _table_row(r: bnd.BoundReport) -> str:
 
 
 def _run_table(args: argparse.Namespace) -> str:
-    reports = [_optimize(args, n) for n in bnd.DEFAULT_TABLE_N]
+    reports = _optimize(args, bnd.DEFAULT_TABLE_N)
     if args.output_format == "json":
         return _json_record({
             "params": _echo(args),

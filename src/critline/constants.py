@@ -54,9 +54,10 @@ _N_RECT_MAX = 10 ** 6
 class Params:
     """The tuple (N, theta, kappa, A) parameterizing every bound formula.
 
-    A must additionally exceed 1/kappa wherever a bound is evaluated; that
-    check belongs to the bound evaluators, not the container (A defaults
-    to NaN for optimizer flows that have not chosen it yet).
+    A must be positive and finite.  It must additionally exceed 1/kappa,
+    and have a finite cube, wherever a bound is evaluated; those checks
+    belong to the bound evaluators, not the container (A defaults to NaN
+    for optimizer flows that have not chosen it yet).
     """
     N: int
     theta: float
@@ -67,8 +68,8 @@ class Params:
         _check_count("N", self.N, 1)
         _check_theta(self.theta)
         _check_kappa(self.kappa)
-        if not math.isnan(self.A) and not self.A > 0.0:
-            raise DomainError(f"A must be positive, got {self.A}")
+        if not math.isnan(self.A) and not 0.0 < self.A < math.inf:
+            raise DomainError(f"A must be positive and finite, got {self.A}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from critline import bound as bnd
+from critline import cli
 from critline import constants as cst
 from critline.errors import DomainError, OptimizerError, PreconditionError
 
@@ -56,6 +57,16 @@ def test_single_requires_n_equal_one():
 def test_bound_requires_A_above_window():
     with pytest.raises(DomainError):
         bnd.lower_bound_general(cst.Params(N=2, theta=0.01, A=5.0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_bound_refuses_A_whose_cube_overflows(n):
+    # A ** 3 overflows beyond about 5.6e102: a DomainError naming the
+    # limit, not a bare OverflowError
+    evaluate = bnd.lower_bound_single if n == 1 else bnd.lower_bound_general
+    with pytest.raises(DomainError, match=r"A <= 5\.6438e\+102, beyond which A\^3 overflows"):
+        evaluate(cst.Params(N=n, theta=0.011, A=1e300))
+    assert math.isfinite(evaluate(cst.Params(N=n, theta=0.011, A=5.6e102)))
 
 
 def test_single_beats_general_at_n1():
@@ -121,6 +132,41 @@ def test_optimize_refines_grid_winner(n):
     rep = bnd.optimize(n, theta_grid_size=500)
     assert rep.bound >= b_vec[i_best]
     assert abs(rep.theta_star - table["theta"][i_best]) <= 1.0 / 500
+
+
+@pytest.mark.parametrize("grid", [10000, 500])
+def test_optimize_many_matches_optimize(grid):
+    many = bnd.optimize_many(bnd.DEFAULT_TABLE_N, theta_grid_size=grid)
+    assert many == [bnd.optimize(n, theta_grid_size=grid) for n in bnd.DEFAULT_TABLE_N]
+
+
+def test_optimize_many_one_chain_call_per_pass(monkeypatch):
+    # The table's N share each constant-chain call: one for the grid and
+    # one per refinement pass (1 + 8 x 3 = 25 with one optimize per N).
+    calls = []
+    k_table = cst._k_table
+
+    def spy(thetas, *args, **kwargs):
+        calls.append(np.size(thetas))
+        return k_table(thetas, *args, **kwargs)
+
+    monkeypatch.setattr(cst, "_k_table", spy)
+    bnd._theta_grid_table.cache_clear()
+    assert cli.main(["table"]) == 0
+    assert calls == [9999] + [51 * len(bnd.DEFAULT_TABLE_N)] * bnd._REFINE_PASSES
+
+
+@pytest.mark.parametrize("Ns", [(), (0,), (True,), (2, 0)])
+def test_optimize_many_refuses_bad_N(Ns):
+    with pytest.raises(DomainError):
+        bnd.optimize_many(Ns, theta_grid_size=500)
+
+
+def test_optimize_many_names_the_infeasible_N(capsys):
+    with pytest.raises(OptimizerError, match="N=100000000,"):
+        bnd.optimize_many((2, 10 ** 8), theta_grid_size=500)
+    assert cli.main(["optimize", "--N", "100000000", "--theta-grid", "500"]) == 4
+    assert capsys.readouterr().out == ""
 
 
 def test_grid_cache_bounded_and_readonly():

@@ -349,6 +349,9 @@ GOLDEN_STDOUT = {
     "table json": "450dcf2036add054e67e50ba793b0441485ac746dda60138ce7647e2f5eb579a",
     "table csv": "9116c66c0123a27ca6c9652a6c7ddf279dba8004523480688dcd8567043a443f",
     "optimize --N 5": "d64dbc856bf5f3be593b9796d1c8ba7ef00b00c52d39f09ebf68f0b62a682607",
+    # the first refinement grid reaches theta = 0 and 1 at --theta-grid 2
+    "optimize --N 3 --theta-grid 2":
+        "5b20b939cb1851e1f5c1a6b86b5303919a26b9f1f6c1c642276a5ace14c9a96b",
     "constants --theta 0.011 --A 2.9e7":
         "1fb4449a44650a37e54a9afe67f9f790929104893428566fa654829ed3f2075c",
     "mollify": "798803b57705730d0adf908eb5da51fced571a6d37fe0f7868bb5fbe6a45edc0",

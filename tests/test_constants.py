@@ -37,6 +37,14 @@ def test_params_validation():
         cst.Params(N=2, theta=0.01, kappa=0.0)
 
 
+@pytest.mark.parametrize("A", [math.inf, -math.inf, 0.0, -1.0])
+def test_params_refuses_non_positive_or_infinite_A(A):
+    # lower_bound_general at A = inf used to return NaN silently
+    with pytest.raises(DomainError, match="positive and finite"):
+        cst.Params(N=2, theta=0.011, A=A)
+    assert math.isnan(cst.Params(N=2, theta=0.011).A)    # NaN means unset
+
+
 # ----------------------------------------------------------- frozen chain
 
 def test_chain_frozen_values():
