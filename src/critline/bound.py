@@ -8,9 +8,13 @@ L-functions is bounded below by
 
 for any A > 1/kappa.  The optimizer locates the stationary A of the
 chosen formula from the analytic derivative, sweeps a theta grid, and
-reports the best (A*, theta*).  optimize_many does this for several N at
-once, one constant-chain call per refinement pass for all of them, and
-optimize is its one-element case.  For every N the stationary A is a
+reports the best (A*, theta*).  The sweep bounds every grid row from
+above with a certified envelope that needs only rho(theta), and runs the
+exact constant chain only on the rows whose bound can still win, so its
+winner is exactly that of the whole grid.  optimize_many does this for
+several N at once, two constant-chain calls for the grid and one per
+refinement pass for all of them, and optimize is its one-element case.
+For every N the stationary A is a
 certified root: the stationarity function is proven concave beyond an
 explicit threshold, where Newton finds its one root.  The asymptotic
 machinery packages the same chain into the large-N constants (lambda-,
@@ -22,7 +26,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -154,7 +157,7 @@ def optimize_A(N: int, theta: float, kappa: float = 0.125,
     otherwise, as the table does.  One row of _optimize_A_vec (a certified
     root for every N); raises OptimizerError where that row is infeasible.
     """
-    cst._check_count("N", N, 1)
+    cst._check_N(N)
     cst._check_theta(theta)
     cst._check_kappa(kappa)
     table = cst._k_table(np.array([float(theta)]), kappa, n_rect)
@@ -164,21 +167,6 @@ def optimize_A(N: int, theta: float, kappa: float = 0.125,
             f"no positive stationary point of the bound for N={N} at theta={theta} "
             f"in A within [{1.0 / kappa:.3g}, {_A_MAX:.3g}]")
     return float(a_star[0]), float(b_star[0])
-
-
-@lru_cache(maxsize=4)
-def _theta_grid_table(kappa: float, n_rect: int, grid_size: int,
-                      prime_cutoff: int) -> dict[str, np.ndarray]:
-    """The constant chain on the theta grid k / grid_size, cached.
-
-    The constants are N-independent, so all table rows share one sweep.
-    Callers pass plain float/int arguments; the arrays are read-only.
-    """
-    thetas = np.arange(1, grid_size) / grid_size
-    table = cst._k_table(thetas, kappa, n_rect, prime_cutoff=prime_cutoff)
-    for arr in table.values():
-        arr.setflags(write=False)
-    return table
 
 
 def _concavity_threshold(q, k1, k3):
@@ -227,6 +215,25 @@ def _single_certificate(ks, a):
             & (tail < 5.0 * k1 * k1 * k1 * (1.0 - 2.0 ** -20)))
 
 
+def _search_window(N: int, kappa: float, table: dict[str, np.ndarray]):
+    """(L, g(L), g(_A_MAX), concave) per row: the ends of the A-search
+    window [L, _A_MAX], g at both, and where g is proven concave on it
+    (L < _A_MAX and, for N = 1, the single-L certificate).  The proof is
+    in _optimize_A_vec."""
+    single = N == 1
+    k1, _k2, k3, _k4, v5, _c2 = cst._unpack(table)
+    q = (8.0 if single else 32.0 * N) * v5 ** 2
+    a_lo = np.maximum(_concavity_threshold(q, k1, k3),
+                      math.exp(math.log(1.0 / kappa) + 1e-9))
+    with np.errstate(invalid="ignore"):
+        g_lo = _stationarity(a_lo, N, table, single)[0]
+        g_hi = _stationarity(_A_MAX, N, table, single)[0]
+    concave = a_lo < _A_MAX
+    if single:
+        concave &= _single_certificate(table, a_lo)
+    return a_lo, g_lo, g_hi, concave
+
+
 def _optimize_A_vec(N: int, kappa: float,
                     table: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized stationary-A search across the whole theta grid.
@@ -263,17 +270,8 @@ def _optimize_A_vec(N: int, kappa: float,
     of g and is nearly linear at large A, started at _A_MAX.
     """
     single = N == 1
-    k1, _k2, k3, _k4, v5, _c2 = cst._unpack(table)
-    q = (8.0 if single else 32.0 * N) * v5 ** 2
-    a_lo = np.maximum(_concavity_threshold(q, k1, k3),
-                      math.exp(math.log(1.0 / kappa) + 1e-9))
-    with np.errstate(invalid="ignore"):
-        feasible = ((a_lo < _A_MAX)
-                    & (_stationarity(a_lo, N, table, single)[0] > 0.0)
-                    & (_stationarity(_A_MAX, N, table, single)[0] < 0.0))
-    if single:
-        feasible &= _single_certificate(table, a_lo)
-    rows = np.nonzero(feasible)[0]
+    a_lo, g_lo, g_hi, concave = _search_window(N, kappa, table)
+    rows = np.nonzero(concave & (g_lo > 0.0) & (g_hi < 0.0))[0]
     ks = {k: table[k][rows] for k in ("k1", "k2", "k3", "k4", "c5", "c2")}
 
     def neg_h(a, i):
@@ -289,6 +287,47 @@ def _optimize_A_vec(N: int, kappa: float,
     return a_out, b_out
 
 
+def _envelope_max(N: int, kappa: float, envelope: dict[str, np.ndarray]) -> np.ndarray:
+    """max of b- over [L, _A_MAX] per envelope row, -inf where not proven.
+
+    Where g- is concave there, the maximum is at the root _optimize_A_vec
+    certifies, or at _A_MAX where g- >= 0 at both ends (so on all of
+    [L, _A_MAX], and b- does not fall); the second case is looked for
+    only on the rows without a root."""
+    _, top = _optimize_A_vec(N, kappa, envelope)
+    rows = np.nonzero(top == -np.inf)[0]
+    sub = {k: v[rows] for k, v in envelope.items()}
+    _, g_lo, g_hi, concave = _search_window(N, kappa, sub)
+    with np.errstate(invalid="ignore", over="ignore"):
+        top[rows] = np.where(concave & (g_lo >= 0.0) & (g_hi >= 0.0),
+                             _bound_value(_A_MAX, N, sub, N == 1), -np.inf)
+    return top
+
+
+def _upper_bounds(Ns, kappa: float, thetas: np.ndarray,
+                  prime_cutoff: int) -> np.ndarray:
+    """U[j, i] >= the bound _optimize_A_vec(Ns[j]) finds on the exact
+    _k_table row at thetas[i], +inf where _envelope_max proves no
+    maximum (the proof is in optimize_many)."""
+    envelope = cst._k_envelope(thetas, kappa, prime_cutoff)
+    upper = np.array([_envelope_max(N, kappa, envelope) for N in Ns])
+    upper[~(upper > -np.inf)] = np.inf
+    upper += np.abs(upper) * cst._ENVELOPE_MARGIN
+    return upper
+
+
+def _contenders(Ns, kappa: float, thetas: np.ndarray, n_rect: int,
+                prime_cutoff: int) -> np.ndarray:
+    """Mask of the rows of thetas whose upper bound reaches best0 for some
+    N: steps 1 and 2 of optimize_many's pass 0, in a function of their own
+    so that U is freed before the exact call on those rows."""
+    upper = _upper_bounds(Ns, kappa, thetas, prime_cutoff)
+    seeds = np.unique(np.argmax(np.where(upper < np.inf, upper, -np.inf), axis=1))
+    table = cst._k_table(thetas[seeds], kappa, n_rect, prime_cutoff=prime_cutoff)
+    best0 = [_optimize_A_vec(N, kappa, table)[1].max() for N in Ns]
+    return (upper >= np.array(best0)[:, None]).any(axis=0)
+
+
 def optimize(N: int, kappa: float = 0.125, theta_grid_size: int = 10000,
              n_rect: int = 100, prime_cutoff: int = PRIME_CUTOFF) -> BoundReport:
     """Sweep the theta grid, optimize A at each point, return the best:
@@ -300,29 +339,62 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
                   n_rect: int = 100, prime_cutoff: int = PRIME_CUTOFF) -> list[BoundReport]:
     """optimize for every N in Ns, sharing each constant-chain call.
 
-    Pass 0 runs each N's A-search on the cached theta grid.  Each later
-    pass refines every N on its own local grid: 51 points centred on its
-    best theta so far, one grid cell either side at first and 25x
-    narrower every pass.  A local point outside (0, 1) is replaced by the
-    centre, so the grids stay a rectangle.  The centre is always one of
-    the points and a copy of it never wins the strict > update, so the
-    refined bound is never below the grid bound.  Ties resolve to the
-    smaller theta (the sweep scans ascending).  P1 and P2 are truncated
-    at prime_cutoff.
+    Pass 0 finds each N's best row of the theta grid k / theta_grid_size
+    by branch and bound, running the exact constant chain only on the
+    rows that can still win:
+      1. An upper bound U[N, row] on every row, from the A-search on
+         constants._k_envelope, which needs only rho(theta) (below).
+      2. One _k_table call on the rows of largest finite U[N] (at most
+         len(Ns)) gives best0[N], the best exact bound among them.
+      3. One _k_table call on the rows, ascending, with U >= best0 for
+         some N; each N's A-search runs on all of them.
+    A row left out has b <= U < best0 <= the best row kept, for every N,
+    and each _k_table row and A-search element depends only on its own
+    theta, so the winner and the smaller-theta tie rule are exactly those
+    of the whole grid.
+
+    The envelope.  Both quadratures are right sums over nodes
+    0 < u_k <= 1/kappa and c7 > 0 increases in u, so int v c7 <=
+    int c7 / kappa and int c7 >= I- = c7(0) / kappa, where c7(0) needs
+    only rho(theta).  Hence kappa P2 (A int c7 - int v c7) >=
+    kappa P2 (A - 1/kappa) I- for A > 1/kappa, which is that term of the
+    envelope row: K2 and K4 from I- (lowered by 2^-20 relative) and
+    I- / kappa, every other column exact.  So its c1- <= c1 there and
+    b <= b- pointwise (for N = 1, where b falls as sqrt(c1) grows, this
+    also needs c1- >= 0, which the envelope's own _single_certificate
+    gives on [L, inf)).  L = max(A_c, e^{1e-9} / kappa) depends only on
+    q, k1 and k3, so the exact and the envelope row share it, and the
+    exact A* lies in [L, _A_MAX].  Where g- is proven concave on
+    [L, _A_MAX] (_search_window), b- has its maximum there at the root
+    _optimize_A_vec certifies, or at _A_MAX where g- >= 0 at both ends
+    and so on the whole window (_envelope_max).  Then b(A*) <= b-(A*) <=
+    that maximum, and U is it raised by 2^-20 relative; U = +inf on
+    every other row.  The two 2^-20 margins (constants._ENVELOPE_MARGIN)
+    cover the rounding in c7(0), the right sums and the A-searches many
+    times over.
+
+    Each later pass refines every N on its own local grid: 51 points
+    centred on its best theta so far, one grid cell either side at first
+    and 25x narrower every pass.  A local point outside (0, 1) is
+    replaced by the centre, so the grids stay a rectangle.  The centre is
+    always one of the points and a copy of it never wins the strict >
+    update, so the refined bound is never below the grid bound.  Ties
+    resolve to the smaller theta (each grid scans ascending).  P1 and P2
+    are truncated at prime_cutoff.
 
     A refinement pass is one _k_table call on every N's local grid, laid
-    end to end, and each N's A-search reads only its own 51 rows.  Every
-    _k_table row depends only on its own theta and the A-search acts on
-    each row alone, so each report is bit-identical to optimize(N) alone.
+    end to end, and each N's A-search reads only its own 51 rows, so
+    each report is bit-identical to optimize(N) alone.
     """
     cst._check_count("len(Ns)", len(Ns), 1)
     for N in Ns:
-        cst._check_count("N", N, 1)
+        cst._check_N(N)
     cst._check_count("theta_grid_size", theta_grid_size, 2, _THETA_GRID_MAX)
     cst._check_kappa(kappa)
     cst._check_count("n_rect", n_rect, 1, cst._N_RECT_MAX)
-    tables = [_theta_grid_table(float(kappa), int(n_rect), int(theta_grid_size),
-                                int(prime_cutoff))] * len(Ns)
+    thetas = np.arange(1, theta_grid_size) / theta_grid_size
+    thetas = thetas[_contenders(Ns, kappa, thetas, n_rect, prime_cutoff)]
+    tables = [cst._k_table(thetas, kappa, n_rect, prime_cutoff=prime_cutoff)] * len(Ns)
     best = [(0.0, 0.0, -math.inf)] * len(Ns)           # (theta, A, bound) per N
     step = 1.0 / theta_grid_size
     for pass_ in range(_REFINE_PASSES + 1):

@@ -18,8 +18,10 @@ right-minus-left gap of int c7 is reported as the quadrature bracket.
 
 Each formula is implemented once, in the _k_table / _c7_profile kernels,
 vectorized over a theta grid with the root grids solved by the
-roots._rho_theta_vec / _rho_lemma_vec Newton kernels, over which the
-optimizer sweeps its 10^4-point theta grid.  The scalar operations
+roots._rho_theta_vec / _rho_lemma_vec Newton kernels.  _k_envelope is
+_k_table's cheap floor, its c7 profile replaced by c7(0) from rho(theta)
+alone, on which the optimizer bounds its 10^4-point theta grid before
+running _k_table on the rows that can still win.  The scalar operations
 (c2 .. c7, integrate_c7, k_constants, c1) are the contract surface and
 are one-row calls into those kernels.
 """
@@ -47,6 +49,17 @@ _POINT_BYTES = 112
 # Largest n_rect: one theta row then holds 10^6 u points, about 160 MB.
 _N_RECT_MAX = 10 ** 6
 
+# Largest N.  The A-search squares q k1 = 32 N c5^2 k1, about 3e23 N at
+# theta = 1 - 1e-6 (the last row of the largest theta grid), so up to
+# N_MAX every step stays a finite double; every row is infeasible long
+# before it (A* passes the 1e16 search cap near N = 1e8).
+N_MAX = 10 ** 100
+
+# Relative margin of the theta-grid envelope: _k_envelope lowers its
+# int c7, and bound.optimize_many raises the envelope's bounds, by this
+# much, far beyond the rounding in either.
+_ENVELOPE_MARGIN = 2.0 ** -20
+
 
 # -------------------------------------------------------------------- Params
 
@@ -65,7 +78,7 @@ class Params:
     A: float = float("nan")
 
     def __post_init__(self):
-        _check_count("N", self.N, 1)
+        _check_N(self.N)
         _check_theta(self.theta)
         _check_kappa(self.kappa)
         if not math.isnan(self.A) and not 0.0 < self.A < math.inf:
@@ -89,11 +102,19 @@ class ConstantSet:
     rho: float
 
 
-def _check_count(name: str, value, lo: int, hi: float = math.inf) -> None:
-    """value must be an integer, not a bool, in [lo, hi]."""
+def _check_count(name: str, value, lo: int, hi: float = math.inf,
+                 hi_name: str = "") -> None:
+    """value must be an integer, not a bool, in [lo, hi]; hi_name, if
+    given, is the constant the message names as the upper limit."""
     if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
             or not lo <= value <= hi):
-        raise DomainError(f"{name} must be an integer in [{lo}, {hi:g}], got {value!r}")
+        top = f"{hi_name} = {hi:g}" if hi_name else f"{hi:g}"
+        raise DomainError(f"{name} must be an integer in [{lo}, {top}], got {value!r}")
+
+
+def _check_N(N) -> None:
+    """N must be an integer in [1, N_MAX]."""
+    _check_count("N", N, 1, N_MAX, "N_MAX")
 
 
 def _check_theta(theta: float) -> None:
@@ -243,10 +264,16 @@ def _c7_profile(thetas: np.ndarray, kappa: float, us: np.ndarray,
     _c6_profile)."""
     work = roots._Workspace() if work is None else work
     v6 = _c6_profile(thetas, kappa, us, rows, work)
+    return _c7_from_c6(v6, _c4_closed(thetas)[:, None], kappa, work)
+
+
+def _c7_from_c6(v6, v4, kappa, work=None):
+    """(1/2 + 2 kappa) c6^2 + 2 c4 c6 sqrt(kappa), its arrays taken from
+    work (a fresh roots._Workspace when None)."""
+    work = roots._Workspace() if work is None else work
     v7 = np.multiply(0.5 + 2.0 * kappa, v6, out=work.take(v6.shape))
     v7 *= v6
-    t = np.multiply(2.0 * _c4_closed(thetas)[:, None], v6,
-                    out=work.take(v6.shape))
+    t = np.multiply(2.0 * v4, v6, out=work.take(v6.shape))
     t *= math.sqrt(kappa)
     v7 += t
     return v7
@@ -307,16 +334,10 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     (theta, u) and its row's roots, so the result is bit-identical for any
     block size.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 1 or thetas.size == 0:
-        raise DomainError("theta grid must be a nonempty 1-d array")
-    if float(thetas.min()) <= 0.0 or float(thetas.max()) >= 1.0:
-        raise DomainError("theta grid must lie inside (0,1)")
-    _check_kappa(kappa)
+    thetas = _theta_grid(thetas, kappa)
     _check_count("n_rect", n_rect, 1, _N_RECT_MAX)
     p1 = euler_product("P1", prime_cutoff).value
     p2 = euler_product("P2", prime_cutoff).value
-    g = gamma_ratio_quarter()
     hi = 1.0 / kappa
     h = hi / n_rect
     us = np.linspace(0.0, hi, n_rect + 1)
@@ -341,14 +362,59 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     int_c7 *= h
     quad_bracket *= h
     int_vc7 *= h
-    c5v = _c5_from_rho(rho, thetas, kappa, g)
+    return {**_columns(thetas, kappa, rho, int_c7, int_vc7, p1, p2),
+            "quad_bracket": quad_bracket}
+
+
+def _k_envelope(thetas: np.ndarray, kappa: float = 0.125,
+                prime_cutoff: int = PRIME_CUTOFF) -> dict[str, np.ndarray]:
+    """_k_table's columns with each row's c7 profile replaced by its floor.
+
+    Needs only rho(theta), for any n_rect.  Both right sums run over
+    nodes 0 < u_k <= 1/kappa, and c7 > 0 increases in u, so
+    int v c7 <= int c7 / kappa and int c7 >= I- = c7(0) / kappa, where
+    c7(0) = (1/2 + 2 kappa) c5^2 + 2 c4 c5 sqrt(kappa) (c6(0) = c5).  The
+    envelope row takes int c7 = I- (1 - _ENVELOPE_MARGIN) and
+    int v c7 = int c7 / kappa, so for A > 1/kappa its K2 A + K4 term is
+    kappa P2 (A - 1/kappa) I- and below the exact row's, which is
+    kappa P2 (A int c7 - int v c7) >= kappa P2 (A - 1/kappa) int c7.
+    Every other column is the exact row's: c1 of the envelope is at most
+    the exact c1 on A > 1/kappa.
+    """
+    thetas = _theta_grid(thetas, kappa)
+    p1 = euler_product("P1", prime_cutoff).value
+    p2 = euler_product("P2", prime_cutoff).value
+    rho, _ = roots._rho_theta_vec(thetas)
+    v5 = _c5_from_rho(rho, thetas, kappa, gamma_ratio_quarter())
+    int_c7 = _c7_from_c6(v5, _c4_closed(thetas), kappa)
+    int_c7 *= (1.0 - _ENVELOPE_MARGIN) / kappa
+    return _columns(thetas, kappa, rho, int_c7, int_c7 / kappa, p1, p2)
+
+
+def _theta_grid(thetas, kappa) -> np.ndarray:
+    """thetas as a checked nonempty 1-d float array inside (0, 1); kappa
+    checked too."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1 or thetas.size == 0:
+        raise DomainError("theta grid must be a nonempty 1-d array")
+    if float(thetas.min()) <= 0.0 or float(thetas.max()) >= 1.0:
+        raise DomainError("theta grid must lie inside (0,1)")
+    _check_kappa(kappa)
+    return thetas
+
+
+def _columns(thetas, kappa, rho, int_c7, int_vc7, p1, p2) -> dict[str, np.ndarray]:
+    """The constants of a theta grid from rho(theta), the two c7
+    quadratures and the Euler products, keyed like the ConstantSet fields
+    (but quad_bracket), plus "theta"."""
+    g = gamma_ratio_quarter()
     c3v = _c3_from_rho(rho, thetas, kappa, g, p1)
-    c2v = _c2_from_c3(c3v, thetas, kappa)
-    c4v = _c4_closed(thetas)
     k1, k2, k3, k4 = _k_from_parts(thetas, kappa, int_c7, int_vc7, p1, p2)
-    return {"theta": thetas, "rho": rho, "c2": c2v, "c3": c3v, "c4": c4v,
-            "c5": c5v, "k1": k1, "k2": k2, "k3": k3, "k4": k4,
-            "int_c7": int_c7, "int_vc7": int_vc7, "quad_bracket": quad_bracket}
+    return {"theta": thetas, "rho": rho, "c2": _c2_from_c3(c3v, thetas, kappa),
+            "c3": c3v, "c4": _c4_closed(thetas),
+            "c5": _c5_from_rho(rho, thetas, kappa, g),
+            "k1": k1, "k2": k2, "k3": k3, "k4": k4,
+            "int_c7": int_c7, "int_vc7": int_vc7}
 
 
 def c1(A: float, theta: float, kappa: float = 0.125, n_rect: int = 100) -> float:

@@ -19,7 +19,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Wrap targets that no longer exist in the library; every other layer the
 # traced run wraps must still be found.
-STALE_TARGETS = {"critline.roots._bisect_vec", "critline.roots.solve_bracketed"}
+STALE_TARGETS = {"critline.roots._bisect_vec", "critline.roots.solve_bracketed",
+                 "critline.bound._theta_grid_table"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -32,6 +32,22 @@ ROW_1 = REFERENCE_TABLE[0]
 ROW_2 = REFERENCE_TABLE[1]
 
 
+@pytest.fixture(scope="module")
+def full_grid():
+    """build(size, kappa, n_rect): the exact constant chain on every row of
+    the theta grid k / size, built once per argument tuple in this module.
+    The oracle for the pruned sweep, which never computes it whole."""
+    tables = {}
+
+    def build(size, kappa=0.125, n_rect=100):
+        if (size, kappa, n_rect) not in tables:
+            tables[size, kappa, n_rect] = cst._k_table(
+                np.arange(1, size) / size, kappa, n_rect)
+        return tables[size, kappa, n_rect]
+
+    return build
+
+
 # -------------------------------------------------------- bound evaluation
 
 def test_single_formula_at_reference_point():
@@ -123,10 +139,10 @@ def test_optimize_A_raises_on_infeasible_row():
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_optimize_refines_grid_winner(n):
+def test_optimize_refines_grid_winner(n, full_grid):
     # The local theta refinement never loses to the grid and stays within
     # one grid cell of the grid winner.
-    table = bnd._theta_grid_table(0.125, 100, 500, cst.PRIME_CUTOFF)
+    table = full_grid(500)
     _, b_vec = bnd._optimize_A_vec(n, 0.125, table)
     i_best = int(np.argmax(b_vec))
     rep = bnd.optimize(n, theta_grid_size=500)
@@ -141,8 +157,10 @@ def test_optimize_many_matches_optimize(grid):
 
 
 def test_optimize_many_one_chain_call_per_pass(monkeypatch):
-    # The table's N share each constant-chain call: one for the grid and
-    # one per refinement pass (1 + 8 x 3 = 25 with one optimize per N).
+    # The table's N share each constant-chain call.  Pass 0 makes two: one
+    # on the (at most 8) rows of best envelope bound, one on the rows the
+    # envelope cannot rule out (1 448 of the 9 999 measured).  Then one per
+    # refinement pass on the 8 x 51 local grids.
     calls = []
     k_table = cst._k_table
 
@@ -151,9 +169,70 @@ def test_optimize_many_one_chain_call_per_pass(monkeypatch):
         return k_table(thetas, *args, **kwargs)
 
     monkeypatch.setattr(cst, "_k_table", spy)
-    bnd._theta_grid_table.cache_clear()
     assert cli.main(["table"]) == 0
-    assert calls == [9999] + [51 * len(bnd.DEFAULT_TABLE_N)] * bnd._REFINE_PASSES
+    assert len(calls) == 2 + bnd._REFINE_PASSES
+    assert 1 <= calls[0] <= len(bnd.DEFAULT_TABLE_N)
+    assert calls[1] <= 2500
+    assert calls[2:] == [51 * len(bnd.DEFAULT_TABLE_N)] * bnd._REFINE_PASSES
+
+
+GRIDS = [(10000, 0.125, 100), (500, 0.125, 100), (2000, 0.1, 100),
+         (1000, 0.125, 1000)]
+
+
+@pytest.mark.parametrize("size, kappa, n_rect", GRIDS)
+def test_envelope_bounds_every_exact_row(size, kappa, n_rect, full_grid):
+    # U >= the exact A-search's bound in every row of the whole grid, for
+    # every table N and N = 10^6; U is finite on almost every row (at
+    # least 99.6 % at N <= 1000 and 96 % at 10^6), so the check is not
+    # empty.
+    # And U >= b- on 40 points of each finite row's window [L, _A_MAX], so
+    # U bounds the envelope itself, also where no exact row is feasible.
+    table = full_grid(size, kappa, n_rect)
+    envelope = cst._k_envelope(table["theta"], kappa)
+    ns = bnd.DEFAULT_TABLE_N + (10 ** 6,)
+    upper = bnd._upper_bounds(ns, kappa, table["theta"], cst.PRIME_CUTOFF)
+    for n, u in zip(ns, upper):
+        _, b = bnd._optimize_A_vec(n, kappa, table)
+        assert (b <= u).all(), n
+        assert np.isfinite(u).mean() > 0.9
+        rows = np.isfinite(u)
+        a_lo = bnd._search_window(n, kappa, envelope)[0][rows]
+        a = np.exp(np.linspace(np.log(a_lo), math.log(bnd._A_MAX), 40)).T
+        b_env = bnd._bound_value(a, n, {k: v[rows, None] for k, v in envelope.items()},
+                                 n == 1)
+        assert (b_env <= u[rows, None]).all(), n
+
+
+@pytest.mark.parametrize("size", [10000, 500])
+def test_pruned_grid_winners_match_full_grid(size, full_grid, monkeypatch):
+    # With no refinement pass, optimize_many reports its pass-0 winners:
+    # the full grid's argmax (smallest theta among ties), bit for bit.
+    monkeypatch.setattr(bnd, "_REFINE_PASSES", 0)
+    table = full_grid(size)
+    reports = bnd.optimize_many(bnd.DEFAULT_TABLE_N, theta_grid_size=size)
+    for n, rep in zip(bnd.DEFAULT_TABLE_N, reports):
+        a, b = bnd._optimize_A_vec(n, 0.125, table)
+        i = int(np.argmax(b))
+        assert (rep.theta_star, rep.A_star, rep.bound) == (table["theta"][i], a[i], b[i])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.floats(1e-6, 1.0 - 1e-6), st.floats(1e-3, 0.125), st.integers(1, 1000))
+def test_envelope_quadrature_floor(theta, kappa, n_rect):
+    # The lemma behind the envelope, on computed rows: I- <= int c7 and
+    # (A - 1/kappa) I- <= A int c7 - int v c7 on A above 1/kappa, with
+    # int v c7 of the envelope row equal to I- / kappa.
+    row = cst._k_table(np.array([theta]), kappa, n_rect)
+    env = cst._k_envelope(np.array([theta]), kappa)
+    i_lo = env["int_c7"][0]
+    assert 0.0 < i_lo <= row["int_c7"][0]
+    assert env["int_vc7"][0] == i_lo / kappa
+    a = (1.0 / kappa) * (1.0 + np.logspace(-9, 12, 50))
+    assert ((a - 1.0 / kappa) * i_lo
+            <= a * row["int_c7"][0] - row["int_vc7"][0]).all()
+    for key in ("rho", "c2", "c3", "c4", "c5", "k1", "k3"):
+        assert env[key][0] == row[key][0], key
 
 
 @pytest.mark.parametrize("Ns", [(), (0,), (True,), (2, 0)])
@@ -169,21 +248,36 @@ def test_optimize_many_names_the_infeasible_N(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_grid_cache_bounded_and_readonly():
-    cache = bnd._theta_grid_table
-    assert cache.cache_info().maxsize is not None
-    cache.cache_clear()
-    bnd.optimize(2, theta_grid_size=500)
-    bnd.optimize(2, theta_grid_size=500, prime_cutoff=50000)
-    assert cache.cache_info().currsize == 2
-    # numpy scalars reuse the entries above
-    bnd.optimize(2, kappa=np.float64(0.125), theta_grid_size=np.int64(500),
-                 prime_cutoff=np.int64(50000))
-    assert cache.cache_info().currsize == 2
-    table = cache(0.125, 100, 500, cst.PRIME_CUTOFF)
-    for arr in table.values():
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
+def test_optimize_accepts_numpy_scalars():
+    plain = bnd.optimize(2, theta_grid_size=500, prime_cutoff=50000)
+    assert bnd.optimize(np.int64(2), kappa=np.float64(0.125),
+                        theta_grid_size=np.int64(500),
+                        prime_cutoff=np.int64(50000)) == plain
+
+
+def test_N_limit_library():
+    # N_MAX is the largest N: at it every row is infeasible, above it the
+    # argument is refused, never a bare OverflowError from 32.0 * N.
+    with pytest.raises(OptimizerError):
+        bnd.optimize_many((cst.N_MAX,), theta_grid_size=500)
+    for n in (cst.N_MAX + 1, 10 ** 400):
+        with pytest.raises(DomainError, match="N_MAX = 1e\\+100"):
+            bnd.optimize_many((2, n), theta_grid_size=500)
+        with pytest.raises(DomainError, match="N_MAX"):
+            bnd.optimize_A(n, 0.011)
+        with pytest.raises(DomainError, match="N_MAX"):
+            cst.Params(N=n, theta=0.011)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, code", [(10 ** 100, 4), (10 ** 100 + 1, 3), (10 ** 400, 3)],
+                         ids=["at_limit", "above_limit", "1e400"])
+def test_N_limit_cli(n, code, capsys):
+    assert cst.N_MAX == 10 ** 100
+    assert cli.main(["optimize", "--N", str(n)]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_import_leaves_scipy_unloaded():
@@ -197,11 +291,11 @@ def test_import_leaves_scipy_unloaded():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 100, 1000, 10000])
-def test_certified_root_matches_scan_oracle(n):
+def test_certified_root_matches_scan_oracle(n, full_grid):
     # The rule the certified root replaced, applied here as the oracle:
     # g elementwise on 600 ln A points from just above 1/kappa to 1e16, and
     # the last +/- sign change of each row.
-    table = bnd._theta_grid_table(0.125, 100, 500, cst.PRIME_CUTOFF)
+    table = full_grid(500)
     grid = np.linspace(math.log(8.0) + 1e-9, math.log(1e16), 600)
     with np.errstate(invalid="ignore"):
         g, _ = bnd._stationarity(np.exp(grid)[None, :], n,
@@ -318,9 +412,9 @@ def test_concavity_beyond_threshold(q, k1, k3, s):
         assert -1 + q * (2 * k1 / a - 3 * k3 / a ** 2) < 0
 
 
-def test_k_signs_on_table_grid():
+def test_k_signs_on_table_grid(full_grid):
     # The concavity certificates assume k1 > 0 > k3 in every row.
-    table = bnd._theta_grid_table(0.125, 100, 10000, cst.PRIME_CUTOFF)
+    table = full_grid(10000)
     assert (table["k1"] > 0.0).all()
     assert (table["k3"] < 0.0).all()
     # The N = 1 certificate removes no row that g(L) > 0 > g(1e16) admits.
@@ -334,10 +428,10 @@ def test_k_signs_on_table_grid():
     assert bnd._single_certificate(table, a_lo)[feasible].all()
 
 
-def test_a_search_evaluation_counts_on_table_grid(monkeypatch):
+def test_a_search_evaluation_counts_on_table_grid(monkeypatch, full_grid):
     # Every row of the certified A-search converges well inside the Newton
     # cap for each table N (at most 9 f-evaluations observed, at N = 1).
-    table = bnd._theta_grid_table(0.125, 100, 10000, cst.PRIME_CUTOFF)
+    table = full_grid(10000)
     counts = []
 
     def recording(*args):

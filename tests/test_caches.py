@@ -14,6 +14,6 @@ def test_every_cache_has_a_finite_maxsize():
             if hasattr(obj, "cache_info"):
                 caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
     assert {"specfun._sieve", "specfun.euler_product",
-            "mollifier._coefficients", "bound._theta_grid_table"} <= set(caches)
+            "mollifier._coefficients"} <= set(caches)
     unbounded = sorted(name for name, size in caches.items() if size is None)
     assert unbounded == []
