@@ -14,9 +14,9 @@ exact constant chain only on the rows whose bound can still win, so its
 winner is exactly that of the whole grid.  optimize_many does this for
 several N at once, two constant-chain calls for the grid and one per
 refinement pass for all of them, and optimize is its one-element case.
-For every N the stationary A is a
-certified root: the stationarity function is proven concave beyond an
-explicit threshold, where Newton finds its one root.  The asymptotic
+For every N the stationary A is a certified root of a function proven
+concave beyond an explicit threshold, bracketed by three Newton steps
+and converged only where its row can still win.  The asymptotic
 machinery packages the same chain into the large-N constants (lambda-,
 lambda+, N0, ...) and evaluates the final large-N display.
 """
@@ -45,7 +45,7 @@ DEFAULT_TABLE_N = (1, 2, 3, 4, 5, 10, 100, 1000)
 # stationary point lies beyond _A_MAX counts as infeasible.
 _A_MAX = 1e16
 
-# Largest theta grid optimize sweeps; the grid's constant table is cached.
+# Largest theta grid optimize sweeps.
 _THETA_GRID_MAX = 10 ** 6
 
 # Local theta refinement: 2 * _REFINE_HALF + 1 points per pass, spacing
@@ -204,44 +204,44 @@ def _single_cert_coeffs(k1, k2, k3, k4):
 
 def _single_certificate(ks, a):
     """c1(a) > 0, c1'(a) > 0 and the c_ab sum below 5 k1^3 at a > e (the
-    proof is in _optimize_A_vec).  Rounding in the c_ab, at most 6e-16 of
-    5 k1^3 on the table grid, is far inside the 2^-20 margin."""
+    proof is in _optimize_A_vec).  Rounding in the c_ab (at most 6e-16 of
+    5 k1^3 on the table grid) and the powers is far inside the margin."""
     k1, k2, k3, k4, _v5, _c2 = cst._unpack(ks)
-    la = np.log(a)
-    tail = sum(np.maximum(c, 0.0) * a ** (i - 3.0) * la ** (j - 3.0)
+    pa, pl = ((x * x * x, x * x, x, 1.0) for x in (1.0 / a, 1.0 / np.log(a)))
+    tail = sum(np.maximum(c, 0.0) * pa[i] * pl[j]
                for i, j, c in _single_cert_coeffs(k1, k2, k3, k4))
     return ((cst.c1_from_set(a, ks) > 0.0)
             & (cst.c1_prime_from_set(a, ks) > 0.0)
             & (tail < 5.0 * k1 * k1 * k1 * (1.0 - 2.0 ** -20)))
 
 
-def _search_window(N: int, kappa: float, table: dict[str, np.ndarray]):
-    """(L, g(L), g(_A_MAX), concave) per row: the ends of the A-search
-    window [L, _A_MAX], g at both, and where g is proven concave on it
-    (L < _A_MAX and, for N = 1, the single-L certificate).  The proof is
-    in _optimize_A_vec."""
-    single = N == 1
+def _search_window(N, kappa: float, table: dict[str, np.ndarray]):
+    """(L, g(L), (g, dg/dln A) at _A_MAX, concave) per row: the A-search
+    window [L, _A_MAX], g at its ends, and where g is proven concave on it
+    (L < _A_MAX and, for N = 1, the single-L certificate; _optimize_A_vec)."""
+    single = np.ndim(N) == 0 and N == 1
     k1, _k2, k3, _k4, v5, _c2 = cst._unpack(table)
     q = (8.0 if single else 32.0 * N) * v5 ** 2
     a_lo = np.maximum(_concavity_threshold(q, k1, k3),
                       math.exp(math.log(1.0 / kappa) + 1e-9))
     with np.errstate(invalid="ignore"):
         g_lo = _stationarity(a_lo, N, table, single)[0]
-        g_hi = _stationarity(_A_MAX, N, table, single)[0]
+        hi = _stationarity(_A_MAX, N, table, single)
     concave = a_lo < _A_MAX
     if single:
         concave &= _single_certificate(table, a_lo)
-    return a_lo, g_lo, g_hi, concave
+    return a_lo, g_lo, hi, concave
 
 
-def _optimize_A_vec(N: int, kappa: float,
+def _optimize_A_vec(N, kappa: float,
                     table: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized stationary-A search across the whole theta grid.
 
     Returns (A_star, bound) arrays, a -inf bound marking infeasible rows
     (no certified stationary point in (1/kappa, _A_MAX); discarded
     silently).  A_star is the largest root of g = A^4 b'(A) / (2 pi),
-    found the same way for every N.
+    found the same way for every N (an int, or an array of one per row
+    for the general formula).
 
     General formula.  With q = 32 N c5^2,
         g = -A^2/2 + q [2 k1 A ln A + (2 k2 - k1) A + 3 k3 ln A + 3 k4 - k3]
@@ -269,50 +269,110 @@ def _optimize_A_vec(N: int, kappa: float,
     maximum of b.  Safeguarded Newton finds it on g/A, which has the sign
     of g and is nearly linear at large A, started at _A_MAX.
     """
-    single = N == 1
-    a_lo, g_lo, g_hi, concave = _search_window(N, kappa, table)
-    rows = np.nonzero(concave & (g_lo > 0.0) & (g_hi < 0.0))[0]
-    ks = {k: table[k][rows] for k in ("k1", "k2", "k3", "k4", "c5", "c2")}
+    single = np.ndim(N) == 0 and N == 1
+    a_lo, g_lo, (g_hi, _), feasible = _search_window(N, kappa, table)
+    feasible &= (g_lo > 0.0) & (g_hi < 0.0)
+    ks = {k: np.broadcast_to(table[k], feasible.shape)[feasible]
+          for k in ("k1", "k2", "k3", "k4", "c5", "c2")}
+    n = np.broadcast_to(np.asarray(N, dtype=float), feasible.shape)[feasible]
 
     def neg_h(a, i):
-        g, slope = _stationarity(a, N, {k: v[i] for k, v in ks.items()}, single)
+        g, slope = _stationarity(a, n[i], {k: v[i] for k, v in ks.items()}, single)
         return -g / a, (g - slope) / (a * a)
 
-    a_out = np.full(table["theta"].size, np.nan)
-    a_out[rows], _ = roots._newton_vec(neg_h, a_lo[rows], _A_MAX,
-                                       np.full(rows.size, _A_MAX))
+    a_out = np.full(feasible.shape, np.nan)
+    a_out[feasible], _ = roots._newton_vec(neg_h, a_lo[feasible], _A_MAX,
+                                           np.full(np.count_nonzero(feasible), _A_MAX))
     with np.errstate(invalid="ignore", over="ignore"):
         b_out = _bound_value(a_out, N, table, single)
     b_out[~np.isfinite(b_out)] = -np.inf
     return a_out, b_out
 
 
-def _envelope_max(N: int, kappa: float, envelope: dict[str, np.ndarray]) -> np.ndarray:
-    """max of b- over [L, _A_MAX] per envelope row, -inf where not proven.
+def _b_intervals(N, kappa: float, table: dict[str, np.ndarray],
+                 rising: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Level 1 of the A-search: (lo, hi) per row with lo <= b* <= hi for
+    the bound b* of _optimize_A_vec (same N and table), -inf on the rows
+    it finds infeasible, (-inf, +inf) where not finite; three steps prune
+    the table grid as converged roots do.  With rising (the envelope), hi
+    is b(_A_MAX) where concave g is >= 0 at both window ends: b rises.
 
-    Where g- is concave there, the maximum is at the root _optimize_A_vec
-    certifies, or at _A_MAX where g- >= 0 at both ends (so on all of
-    [L, _A_MAX], and b- does not fall); the second case is looked for
-    only on the rows without a root."""
-    _, top = _optimize_A_vec(N, kappa, envelope)
-    rows = np.nonzero(top == -np.inf)[0]
-    sub = {k: v[rows] for k, v in envelope.items()}
-    _, g_lo, g_hi, concave = _search_window(N, kappa, sub)
-    with np.errstate(invalid="ignore", over="ignore"):
-        top[rows] = np.where(concave & (g_lo >= 0.0) & (g_hi >= 0.0),
-                             _bound_value(_A_MAX, N, sub, N == 1), -np.inf)
-    return top
+    Proof.  On a feasible row g is concave on [L, _A_MAX], its one root
+    A* is the last maximum of b, and b' = 2 pi g / A^4 (_optimize_A_vec).
+    Three steps of the same safeguarded Newton on -g/A from _A_MAX, with
+    no convergence test, leave l, the last point with g >= 0, and r, the
+    last with g < 0: l <= A* < r, so b(l), b(r) <= b*.  A* is at least
+    the root l' of the chord on [l, r], below concave g, and -g >= 0
+    increases on [A*, r], so b* - b(r) <= 2 pi (r - l') |g(r)| / l'^4.
+    Where g falls at l, 0 <= g lies below its tangent at l on [l, A*],
+    which is >= 0 up to its root t = l + g(l) l / |dg/dln A| >= A*, so
+    b* - b(l) <= 2 pi int_[l, t] tangent / l^4 = pi g(l) (t - l) / l^4.
+    Rounding moves each end by a few ulps of b (g's sign is misjudged only
+    within rounding of A*, where b is flat): without their 2^-20 relative
+    widening (constants._ENVELOPE_MARGIN), hi fell up to 1e-15 below b*.
+    """
+    single = np.ndim(N) == 0 and N == 1
+    l, g_l, (g, slope), concave = _search_window(N, kappa, table)
+    feasible = concave & (g_l > 0.0) & (g < 0.0)
+    rises = rising & concave & (g_l >= 0.0) & (g >= 0.0)
+    (x, r), g_r, s_l = np.full((2, *l.shape), _A_MAX), g.copy(), np.zeros(l.shape)
+    with np.errstate(all="ignore"):                 # infeasible rows are dropped
+        for _ in range(3):
+            x += x * g / (g - slope)                # Newton on -g/A
+            np.copyto(x, 0.5 * (l + r), where=~((x > l) & (x < r)))
+            g, slope = _stationarity(x, N, table, single)
+            left = g >= 0.0
+            for dst, src, at in ((l, x, left), (g_l, g, left), (s_l, slope, left),
+                                 (r, x, ~left), (g_r, g, ~left)):
+                np.copyto(dst, src, where=at)
+        b_l, b_r = _bound_value(l, N, table, single), _bound_value(r, N, table, single)
+        top = b_l + np.where(s_l < 0.0, np.pi * g_l * g_l / (-s_l * l ** 3), np.inf)
+        l = np.maximum(l, l + g_l * (r - l) / (g_l - g_r))
+        top = np.fmin(top, b_r - (r - l) * TWO_PI * g_r / l ** 4)
+        top = np.where(rises, _bound_value(_A_MAX, N, table, single), top)
+        bot = np.maximum(b_l, b_r)
+        bot -= np.abs(bot) * cst._ENVELOPE_MARGIN
+        top += np.abs(top) * cst._ENVELOPE_MARGIN
+    return (np.where(feasible & np.isfinite(bot), bot, -np.inf),
+            np.where(feasible | rises, np.where(np.isfinite(top), top, np.inf), -np.inf))
+
+
+def _search(N, kappa: float, table: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Level 2: _optimize_A_vec on the rows whose interval reaches the best
+    lower end along the last axis (one N), (NaN, -inf) elsewhere: a row
+    left out has b below that row's, so argmax and ties keep their bits."""
+    lo, hi = _b_intervals(N, kappa, table)
+    keep = (hi >= lo.max(axis=-1, keepdims=True)) & (hi > -np.inf)
+    a, b = np.full(lo.shape, np.nan), np.full(lo.shape, -np.inf)
+    a[keep], b[keep] = _optimize_A_vec(
+        N if np.ndim(N) == 0 else np.broadcast_to(N, keep.shape)[keep], kappa,
+        {k: np.broadcast_to(v, keep.shape)[keep] for k, v in table.items()})
+    return a, b
+
+
+def _searches(Ns, kappa: float, table: dict[str, np.ndarray],
+              search) -> tuple[np.ndarray, np.ndarray]:
+    """search (_search or _optimize_A_vec) for every N in Ns, one call on
+    N = 1 and one on the column of the others: (A, b) of shape (len(Ns),
+    rows), table's columns one row of thetas for all N or one per N."""
+    a, b = (np.full((len(Ns), table["theta"].shape[-1]), v) for v in (np.nan, -np.inf))
+    for single in (True, False):
+        js = [j for j, N in enumerate(Ns) if (N == 1) == single]
+        if js:
+            sub = table if table["theta"].ndim == 1 else {k: v[js] for k, v in table.items()}
+            n = 1 if single else np.array([[float(Ns[j])] for j in js])
+            a[js], b[js] = search(n, kappa, sub)
+    return a, b
 
 
 def _upper_bounds(Ns, kappa: float, thetas: np.ndarray,
                   prime_cutoff: int) -> np.ndarray:
     """U[j, i] >= the bound _optimize_A_vec(Ns[j]) finds on the exact
-    _k_table row at thetas[i], +inf where _envelope_max proves no
+    _k_table row at thetas[i], +inf where _b_intervals proves no
     maximum (the proof is in optimize_many)."""
     envelope = cst._k_envelope(thetas, kappa, prime_cutoff)
-    upper = np.array([_envelope_max(N, kappa, envelope) for N in Ns])
+    upper = np.array([_b_intervals(N, kappa, envelope, rising=True)[1] for N in Ns])
     upper[~(upper > -np.inf)] = np.inf
-    upper += np.abs(upper) * cst._ENVELOPE_MARGIN
     return upper
 
 
@@ -322,10 +382,10 @@ def _contenders(Ns, kappa: float, thetas: np.ndarray, n_rect: int,
     N: steps 1 and 2 of optimize_many's pass 0, in a function of their own
     so that U is freed before the exact call on those rows."""
     upper = _upper_bounds(Ns, kappa, thetas, prime_cutoff)
-    seeds = np.unique(np.argmax(np.where(upper < np.inf, upper, -np.inf), axis=1))
+    seeds = sorted(set(np.argmax(np.where(upper < np.inf, upper, -np.inf), axis=1).tolist()))
     table = cst._k_table(thetas[seeds], kappa, n_rect, prime_cutoff=prime_cutoff)
-    best0 = [_optimize_A_vec(N, kappa, table)[1].max() for N in Ns]
-    return (upper >= np.array(best0)[:, None]).any(axis=0)
+    best0 = _searches(Ns, kappa, table, _search)[1].max(axis=1)
+    return (upper >= best0[:, None]).any(axis=0)
 
 
 def optimize(N: int, kappa: float = 0.125, theta_grid_size: int = 10000,
@@ -347,7 +407,7 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
       2. One _k_table call on the rows of largest finite U[N] (at most
          len(Ns)) gives best0[N], the best exact bound among them.
       3. One _k_table call on the rows, ascending, with U >= best0 for
-         some N; each N's A-search runs on all of them.
+         some N; each N's two-level A-search (_search) runs on them.
     A row left out has b <= U < best0 <= the best row kept, for every N,
     and each _k_table row and A-search element depends only on its own
     theta, so the winner and the smaller-theta tie rule are exactly those
@@ -365,13 +425,12 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
     gives on [L, inf)).  L = max(A_c, e^{1e-9} / kappa) depends only on
     q, k1 and k3, so the exact and the envelope row share it, and the
     exact A* lies in [L, _A_MAX].  Where g- is proven concave on
-    [L, _A_MAX] (_search_window), b- has its maximum there at the root
-    _optimize_A_vec certifies, or at _A_MAX where g- >= 0 at both ends
-    and so on the whole window (_envelope_max).  Then b(A*) <= b-(A*) <=
-    that maximum, and U is it raised by 2^-20 relative; U = +inf on
-    every other row.  The two 2^-20 margins (constants._ENVELOPE_MARGIN)
-    cover the rounding in c7(0), the right sums and the A-searches many
-    times over.
+    [L, _A_MAX] (_search_window), b- has its maximum there at its root,
+    or at _A_MAX where g- >= 0 at both ends and so on the whole window;
+    U is the upper end of _b_intervals for it, raised by 2^-20 relative,
+    so b(A*) <= b-(A*) <= U.  U = +inf on every other row.  The two
+    2^-20 margins (constants._ENVELOPE_MARGIN) cover the rounding in
+    c7(0), the right sums and the A-searches many times over.
 
     Each later pass refines every N on its own local grid: 51 points
     centred on its best theta so far, one grid cell either side at first
@@ -384,7 +443,8 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
 
     A refinement pass is one _k_table call on every N's local grid, laid
     end to end, and each N's A-search reads only its own 51 rows, so
-    each report is bit-identical to optimize(N) alone.
+    each report is bit-identical to optimize(N) alone.  It converges
+    every row, as their bounds differ by far less than 2^-20.
     """
     cst._check_count("len(Ns)", len(Ns), 1)
     for N in Ns:
@@ -394,7 +454,7 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
     cst._check_count("n_rect", n_rect, 1, cst._N_RECT_MAX)
     thetas = np.arange(1, theta_grid_size) / theta_grid_size
     thetas = thetas[_contenders(Ns, kappa, thetas, n_rect, prime_cutoff)]
-    tables = [cst._k_table(thetas, kappa, n_rect, prime_cutoff=prime_cutoff)] * len(Ns)
+    table = cst._k_table(thetas, kappa, n_rect, prime_cutoff=prime_cutoff)
     best = [(0.0, 0.0, -math.inf)] * len(Ns)           # (theta, A, bound) per N
     step = 1.0 / theta_grid_size
     for pass_ in range(_REFINE_PASSES + 1):
@@ -404,16 +464,16 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
             thetas = centres + step * np.arange(-_REFINE_HALF, _REFINE_HALF + 1)
             thetas = np.where((thetas > 0.0) & (thetas < 1.0), thetas, centres)
             local = cst._k_table(thetas.ravel(), kappa, n_rect, prime_cutoff=prime_cutoff)
-            tables = [{k: v.reshape(thetas.shape)[j] for k, v in local.items()}
-                      for j in range(len(Ns))]
-        for j, (N, table) in enumerate(zip(Ns, tables)):
-            a_vec, b_vec = _optimize_A_vec(N, kappa, table)
-            if not (b_vec > 0.0).any():         # pass 0 only: later grids hold the centre
+            table = {k: v.reshape(thetas.shape) for k, v in local.items()}
+        a, b = _searches(Ns, kappa, table, _optimize_A_vec if pass_ else _search)
+        thetas = np.broadcast_to(thetas, b.shape)
+        for j, N in enumerate(Ns):
+            if not (b[j] > 0.0).any():          # pass 0 only: later grids hold the centre
                 raise OptimizerError(
                     f"every theta grid point is infeasible for N={N}, kappa={kappa}")
-            i = int(np.argmax(b_vec))
-            if b_vec[i] > best[j][2]:
-                best[j] = (float(table["theta"][i]), float(a_vec[i]), float(b_vec[i]))
+            i = int(np.argmax(b[j]))
+            if b[j, i] > best[j][2]:
+                best[j] = (float(thetas[j, i]), float(a[j, i]), float(b[j, i]))
 
     return [BoundReport(N=int(N), A_star=a, theta_star=theta, kappa=float(kappa),
                         bound=b, method="single_L" if N == 1 else "general",

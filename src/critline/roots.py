@@ -105,7 +105,7 @@ def _newton_vec(fdf: Callable[[np.ndarray, np.ndarray], tuple],
     end where f is already known (nonzero): from two ends a few ulps apart
     each Newton step can land exactly on the other, a 2-cycle.  An element
     stops when f = 0 or its step is at most ~1e-15 |x|; 100 iterations is
-    a safeguard cap, far above the at most 9 that the table needs.
+    a safeguard cap, far above the at most 12 that bound's A-search needs.
     Returns the roots and, beside them, the number of f evaluations each
     element took.
 

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import mpmath
@@ -429,22 +430,96 @@ def test_k_signs_on_table_grid(full_grid):
 
 
 def test_a_search_evaluation_counts_on_table_grid(monkeypatch, full_grid):
-    # Every row of the certified A-search converges well inside the Newton
-    # cap for each table N (at most 9 f-evaluations observed, at N = 1).
+    # Level 1 evaluates g at L and _A_MAX on every row (the window), then
+    # takes exactly 3 Newton steps on every row, with no convergence
+    # test, for each table N; most rows are feasible.
     table = full_grid(10000)
+    sizes = []
+    stationarity = bnd._stationarity
+
+    def spy(a, *args):
+        sizes.append(np.size(a))
+        return stationarity(a, *args)
+
+    monkeypatch.setattr(bnd, "_stationarity", spy)
+    for n in bnd.DEFAULT_TABLE_N:
+        sizes.clear()
+        assert np.count_nonzero(bnd._b_intervals(n, 0.125, table)[1] > -np.inf) > 9000
+        assert sizes == [table["theta"].size, 1] + [table["theta"].size] * 3
+    monkeypatch.undo()
+    # Level 2 converges Newton on at most 1 300 elements in one table (1 240
+    # measured: one seed row and one pass-0 row per N, which the intervals
+    # single out, and the 3 x 408 refinement rows), each well inside the cap.
     counts = []
 
     def recording(*args):
-        x, its = newton(*args)
+        x, its = roots._newton_vec(*args)
         counts.append(its)
         return x, its
 
-    newton = bnd.roots._newton_vec
-    monkeypatch.setattr(bnd.roots, "_newton_vec", recording)
-    for n in bnd.DEFAULT_TABLE_N:
-        bnd._optimize_A_vec(n, 0.125, table)
-        assert counts[-1].size > 9000
-        assert counts[-1].max() <= 12
+    roots = bnd.roots
+    monkeypatch.setattr(bnd, "roots", types.SimpleNamespace(_newton_vec=recording))
+    bnd.optimize_many(bnd.DEFAULT_TABLE_N)
+    assert sum(its.size for its in counts) <= 1300
+    assert max(its.max() for its in counts) <= 12
+
+
+@pytest.mark.parametrize("size, kappa, n_rect", GRIDS)
+def test_intervals_contain_converged_bound(size, kappa, n_rect, full_grid):
+    # On exact and on envelope rows, for every table N and N = 10^6, level
+    # 1 finds the same rows feasible as the converged search, and each
+    # feasible row's interval contains the converged bound.  At least 59 %
+    # of the rows are feasible (the fewest at N = 10^6), so the check is
+    # not empty, and the median interval is narrower than 2^-18 relative,
+    # twice its two 2^-20 margins: the pruning relies on this.
+    table = full_grid(size, kappa, n_rect)
+    envelope = cst._k_envelope(table["theta"], kappa)
+    for n in bnd.DEFAULT_TABLE_N + (10 ** 6,):
+        for rows in (table, envelope):
+            lo, hi = bnd._b_intervals(n, kappa, rows)
+            _, b = bnd._optimize_A_vec(n, kappa, rows)
+            feasible = b > -np.inf
+            assert feasible.mean() > 0.5
+            assert ((hi > -np.inf) == feasible).all(), n
+            lo, b, hi = lo[feasible], b[feasible], hi[feasible]
+            assert (lo <= b).all() and (b <= hi).all(), n
+            assert np.median((hi - lo) / np.abs(b)) < 2.0 * 2.0 ** -19, n
+
+
+def test_batched_search_matches_per_N_calls():
+    # A 51-row local grid whose low end, below theta = 0, holds copies of
+    # its centre (exact ties), once for all N and once laid out one row per
+    # N as in refinement: one call for N = 1 and one on the column of the
+    # other N give the bits of per-N _optimize_A_vec calls, and the
+    # two-level search the same bits on the rows it converges, among them
+    # every row of largest bound.
+    ns = bnd.DEFAULT_TABLE_N
+    thetas = 0.0012 + 1e-4 * np.arange(-25, 26)
+    thetas = np.where(thetas > 0.0, thetas, 0.0012)
+    line = cst._k_table(thetas)
+    grid = {k: v.reshape(len(ns), -1)
+            for k, v in cst._k_table(np.tile(thetas, len(ns))).items()}
+    for table in (line, grid):
+        a_all, b_all = bnd._searches(ns, 0.125, table, bnd._optimize_A_vec)
+        a_two, b_two = bnd._searches(ns, 0.125, table, bnd._search)
+        for j, n in enumerate(ns):
+            a, b = bnd._optimize_A_vec(n, 0.125, line)
+            assert a_all[j].tobytes() == a.tobytes(), n
+            assert b_all[j].tobytes() == b.tobytes(), n
+            kept = b_two[j] > -np.inf
+            assert (b_two[j][kept] == b[kept]).all(), n
+            assert (a_two[j][kept] == a[kept]).all(), n
+            assert kept[b == b.max()].all(), n
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_tied_centre_copies_match_converging_every_row(size, monkeypatch):
+    # At grid sizes 2 and 3 the local grids reach past (0, 1), so they hold
+    # copies of their centre: optimize_many reports what it reports when
+    # every exact row is converged.
+    reports = bnd.optimize_many(bnd.DEFAULT_TABLE_N, theta_grid_size=size)
+    monkeypatch.setattr(bnd, "_search", bnd._optimize_A_vec)
+    assert reports == bnd.optimize_many(bnd.DEFAULT_TABLE_N, theta_grid_size=size)
 
 
 def test_table_rows_match_frozen_optima():
