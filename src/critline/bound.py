@@ -15,10 +15,11 @@ winner is exactly that of the whole grid.  optimize_many does this for
 several N at once, two constant-chain calls for the grid and one per
 refinement pass for all of them, and optimize is its one-element case.
 For every N the stationary A is a certified root of a function proven
-concave beyond an explicit threshold, bracketed by three Newton steps
-and converged only where its row can still win.  The asymptotic
-machinery packages the same chain into the large-N constants (lambda-,
-lambda+, N0, ...) and evaluates the final large-N display.
+concave beyond an explicit threshold, found by Newton; on the envelope
+rows three Newton steps bracket it, which bounds the row's maximum from
+above.  The asymptotic machinery packages the same chain into the
+large-N constants (lambda-, lambda+, N0, ...) and evaluates the final
+large-N display.
 """
 
 from __future__ import annotations
@@ -289,27 +290,27 @@ def _optimize_A_vec(N, kappa: float,
     return a_out, b_out
 
 
-def _b_intervals(N, kappa: float, table: dict[str, np.ndarray],
-                 rising: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Level 1 of the A-search: (lo, hi) per row with lo <= b* <= hi for
-    the bound b* of _optimize_A_vec (same N and table), -inf on the rows
-    it finds infeasible, (-inf, +inf) where not finite; three steps prune
-    the table grid as converged roots do.  With rising (the envelope), hi
-    is b(_A_MAX) where concave g is >= 0 at both window ends: b rises.
+def _b_upper(N, kappa: float, table: dict[str, np.ndarray],
+            rising: bool = False) -> np.ndarray:
+    """An upper bound per row on the bound b* of _optimize_A_vec (same N
+    and table), -inf on the rows it finds infeasible, +inf where not
+    finite, from three Newton steps: no root is converged.  With rising
+    (the envelope), it is b(_A_MAX) where concave g is >= 0 at both
+    window ends: b rises.
 
     Proof.  On a feasible row g is concave on [L, _A_MAX], its one root
     A* is the last maximum of b, and b' = 2 pi g / A^4 (_optimize_A_vec).
     Three steps of the same safeguarded Newton on -g/A from _A_MAX, with
     no convergence test, leave l, the last point with g >= 0, and r, the
-    last with g < 0: l <= A* < r, so b(l), b(r) <= b*.  A* is at least
-    the root l' of the chord on [l, r], below concave g, and -g >= 0
-    increases on [A*, r], so b* - b(r) <= 2 pi (r - l') |g(r)| / l'^4.
-    Where g falls at l, 0 <= g lies below its tangent at l on [l, A*],
-    which is >= 0 up to its root t = l + g(l) l / |dg/dln A| >= A*, so
-    b* - b(l) <= 2 pi int_[l, t] tangent / l^4 = pi g(l) (t - l) / l^4.
-    Rounding moves each end by a few ulps of b (g's sign is misjudged only
-    within rounding of A*, where b is flat): without their 2^-20 relative
-    widening (constants._ENVELOPE_MARGIN), hi fell up to 1e-15 below b*.
+    last with g < 0: l <= A* < r.  A* is at least the root l' of the
+    chord on [l, r], below concave g, and -g >= 0 increases on [A*, r],
+    so b* - b(r) <= 2 pi (r - l') |g(r)| / l'^4.  Where g falls at l,
+    0 <= g lies below its tangent at l on [l, A*], which is >= 0 up to
+    its root t = l + g(l) l / |dg/dln A| >= A*, so b* - b(l) <=
+    2 pi int_[l, t] tangent / l^4 = pi g(l) (t - l) / l^4.  Rounding
+    moves the bound by a few ulps of b (g's sign is misjudged only within
+    rounding of A*, where b is flat): without its 2^-20 relative raise
+    (constants._ENVELOPE_MARGIN), it fell up to 1e-15 below b*.
     """
     single = np.ndim(N) == 0 and N == 1
     l, g_l, (g, slope), concave = _search_window(N, kappa, table)
@@ -325,53 +326,36 @@ def _b_intervals(N, kappa: float, table: dict[str, np.ndarray],
             for dst, src, at in ((l, x, left), (g_l, g, left), (s_l, slope, left),
                                  (r, x, ~left), (g_r, g, ~left)):
                 np.copyto(dst, src, where=at)
-        b_l, b_r = _bound_value(l, N, table, single), _bound_value(r, N, table, single)
-        top = b_l + np.where(s_l < 0.0, np.pi * g_l * g_l / (-s_l * l ** 3), np.inf)
+        top = _bound_value(l, N, table, single) + np.where(
+            s_l < 0.0, np.pi * g_l * g_l / (-s_l * l ** 3), np.inf)
         l = np.maximum(l, l + g_l * (r - l) / (g_l - g_r))
-        top = np.fmin(top, b_r - (r - l) * TWO_PI * g_r / l ** 4)
+        top = np.fmin(top, _bound_value(r, N, table, single) - (r - l) * TWO_PI * g_r / l ** 4)
         top = np.where(rises, _bound_value(_A_MAX, N, table, single), top)
-        bot = np.maximum(b_l, b_r)
-        bot -= np.abs(bot) * cst._ENVELOPE_MARGIN
         top += np.abs(top) * cst._ENVELOPE_MARGIN
-    return (np.where(feasible & np.isfinite(bot), bot, -np.inf),
-            np.where(feasible | rises, np.where(np.isfinite(top), top, np.inf), -np.inf))
+    return np.where(feasible | rises, np.where(np.isfinite(top), top, np.inf), -np.inf)
 
 
-def _search(N, kappa: float, table: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Level 2: _optimize_A_vec on the rows whose interval reaches the best
-    lower end along the last axis (one N), (NaN, -inf) elsewhere: a row
-    left out has b below that row's, so argmax and ties keep their bits."""
-    lo, hi = _b_intervals(N, kappa, table)
-    keep = (hi >= lo.max(axis=-1, keepdims=True)) & (hi > -np.inf)
-    a, b = np.full(lo.shape, np.nan), np.full(lo.shape, -np.inf)
-    a[keep], b[keep] = _optimize_A_vec(
-        N if np.ndim(N) == 0 else np.broadcast_to(N, keep.shape)[keep], kappa,
-        {k: np.broadcast_to(v, keep.shape)[keep] for k, v in table.items()})
-    return a, b
-
-
-def _searches(Ns, kappa: float, table: dict[str, np.ndarray],
-              search) -> tuple[np.ndarray, np.ndarray]:
-    """search (_search or _optimize_A_vec) for every N in Ns, one call on
-    N = 1 and one on the column of the others: (A, b) of shape (len(Ns),
-    rows), table's columns one row of thetas for all N or one per N."""
+def _searches(Ns, kappa: float, table: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """_optimize_A_vec for every N in Ns, one call on N = 1 and one on the
+    column of the others: (A, b) of shape (len(Ns), rows), table's
+    columns one row of thetas for all N or one per N."""
     a, b = (np.full((len(Ns), table["theta"].shape[-1]), v) for v in (np.nan, -np.inf))
     for single in (True, False):
         js = [j for j, N in enumerate(Ns) if (N == 1) == single]
         if js:
             sub = table if table["theta"].ndim == 1 else {k: v[js] for k, v in table.items()}
             n = 1 if single else np.array([[float(Ns[j])] for j in js])
-            a[js], b[js] = search(n, kappa, sub)
+            a[js], b[js] = _optimize_A_vec(n, kappa, sub)
     return a, b
 
 
 def _upper_bounds(Ns, kappa: float, thetas: np.ndarray,
                   prime_cutoff: int) -> np.ndarray:
     """U[j, i] >= the bound _optimize_A_vec(Ns[j]) finds on the exact
-    _k_table row at thetas[i], +inf where _b_intervals proves no
+    _k_table row at thetas[i], +inf where _b_upper proves no
     maximum (the proof is in optimize_many)."""
     envelope = cst._k_envelope(thetas, kappa, prime_cutoff)
-    upper = np.array([_b_intervals(N, kappa, envelope, rising=True)[1] for N in Ns])
+    upper = np.array([_b_upper(N, kappa, envelope, rising=True) for N in Ns])
     upper[~(upper > -np.inf)] = np.inf
     return upper
 
@@ -384,7 +368,7 @@ def _contenders(Ns, kappa: float, thetas: np.ndarray, n_rect: int,
     upper = _upper_bounds(Ns, kappa, thetas, prime_cutoff)
     seeds = sorted(set(np.argmax(np.where(upper < np.inf, upper, -np.inf), axis=1).tolist()))
     table = cst._k_table(thetas[seeds], kappa, n_rect, prime_cutoff=prime_cutoff)
-    best0 = _searches(Ns, kappa, table, _search)[1].max(axis=1)
+    best0 = _searches(Ns, kappa, table)[1].max(axis=1)
     return (upper >= best0[:, None]).any(axis=0)
 
 
@@ -407,7 +391,7 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
       2. One _k_table call on the rows of largest finite U[N] (at most
          len(Ns)) gives best0[N], the best exact bound among them.
       3. One _k_table call on the rows, ascending, with U >= best0 for
-         some N; each N's two-level A-search (_search) runs on them.
+         some N; each N's A-search runs on all of them.
     A row left out has b <= U < best0 <= the best row kept, for every N,
     and each _k_table row and A-search element depends only on its own
     theta, so the winner and the smaller-theta tie rule are exactly those
@@ -427,8 +411,8 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
     exact A* lies in [L, _A_MAX].  Where g- is proven concave on
     [L, _A_MAX] (_search_window), b- has its maximum there at its root,
     or at _A_MAX where g- >= 0 at both ends and so on the whole window;
-    U is the upper end of _b_intervals for it, raised by 2^-20 relative,
-    so b(A*) <= b-(A*) <= U.  U = +inf on every other row.  The two
+    U is _b_upper's bound on it, raised by 2^-20 relative, so
+    b(A*) <= b-(A*) <= U.  U = +inf on every other row.  The two
     2^-20 margins (constants._ENVELOPE_MARGIN) cover the rounding in
     c7(0), the right sums and the A-searches many times over.
 
@@ -443,8 +427,7 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
 
     A refinement pass is one _k_table call on every N's local grid, laid
     end to end, and each N's A-search reads only its own 51 rows, so
-    each report is bit-identical to optimize(N) alone.  It converges
-    every row, as their bounds differ by far less than 2^-20.
+    each report is bit-identical to optimize(N) alone.
     """
     cst._check_count("len(Ns)", len(Ns), 1)
     for N in Ns:
@@ -465,7 +448,7 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
             thetas = np.where((thetas > 0.0) & (thetas < 1.0), thetas, centres)
             local = cst._k_table(thetas.ravel(), kappa, n_rect, prime_cutoff=prime_cutoff)
             table = {k: v.reshape(thetas.shape) for k, v in local.items()}
-        a, b = _searches(Ns, kappa, table, _optimize_A_vec if pass_ else _search)
+        a, b = _searches(Ns, kappa, table)
         thetas = np.broadcast_to(thetas, b.shape)
         for j, N in enumerate(Ns):
             if not (b[j] > 0.0).any():          # pass 0 only: later grids hold the centre

@@ -430,9 +430,9 @@ def test_k_signs_on_table_grid(full_grid):
 
 
 def test_a_search_evaluation_counts_on_table_grid(monkeypatch, full_grid):
-    # Level 1 evaluates g at L and _A_MAX on every row (the window), then
-    # takes exactly 3 Newton steps on every row, with no convergence
-    # test, for each table N; most rows are feasible.
+    # The envelope's A-search evaluates g at L and _A_MAX on every row (the
+    # window), then takes exactly 3 Newton steps on every row, with no
+    # convergence test, for each table N; most rows are feasible.
     table = full_grid(10000)
     sizes = []
     stationarity = bnd._stationarity
@@ -444,55 +444,71 @@ def test_a_search_evaluation_counts_on_table_grid(monkeypatch, full_grid):
     monkeypatch.setattr(bnd, "_stationarity", spy)
     for n in bnd.DEFAULT_TABLE_N:
         sizes.clear()
-        assert np.count_nonzero(bnd._b_intervals(n, 0.125, table)[1] > -np.inf) > 9000
+        assert np.count_nonzero(bnd._b_upper(n, 0.125, table) > -np.inf) > 9000
         assert sizes == [table["theta"].size, 1] + [table["theta"].size] * 3
     monkeypatch.undo()
-    # Level 2 converges Newton on at most 1 300 elements in one table (1 240
-    # measured: one seed row and one pass-0 row per N, which the intervals
-    # single out, and the 3 x 408 refinement rows), each well inside the cap.
-    counts = []
-
-    def recording(*args):
-        x, its = roots._newton_vec(*args)
-        counts.append(its)
-        return x, its
-
-    roots = bnd.roots
-    monkeypatch.setattr(bnd, "roots", types.SimpleNamespace(_newton_vec=recording))
+    # The converged search runs on the exact rows only: at most 13 000
+    # Newton elements in one table (12 576 measured, the feasible ones of
+    # the 8 seed rows, the 8 x 1 448 pass-0 rows and the 3 x 408
+    # refinement rows), each well inside the cap.
+    counts = _record_newton_counts(monkeypatch)
     bnd.optimize_many(bnd.DEFAULT_TABLE_N)
-    assert sum(its.size for its in counts) <= 1300
+    assert sum(its.size for its in counts) <= 13000
     assert max(its.max() for its in counts) <= 12
 
 
+def _record_newton_counts(monkeypatch):
+    """The list that bound's Newton f-evaluation counts are appended to."""
+    counts = []
+    newton = bnd.roots._newton_vec
+
+    def recording(*args):
+        x, its = newton(*args)
+        counts.append(its)
+        return x, its
+
+    monkeypatch.setattr(bnd, "roots", types.SimpleNamespace(_newton_vec=recording))
+    return counts
+
+
 @pytest.mark.parametrize("size, kappa, n_rect", GRIDS)
-def test_intervals_contain_converged_bound(size, kappa, n_rect, full_grid):
-    # On exact and on envelope rows, for every table N and N = 10^6, level
-    # 1 finds the same rows feasible as the converged search, and each
-    # feasible row's interval contains the converged bound.  At least 59 %
+def test_upper_bound_holds_converged_bound(size, kappa, n_rect, full_grid, monkeypatch):
+    # On exact and on envelope rows, for every table N and N = 10^6,
+    # _b_upper finds the same rows feasible as the converged search, and
+    # bounds each feasible row's converged bound from above.  At least 59 %
     # of the rows are feasible (the fewest at N = 10^6), so the check is
-    # not empty, and the median interval is narrower than 2^-18 relative,
-    # twice its two 2^-20 margins: the pruning relies on this.
+    # not empty, and the median excess is below 2^-19 relative, twice the
+    # 2^-20 margin: the pruning relies on this.  The converged search
+    # takes at most 12 f-evaluations on every row.
     table = full_grid(size, kappa, n_rect)
     envelope = cst._k_envelope(table["theta"], kappa)
+    counts = _record_newton_counts(monkeypatch)
     for n in bnd.DEFAULT_TABLE_N + (10 ** 6,):
         for rows in (table, envelope):
-            lo, hi = bnd._b_intervals(n, kappa, rows)
+            hi = bnd._b_upper(n, kappa, rows)
             _, b = bnd._optimize_A_vec(n, kappa, rows)
             feasible = b > -np.inf
             assert feasible.mean() > 0.5
             assert ((hi > -np.inf) == feasible).all(), n
-            lo, b, hi = lo[feasible], b[feasible], hi[feasible]
-            assert (lo <= b).all() and (b <= hi).all(), n
-            assert np.median((hi - lo) / np.abs(b)) < 2.0 * 2.0 ** -19, n
+            b, hi = b[feasible], hi[feasible]
+            assert (b <= hi).all(), n
+            assert np.median((hi - b) / np.abs(b)) < 2.0 ** -19, n
+            assert counts[-1].size == b.size and counts[-1].max() <= 12, n
+
+
+def _per_N_searches(ns, kappa, table):
+    """_searches by one _optimize_A_vec call per N."""
+    rows = [{k: v if v.ndim == 1 else v[j] for k, v in table.items()}
+            for j in range(len(ns))]
+    a, b = zip(*(bnd._optimize_A_vec(n, kappa, t) for n, t in zip(ns, rows)))
+    return np.array(a), np.array(b)
 
 
 def test_batched_search_matches_per_N_calls():
     # A 51-row local grid whose low end, below theta = 0, holds copies of
     # its centre (exact ties), once for all N and once laid out one row per
     # N as in refinement: one call for N = 1 and one on the column of the
-    # other N give the bits of per-N _optimize_A_vec calls, and the
-    # two-level search the same bits on the rows it converges, among them
-    # every row of largest bound.
+    # other N give the bits of per-N _optimize_A_vec calls.
     ns = bnd.DEFAULT_TABLE_N
     thetas = 0.0012 + 1e-4 * np.arange(-25, 26)
     thetas = np.where(thetas > 0.0, thetas, 0.0012)
@@ -500,25 +516,18 @@ def test_batched_search_matches_per_N_calls():
     grid = {k: v.reshape(len(ns), -1)
             for k, v in cst._k_table(np.tile(thetas, len(ns))).items()}
     for table in (line, grid):
-        a_all, b_all = bnd._searches(ns, 0.125, table, bnd._optimize_A_vec)
-        a_two, b_two = bnd._searches(ns, 0.125, table, bnd._search)
-        for j, n in enumerate(ns):
-            a, b = bnd._optimize_A_vec(n, 0.125, line)
-            assert a_all[j].tobytes() == a.tobytes(), n
-            assert b_all[j].tobytes() == b.tobytes(), n
-            kept = b_two[j] > -np.inf
-            assert (b_two[j][kept] == b[kept]).all(), n
-            assert (a_two[j][kept] == a[kept]).all(), n
-            assert kept[b == b.max()].all(), n
+        for got, want in zip(bnd._searches(ns, 0.125, table),
+                             _per_N_searches(ns, 0.125, table)):
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("size", [2, 3])
-def test_tied_centre_copies_match_converging_every_row(size, monkeypatch):
+def test_tied_centre_copies_match_per_N_searches(size, monkeypatch):
     # At grid sizes 2 and 3 the local grids reach past (0, 1), so they hold
-    # copies of their centre: optimize_many reports what it reports when
-    # every exact row is converged.
+    # copies of their centre: optimize_many reports what it reports with
+    # one A-search call per N.
     reports = bnd.optimize_many(bnd.DEFAULT_TABLE_N, theta_grid_size=size)
-    monkeypatch.setattr(bnd, "_search", bnd._optimize_A_vec)
+    monkeypatch.setattr(bnd, "_searches", _per_N_searches)
     assert reports == bnd.optimize_many(bnd.DEFAULT_TABLE_N, theta_grid_size=size)
 
 
