@@ -217,9 +217,11 @@ def _single_certificate(ks, a):
 
 
 def _search_window(N, kappa: float, table: dict[str, np.ndarray]):
-    """(L, g(L), (g, dg/dln A) at _A_MAX, concave) per row: the A-search
-    window [L, _A_MAX], g at its ends, and where g is proven concave on it
-    (L < _A_MAX and, for N = 1, the single-L certificate; _optimize_A_vec)."""
+    """(single, L, g(L), (g, dg/dln A) at _A_MAX, concave, feasible) per
+    row: the formula (single-L for N = 1), the A-search window [L, _A_MAX],
+    g at its ends, where g is proven concave on it (L < _A_MAX and, for
+    N = 1, the single-L certificate), and where the row is feasible:
+    concave with g(L) > 0 > g(_A_MAX) (the proof is in _optimize_A_vec)."""
     single = np.ndim(N) == 0 and N == 1
     k1, _k2, k3, _k4, v5, _c2 = cst._unpack(table)
     q = (8.0 if single else 32.0 * N) * v5 ** 2
@@ -231,7 +233,7 @@ def _search_window(N, kappa: float, table: dict[str, np.ndarray]):
     concave = a_lo < _A_MAX
     if single:
         concave &= _single_certificate(table, a_lo)
-    return a_lo, g_lo, hi, concave
+    return single, a_lo, g_lo, hi, concave, concave & (g_lo > 0.0) & (hi[0] < 0.0)
 
 
 def _optimize_A_vec(N, kappa: float,
@@ -270,9 +272,7 @@ def _optimize_A_vec(N, kappa: float,
     maximum of b.  Safeguarded Newton finds it on g/A, which has the sign
     of g and is nearly linear at large A, started at _A_MAX.
     """
-    single = np.ndim(N) == 0 and N == 1
-    a_lo, g_lo, (g_hi, _), feasible = _search_window(N, kappa, table)
-    feasible &= (g_lo > 0.0) & (g_hi < 0.0)
+    single, a_lo, _, _, _, feasible = _search_window(N, kappa, table)
     ks = {k: np.broadcast_to(table[k], feasible.shape)[feasible]
           for k in ("k1", "k2", "k3", "k4", "c5", "c2")}
     n = np.broadcast_to(np.asarray(N, dtype=float), feasible.shape)[feasible]
@@ -290,13 +290,11 @@ def _optimize_A_vec(N, kappa: float,
     return a_out, b_out
 
 
-def _b_upper(N, kappa: float, table: dict[str, np.ndarray],
-            rising: bool = False) -> np.ndarray:
-    """An upper bound per row on the bound b* of _optimize_A_vec (same N
-    and table), -inf on the rows it finds infeasible, +inf where not
-    finite, from three Newton steps: no root is converged.  With rising
-    (the envelope), it is b(_A_MAX) where concave g is >= 0 at both
-    window ends: b rises.
+def _b_upper(N, kappa: float, table: dict[str, np.ndarray]) -> np.ndarray:
+    """An upper bound per row on the maximum of b over the window
+    [L, _A_MAX], +inf on every row where none is certified finite, from
+    three Newton steps: no root is converged.  On a feasible row that
+    maximum is the bound b* of _optimize_A_vec (same N and table).
 
     Proof.  On a feasible row g is concave on [L, _A_MAX], its one root
     A* is the last maximum of b, and b' = 2 pi g / A^4 (_optimize_A_vec).
@@ -307,15 +305,15 @@ def _b_upper(N, kappa: float, table: dict[str, np.ndarray],
     so b* - b(r) <= 2 pi (r - l') |g(r)| / l'^4.  Where g falls at l,
     0 <= g lies below its tangent at l on [l, A*], which is >= 0 up to
     its root t = l + g(l) l / |dg/dln A| >= A*, so b* - b(l) <=
-    2 pi int_[l, t] tangent / l^4 = pi g(l) (t - l) / l^4.  Rounding
-    moves the bound by a few ulps of b (g's sign is misjudged only within
-    rounding of A*, where b is flat): without its 2^-20 relative raise
+    2 pi int_[l, t] tangent / l^4 = pi g(l) (t - l) / l^4.  Where concave
+    g is >= 0 at both window ends it is >= 0 on the whole window, so b
+    rises and its maximum there is b(_A_MAX).  Rounding moves the bound
+    by a few ulps of b (g's sign is misjudged only within rounding of A*,
+    where b is flat): without its 2^-20 relative raise
     (constants._ENVELOPE_MARGIN), it fell up to 1e-15 below b*.
     """
-    single = np.ndim(N) == 0 and N == 1
-    l, g_l, (g, slope), concave = _search_window(N, kappa, table)
-    feasible = concave & (g_l > 0.0) & (g < 0.0)
-    rises = rising & concave & (g_l >= 0.0) & (g >= 0.0)
+    single, l, g_l, (g, slope), concave, feasible = _search_window(N, kappa, table)
+    rises = concave & (g_l >= 0.0) & (g >= 0.0)
     (x, r), g_r, s_l = np.full((2, *l.shape), _A_MAX), g.copy(), np.zeros(l.shape)
     with np.errstate(all="ignore"):                 # infeasible rows are dropped
         for _ in range(3):
@@ -332,7 +330,7 @@ def _b_upper(N, kappa: float, table: dict[str, np.ndarray],
         top = np.fmin(top, _bound_value(r, N, table, single) - (r - l) * TWO_PI * g_r / l ** 4)
         top = np.where(rises, _bound_value(_A_MAX, N, table, single), top)
         top += np.abs(top) * cst._ENVELOPE_MARGIN
-    return np.where(feasible | rises, np.where(np.isfinite(top), top, np.inf), -np.inf)
+    return np.where((feasible | rises) & np.isfinite(top), top, np.inf)
 
 
 def _searches(Ns, kappa: float, table: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -349,23 +347,13 @@ def _searches(Ns, kappa: float, table: dict[str, np.ndarray]) -> tuple[np.ndarra
     return a, b
 
 
-def _upper_bounds(Ns, kappa: float, thetas: np.ndarray,
-                  prime_cutoff: int) -> np.ndarray:
-    """U[j, i] >= the bound _optimize_A_vec(Ns[j]) finds on the exact
-    _k_table row at thetas[i], +inf where _b_upper proves no
-    maximum (the proof is in optimize_many)."""
-    envelope = cst._k_envelope(thetas, kappa, prime_cutoff)
-    upper = np.array([_b_upper(N, kappa, envelope, rising=True) for N in Ns])
-    upper[~(upper > -np.inf)] = np.inf
-    return upper
-
-
 def _contenders(Ns, kappa: float, thetas: np.ndarray, n_rect: int,
                 prime_cutoff: int) -> np.ndarray:
-    """Mask of the rows of thetas whose upper bound reaches best0 for some
-    N: steps 1 and 2 of optimize_many's pass 0, in a function of their own
-    so that U is freed before the exact call on those rows."""
-    upper = _upper_bounds(Ns, kappa, thetas, prime_cutoff)
+    """Mask of the rows of thetas whose upper bound U reaches best0 for
+    some N: steps 1 and 2 of optimize_many's pass 0, in a function of
+    their own so that U is freed before the exact call on those rows."""
+    envelope = cst._k_envelope(thetas, kappa, prime_cutoff)
+    upper = np.array([_b_upper(N, kappa, envelope) for N in Ns])
     seeds = sorted(set(np.argmax(np.where(upper < np.inf, upper, -np.inf), axis=1).tolist()))
     table = cst._k_table(thetas[seeds], kappa, n_rect, prime_cutoff=prime_cutoff)
     best0 = _searches(Ns, kappa, table)[1].max(axis=1)
@@ -397,24 +385,13 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
     theta, so the winner and the smaller-theta tie rule are exactly those
     of the whole grid.
 
-    The envelope.  Both quadratures are right sums over nodes
-    0 < u_k <= 1/kappa and c7 > 0 increases in u, so int v c7 <=
-    int c7 / kappa and int c7 >= I- = c7(0) / kappa, where c7(0) needs
-    only rho(theta).  Hence kappa P2 (A int c7 - int v c7) >=
-    kappa P2 (A - 1/kappa) I- for A > 1/kappa, which is that term of the
-    envelope row: K2 and K4 from I- (lowered by 2^-20 relative) and
-    I- / kappa, every other column exact.  So its c1- <= c1 there and
-    b <= b- pointwise (for N = 1, where b falls as sqrt(c1) grows, this
-    also needs c1- >= 0, which the envelope's own _single_certificate
-    gives on [L, inf)).  L = max(A_c, e^{1e-9} / kappa) depends only on
-    q, k1 and k3, so the exact and the envelope row share it, and the
-    exact A* lies in [L, _A_MAX].  Where g- is proven concave on
-    [L, _A_MAX] (_search_window), b- has its maximum there at its root,
-    or at _A_MAX where g- >= 0 at both ends and so on the whole window;
-    U is _b_upper's bound on it, raised by 2^-20 relative, so
-    b(A*) <= b-(A*) <= U.  U = +inf on every other row.  The two
-    2^-20 margins (constants._ENVELOPE_MARGIN) cover the rounding in
-    c7(0), the right sums and the A-searches many times over.
+    U.  The envelope row (constants._k_envelope, which proves this) has
+    c1- <= c1 on A > 1/kappa, so b <= b- pointwise (for N = 1, where b
+    falls as sqrt(c1) grows, this also needs c1- >= 0, which the
+    envelope's own _single_certificate gives on [L, inf)).  L depends
+    only on q, k1 and k3, so the exact and the envelope row share it, and
+    the exact A* lies in [L, _A_MAX].  U is _b_upper's bound on the
+    maximum of b- there, so b(A*) <= b-(A*) <= U.
 
     Each later pass refines every N on its own local grid: 51 points
     centred on its best theta so far, one grid cell either side at first
@@ -466,6 +443,7 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
 
 # ------------------------------------------------------------- asymptotics
 
+@cst._finite
 def asymptotic_constants(eps: float, kappa: float = 0.125,
                          prime_cutoff: int = PRIME_CUTOFF) -> AsymptoticSet:
     """The +/- constants of the large-N regime.
@@ -515,6 +493,7 @@ def asymptotic_constants(eps: float, kappa: float = 0.125,
                          c4_plus=c4p, k2_plus=k2p, k4_plus=k4p, n0=n0)
 
 
+@cst._finite
 def asymptotic_bound(N: float, eps: float, kappa: float = 0.125,
                      prime_cutoff: int = PRIME_CUTOFF) -> float:
     """The large-N lower bound at (N, eps); N must be finite and clear the

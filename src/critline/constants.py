@@ -28,8 +28,9 @@ are one-row calls into those kernels.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -56,8 +57,8 @@ _N_RECT_MAX = 10 ** 6
 N_MAX = 10 ** 100
 
 # Relative margin of the theta-grid envelope: _k_envelope lowers its
-# int c7, and bound.optimize_many raises the envelope's bounds, by this
-# much, far beyond the rounding in either.
+# int c7, and bound._b_upper raises its bounds, by this much, far beyond
+# the rounding in either.
 _ENVELOPE_MARGIN = 2.0 ** -20
 
 
@@ -133,6 +134,29 @@ def _check_A(A: float) -> float:
 def _check_kappa(kappa: float) -> None:
     if not 0.0 < kappa <= 0.125:
         raise DomainError(f"kappa must lie in (0, 1/8], got {kappa!r}")
+
+
+def _finite(func):
+    """func, raising DomainError, with no numpy warning, where an operation
+    overflows or divides by zero, or where its value, or a field of it,
+    is not finite; the message names the call and the fields.  Such
+    arguments lie beyond the range of doubles."""
+    @functools.wraps(func)
+    def checked(*args, **kwargs):
+        def refused(what):
+            call = ", ".join([repr(a) for a in args] + [f"{k}={v!r}" for k, v in kwargs.items()])
+            return DomainError(f"{func.__name__}({call}) {what}")
+        try:
+            with np.errstate(all="ignore"):
+                value = func(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise refused(f"leaves the doubles: {exc}") from exc
+        named = asdict(value) if is_dataclass(value) else {"value": value}
+        bad = [name for name, v in named.items() if not math.isfinite(v)]
+        if bad:
+            raise refused(f"is not finite in {', '.join(bad)}")
+        return value
+    return checked
 
 
 # ------------------------------------------------- formula kernels (array-ok)
@@ -293,6 +317,7 @@ def integrate_c7(theta: float, kappa: float = 0.125,
     return ks.int_c7, ks.int_vc7, ks.quad_bracket
 
 
+@_finite
 def k_constants(theta: float, kappa: float = 0.125, n_rect: int = 100,
                 prime_cutoff: int = PRIME_CUTOFF) -> ConstantSet:
     """Assemble the four K constants and their ingredients at (theta, kappa).
@@ -303,10 +328,7 @@ def k_constants(theta: float, kappa: float = 0.125, n_rect: int = 100,
     _check_theta(theta)
     row = _k_table(np.array([float(theta)]), kappa, n_rect,
                    prime_cutoff=prime_cutoff)
-    ks = ConstantSet(**{f.name: float(row[f.name][0]) for f in fields(ConstantSet)})
-    if not math.isfinite(ks.c3):
-        raise OverflowError(f"c3 overflows at theta={theta} (diverges as theta -> 1)")
-    return ks
+    return ConstantSet(**{f.name: float(row[f.name][0]) for f in fields(ConstantSet)})
 
 
 def _block_bytes(points: int) -> int:

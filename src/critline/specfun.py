@@ -530,8 +530,8 @@ def delta_r(x: float, r: int) -> complex:
     if r not in (1, 2, 3):
         raise DomainError(f"delta_r needs r in {{1,2,3}}, got {r!r}")
     x = float(x)
-    if x < 0.0:
-        raise DomainError(f"delta_r needs X >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"delta_r needs finite X >= 0, got {x}")
     if x == 0.0:
         if r == 1:
             raise DomainError("Delta_1 diverges at X = 0")

@@ -192,13 +192,13 @@ def test_envelope_bounds_every_exact_row(size, kappa, n_rect, full_grid):
     table = full_grid(size, kappa, n_rect)
     envelope = cst._k_envelope(table["theta"], kappa)
     ns = bnd.DEFAULT_TABLE_N + (10 ** 6,)
-    upper = bnd._upper_bounds(ns, kappa, table["theta"], cst.PRIME_CUTOFF)
-    for n, u in zip(ns, upper):
+    for n in ns:
+        u = bnd._b_upper(n, kappa, envelope)
         _, b = bnd._optimize_A_vec(n, kappa, table)
         assert (b <= u).all(), n
         assert np.isfinite(u).mean() > 0.9
         rows = np.isfinite(u)
-        a_lo = bnd._search_window(n, kappa, envelope)[0][rows]
+        a_lo = bnd._search_window(n, kappa, envelope)[1][rows]
         a = np.exp(np.linspace(np.log(a_lo), math.log(bnd._A_MAX), 40)).T
         b_env = bnd._bound_value(a, n, {k: v[rows, None] for k, v in envelope.items()},
                                  n == 1)
@@ -444,7 +444,7 @@ def test_a_search_evaluation_counts_on_table_grid(monkeypatch, full_grid):
     monkeypatch.setattr(bnd, "_stationarity", spy)
     for n in bnd.DEFAULT_TABLE_N:
         sizes.clear()
-        assert np.count_nonzero(bnd._b_upper(n, 0.125, table) > -np.inf) > 9000
+        assert np.count_nonzero(np.isfinite(bnd._b_upper(n, 0.125, table))) > 9000
         assert sizes == [table["theta"].size, 1] + [table["theta"].size] * 3
     monkeypatch.undo()
     # The converged search runs on the exact rows only: at most 13 000
@@ -474,12 +474,13 @@ def _record_newton_counts(monkeypatch):
 @pytest.mark.parametrize("size, kappa, n_rect", GRIDS)
 def test_upper_bound_holds_converged_bound(size, kappa, n_rect, full_grid, monkeypatch):
     # On exact and on envelope rows, for every table N and N = 10^6,
-    # _b_upper finds the same rows feasible as the converged search, and
-    # bounds each feasible row's converged bound from above.  At least 59 %
-    # of the rows are feasible (the fewest at N = 10^6), so the check is
-    # not empty, and the median excess is below 2^-19 relative, twice the
-    # 2^-20 margin: the pruning relies on this.  The converged search
-    # takes at most 12 f-evaluations on every row.
+    # _b_upper is finite on every row the converged search finds feasible,
+    # and elsewhere only where g >= 0 at both ends of a concave window (b
+    # rises), and bounds each feasible row's converged bound from above.
+    # At least 59 % of the rows are feasible (the fewest at N = 10^6), so
+    # the check is not empty, and the median excess is below 2^-19
+    # relative, twice the 2^-20 margin: the pruning relies on this.  The
+    # converged search takes at most 12 f-evaluations on every row.
     table = full_grid(size, kappa, n_rect)
     envelope = cst._k_envelope(table["theta"], kappa)
     counts = _record_newton_counts(monkeypatch)
@@ -489,7 +490,10 @@ def test_upper_bound_holds_converged_bound(size, kappa, n_rect, full_grid, monke
             _, b = bnd._optimize_A_vec(n, kappa, rows)
             feasible = b > -np.inf
             assert feasible.mean() > 0.5
-            assert ((hi > -np.inf) == feasible).all(), n
+            _, _, g_lo, (g_hi, _), concave, _ = bnd._search_window(n, kappa, rows)
+            rising = concave & (g_lo >= 0.0) & (g_hi >= 0.0)
+            assert np.isfinite(hi[feasible]).all(), n
+            assert rising[np.isfinite(hi) & ~feasible].all(), n
             b, hi = b[feasible], hi[feasible]
             assert (b <= hi).all(), n
             assert np.median((hi - b) / np.abs(b)) < 2.0 ** -19, n
@@ -579,6 +583,8 @@ def test_asymptotic_ordering_and_domain():
         bnd.asymptotic_constants(0.5)
     with pytest.raises(DomainError):
         bnd.asymptotic_constants(0.0)
+    with pytest.raises(DomainError, match="asymptotic_constants"):
+        bnd.asymptotic_constants(0.01, kappa=1e-150)     # lambda-^3 overflows
 
 
 def test_asymptotic_leading_coefficient_decreasing_in_eps():

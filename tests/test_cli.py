@@ -278,10 +278,17 @@ def test_domain_error_exit_3(capsys):
     ["constants", "--theta", "0.011", "--A", "inf"],
     ["asymptotic", "--N", "nan", "--eps", "0.01"],
     ["asymptotic", "--N", "inf", "--eps", "0.01"],
-], ids=["A_0", "A_half", "A_nan", "A_inf", "N_nan", "N_inf"])
+    ["constants", "--theta", "1e-170"],
+    ["constants", "--theta", "0.9", "--kappa", "1e-305"],
+    ["asymptotic", "--N", "1e20", "--eps", "1e-120"],
+    ["asymptotic", "--N", "1e20", "--eps", "0.01", "--kappa", "1e-200"],
+], ids=["A_0", "A_half", "A_nan", "A_inf", "N_nan", "N_inf", "c2_inf", "c3_inf",
+        "eps_cubed_0", "kappa_squared_0"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_domain_flag_exit_3(capsys, argv):
-    # c1 needs 1 < A < inf, the asymptotic bound a finite N: no traceback,
-    # no NaN record (not valid JSON) and no negative c1
+    # c1 needs 1 < A < inf, the asymptotic bound a finite N, and every
+    # constant must be a finite double: no traceback, no numpy warning, no
+    # NaN or Infinity in a record (not valid JSON) and no negative c1
     code, out, err = _run(capsys, argv)
     assert (code, out) == (3, "")
     assert json.loads(err)["error"] == "DomainError"
@@ -363,10 +370,12 @@ GOLDEN_STDOUT = {
 
 
 @pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_golden_stdout(capsys, command):
+    # A numpy RuntimeWarning would raise here, and stderr stays empty.
     argv = command.split()
     if argv[0] == "table":
         argv = ["table", "--format", argv[1]]
-    code, out, _ = _run(capsys, argv)
-    assert code == 0
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]

@@ -308,6 +308,9 @@ def test_delta_r_domain():
         specfun.delta_r(-1.0, 2)
     with pytest.raises(DomainError):
         specfun.delta_r(1.0, 4)
+    for x, r in ((math.nan, 2), (math.inf, 1)):
+        with pytest.raises(DomainError):
+            specfun.delta_r(x, r)
 
 
 def test_delta_3_is_integral_of_delta_2():
