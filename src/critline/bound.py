@@ -497,11 +497,14 @@ def asymptotic_constants(eps: float, kappa: float = 0.125,
 def asymptotic_bound(N: float, eps: float, kappa: float = 0.125,
                      prime_cutoff: int = PRIME_CUTOFF) -> float:
     """The large-N lower bound at (N, eps); N must be finite and clear the
-    N0 threshold."""
+    threshold N0/eps^3, and eps^3 must be a normal double."""
     n = float(N)
     if not math.isfinite(n):
         raise DomainError(f"asymptotic_bound needs a finite N, got {n}")
     ac = asymptotic_constants(eps, kappa, prime_cutoff)
+    if eps ** 3 < sys.float_info.min:
+        raise DomainError(f"eps^3 = {eps ** 3:g} leaves the normal doubles at "
+                          f"eps = {eps!r}, so the threshold N0/eps^3 cannot be formed")
     threshold = max(3.0, ac.n0 / eps ** 3)
     if n < threshold:
         raise PreconditionError(

@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import List, Optional
 
 from . import bound as bnd
 from . import constants as cst
 from . import mollifier as mo
-from .errors import CritlineError, OptimizerError
+from .errors import CritlineError, DomainError, OptimizerError
 
 # ----------------------------------------------------------------- emitters
 
@@ -70,6 +71,11 @@ def _run_constants(args: argparse.Namespace) -> str:
     if args.A is not None:
         result["c1"] = cst.c1_from_set(args.A, ks)
         result["c1_prime"] = cst.c1_prime_from_set(args.A, ks)
+        bad = [key for key in ("c1", "c1_prime")
+               if not math.isfinite(result[key])]
+        if bad:
+            raise DomainError(f"{', '.join(bad)} at A = {args.A!r} "
+                              "is not finite")
     return _emit({"params": _echo(args), "constants": result},
                  args.output_format)
 

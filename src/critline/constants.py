@@ -439,6 +439,7 @@ def _columns(thetas, kappa, rho, int_c7, int_vc7, p1, p2) -> dict[str, np.ndarra
             "int_c7": int_c7, "int_vc7": int_vc7}
 
 
+@_finite
 def c1(A: float, theta: float, kappa: float = 0.125, n_rect: int = 100) -> float:
     """8 c5^2 (K1 A ln A + K2 A + K3 ln A + K4), natural log, A > 1."""
     A = _check_A(A)

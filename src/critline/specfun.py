@@ -10,8 +10,9 @@ composite-Simpson rule they and the mollifier windows integrate with.
 
 All operations are pure; the only module state is two bounded caches,
 one of read-only prime arrays and one of Euler products, the
-precomputed Bernoulli and Riemann-Siegel coefficient tables, and
-Gamma(1/4)/Gamma(3/4), computed once at import.
+precomputed Bernoulli and Riemann-Siegel coefficient tables, the stored
+Euler products at the default cutoff, and Gamma(1/4)/Gamma(3/4),
+computed once at import.
 """
 
 from __future__ import annotations
@@ -55,15 +56,17 @@ def primes_up_to(cutoff: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _sieve(cutoff: int) -> np.ndarray:
+    # Odd-only sieve: entry i stands for 2i + 1, and an odd prime p strikes
+    # its odd multiples from p^2 on, every p-th entry.
     if cutoff < 2:
         ps = np.empty(0, dtype=np.int64)
     else:
-        sieve = np.ones(cutoff + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, int(math.isqrt(cutoff)) + 1):
-            if sieve[p]:
-                sieve[p * p::p] = False
-        ps = np.nonzero(sieve)[0].astype(np.int64)
+        odd = np.ones((cutoff + 1) // 2, dtype=bool)
+        odd[0] = False
+        for i in range(1, (math.isqrt(cutoff) - 1) // 2 + 1):
+            if odd[i]:
+                odd[2 * i * (i + 1)::2 * i + 1] = False
+        ps = np.concatenate(([2], 2 * np.flatnonzero(odd) + 1)).astype(np.int64)
     ps.setflags(write=False)
     return ps
 
@@ -202,6 +205,21 @@ def _p2_term(p: np.ndarray) -> np.ndarray:
     return num / ((p - 1.0) ** 5 * p * (p + 1.0))
 
 
+_TERMS = {"P1": _p1_term, "P2": _p2_term}
+
+# P1 and P2 at PRIME_CUTOFF, the exact bits _sieved_value computes there;
+# tests/test_specfun.py regenerates them.
+_DEFAULT_VALUES = {"P1": float.fromhex("0x1.715faa2466c64p+3"),
+                   "P2": float.fromhex("0x1.3f8b635b6f3afp+6")}
+
+
+def _sieved_value(kind: str, cutoff: int) -> float:
+    """prod over the sieved primes p <= cutoff of 1 + term(p), as exp of
+    the sum of the log1p terms."""
+    terms = _TERMS[kind](primes_up_to(cutoff))
+    return float(np.exp(np.sum(np.log1p(terms))))
+
+
 @lru_cache(maxsize=64)
 def euler_product(kind: str, cutoff: int = PRIME_CUTOFF) -> EulerProductValue:
     """Truncated Euler product P1 or P2 over primes p <= cutoff.
@@ -209,20 +227,26 @@ def euler_product(kind: str, cutoff: int = PRIME_CUTOFF) -> EulerProductValue:
     P1 = prod_p (1 + (3p^2-3p+1)/(p^4-3p^3+3p^2-p))
     P2 = prod_p (1 + (5p^5-6p^4+5p^2-4p+1)/((p-1)^5 p (p+1)))
 
+    At cutoff = PRIME_CUTOFF the value is a stored literal, the bits the
+    sieve path computes there (the tests regenerate it), so the default
+    chain never sieves; every other cutoff is sieved.
+
     The tail bound: g(x) = x^2 term(x) decreases on x > 1 for both kinds
     (checked symbolically; limits 3 and 5), so term(p) <= g(P+1)/p^2 for
     every prime p > P = cutoff, and sum_{n>P} 1/n^2 <= 1/P gives
     sum_{p>P} term(p) <= g(P+1)/P.
     """
-    if kind not in ("P1", "P2"):
+    if kind not in _TERMS:
         raise DomainError(f"unknown Euler product kind {kind!r}")
     cutoff = int(cutoff)
     if cutoff < 2:
         raise DomainError(f"euler_product needs cutoff >= 2, got {cutoff}")
-    term = _p1_term if kind == "P1" else _p2_term
-    value = float(np.exp(np.sum(np.log1p(term(primes_up_to(cutoff))))))
+    if cutoff == PRIME_CUTOFF:
+        value = _DEFAULT_VALUES[kind]
+    else:
+        value = _sieved_value(kind, cutoff)
     x = cutoff + 1.0
-    tail = x * x * float(term(np.array([x]))[0]) / cutoff
+    tail = x * x * float(_TERMS[kind](np.array([x]))[0]) / cutoff
     return EulerProductValue(kind=kind, value=value, cutoff=cutoff,
                              tail_bound=tail)
 
@@ -507,10 +531,17 @@ def _simpson(lo, hi, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return u, w * ((hi - lo) / (3.0 * n))
 
 
+# _DELTA_X_MAX is the largest X whose X^{9/8} Simpson step count stays below
+# _DELTA_STEPS_MAX = 2^20; delta_r refuses any larger X, and
+# tests/test_specfun.py checks that the next double up reaches 2^20.
+_DELTA_STEPS_MAX = 1 << 20
+_DELTA_X_MAX = 590.363591762969
+
+
 def _delta_steps(x: float) -> int:
     # Simpson step count for the oscillatory integrand on [0, sqrt(X)];
     # worst-case fourth derivative grows like X^4, so scale like X^{9/8}.
-    return min(max(128, int(800.0 * x ** 1.125) + 1), 1 << 20)
+    return max(128, int(800.0 * x ** 1.125) + 1)
 
 
 def delta_r(x: float, r: int) -> complex:
@@ -526,12 +557,18 @@ def delta_r(x: float, r: int) -> complex:
         Delta_1(X) = -2 X^{-1/2}     + int_0^{sqrt X} 2 (e^{-iu^2}-1)/u^2 du
         Delta_2(X) = -4 sqrt(X)      + int_0^{sqrt X} 2 (X-u^2)(e^{-iu^2}-1)/u^2 du
         Delta_3(X) = -(8/3) X^{3/2}  + int_0^{sqrt X} (X-u^2)^2 (e^{-iu^2}-1)/u^2 du
+
+    X must lie in [0, 590.36...]: above it the X^{9/8} Simpson step rule
+    would need 2^20 steps or more.
     """
     if r not in (1, 2, 3):
         raise DomainError(f"delta_r needs r in {{1,2,3}}, got {r!r}")
     x = float(x)
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"delta_r needs finite X >= 0, got {x}")
+    if not 0.0 <= x <= _DELTA_X_MAX:
+        raise DomainError(
+            f"delta_r needs 0 <= X <= {_DELTA_X_MAX!r}, above which its "
+            f"X^(9/8) rule takes {_DELTA_STEPS_MAX} Simpson steps or more; "
+            f"got {x}")
     if x == 0.0:
         if r == 1:
             raise DomainError("Delta_1 diverges at X = 0")

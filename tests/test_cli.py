@@ -9,6 +9,7 @@ import pytest
 from critline import cli
 from critline import constants as cst
 from critline import mollifier as mo
+from critline import specfun
 from critline.errors import OptimizerError
 
 from reference_values import REFERENCE_TABLE
@@ -281,9 +282,11 @@ def test_domain_error_exit_3(capsys):
     ["constants", "--theta", "1e-170"],
     ["constants", "--theta", "0.9", "--kappa", "1e-305"],
     ["asymptotic", "--N", "1e20", "--eps", "1e-120"],
+    ["asymptotic", "--N", "1e20", "--eps", "1e-105"],
     ["asymptotic", "--N", "1e20", "--eps", "0.01", "--kappa", "1e-200"],
+    ["constants", "--theta", "0.011", "--A", "1e308"],
 ], ids=["A_0", "A_half", "A_nan", "A_inf", "N_nan", "N_inf", "c2_inf", "c3_inf",
-        "eps_cubed_0", "kappa_squared_0"])
+        "eps_cubed_0", "eps_cubed_subnormal", "kappa_squared_0", "c1_inf"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_domain_flag_exit_3(capsys, argv):
     # c1 needs 1 < A < inf, the asymptotic bound a finite N, and every
@@ -292,6 +295,36 @@ def test_out_of_domain_flag_exit_3(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert (code, out) == (3, "")
     assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["asymptotic", "--N", "1e20", "--eps", "1e-120"], "eps^3 = 0 leaves the normal"),
+    (["asymptotic", "--N", "1e20", "--eps", "1e-105"], "eps^3 = 1e-315 leaves the normal"),
+    (["constants", "--theta", "0.011", "--A", "1e308"], "c1 at A = 1e+308"),
+], ids=["eps_cubed_0", "eps_cubed_subnormal", "c1_inf"])
+def test_out_of_domain_message_names_cause(capsys, argv, names):
+    # an eps^3 that is 0 or subnormal is one cause with one message, and a
+    # non-finite c1 or c1' is named
+    _, _, err = _run(capsys, argv)
+    assert names in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--theta", "0.011", "--A", "29056699.107509706"],
+    ["asymptotic", "--N", "1e20", "--eps", "0.01"],
+    ["optimize", "--N", "2", "--theta-grid", "50"],
+], ids=["constants", "asymptotic", "optimize"])
+def test_default_cutoff_never_sieves(capsys, argv):
+    # the default-cutoff Euler products are stored literals: a cold
+    # invocation at the default cutoff runs no prime sieve, one with
+    # --prime-cutoff does
+    for cutoff, sieved in ((None, False), ("1000", True)):
+        specfun._sieve.cache_clear()
+        specfun.euler_product.cache_clear()
+        extra = [] if cutoff is None else ["--prime-cutoff", cutoff]
+        code, _, _ = _run(capsys, argv + extra)
+        assert code == 0
+        assert (specfun._sieve.cache_info().misses > 0) == sieved
 
 
 @pytest.mark.parametrize("argv", [

@@ -130,6 +130,12 @@ def test_c1_needs_finite_A_above_one(A):
         cst.c1(A, 0.011)
 
 
+def test_c1_refuses_non_finite_value():
+    # A is finite, but 8 c5^2 K1 A ln A overflows at A = 1e308
+    with pytest.raises(DomainError, match=r"c1\(1e\+308, 0.011\) is not finite"):
+        cst.c1(1e308, 0.011)
+
+
 def test_c1_growth_dominated_by_A_logA():
     # the A(K1 ln A + K2) part dwarfs the K3 ln A + K4 remainder
     ks = cst.k_constants(CHAIN_THETA, CHAIN_KAPPA)

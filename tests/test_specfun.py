@@ -1,5 +1,7 @@
 """Special-function layer: primes, tau_z, Euler products, zeta, Delta_r."""
 
+import bisect
+import cmath
 import math
 
 import mpmath as mp
@@ -30,6 +32,21 @@ def test_primes_cached_array_is_readonly():
     with pytest.raises(ValueError):
         arr[0] = 9
     assert specfun._sieve.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("cutoffs", [range(2, 201), (999_983, 10 ** 6,
+                                                      1_000_003)],
+                         ids=["2-200", "near-1e6"])
+def test_odd_only_sieve_matches_sympy(cutoffs):
+    # the odd-only sieve gives the same read-only int64 primes as sympy;
+    # extending sympy's sieve first keeps primerange fast
+    sp.sieve.extend(max(cutoffs))
+    for cutoff in cutoffs:
+        ps = specfun._sieve(cutoff)
+        assert ps.dtype == np.int64 and not ps.flags.writeable
+        assert ps.tolist() == list(sp.primerange(2, cutoff + 1))
+    if 10 ** 6 in cutoffs:
+        assert specfun._sieve(10 ** 6).size == 78_498
 
 
 # -------------------------------------------------------------------- tau_z
@@ -231,6 +248,46 @@ def test_euler_product_frozen_values():
         EULER_P2, rel=1e-13)
 
 
+def test_euler_product_literals_regenerate():
+    # the stored default-cutoff values are the sieve path's bits exactly
+    for kind in ("P1", "P2"):
+        sieved = specfun._sieved_value(kind, specfun.PRIME_CUTOFF)
+        stored = specfun._DEFAULT_VALUES[kind]
+        assert stored.hex() == sieved.hex()
+        assert specfun.euler_product(kind).value.hex() == sieved.hex()
+
+
+_EULER_TERM = {
+    "P1": lambda p: (3 * p * p - 3 * p + 1, p * (p - 1) ** 3),
+    "P2": lambda p: (5 * p ** 5 - 6 * p ** 4 + 5 * p * p - 4 * p + 1,
+                     (p - 1) ** 5 * p * (p + 1)),
+}
+
+
+def test_euler_product_literals_against_oracle():
+    """Each stored product is within 1e-14 relative of an independent sum.
+
+    The oracle sums exact log1p terms at 25 digits for p <= 10^4 and the
+    math.fsum of correctly rounded float log1p terms above (a 25-digit
+    sum throughout takes seconds).  Both literals lie below it, P1 by
+    8.7e-16 and P2 by 1.2e-15 relative, the rounding of the sieve path's
+    float log1p sum and exp.  That gap is open under ROADMAP item 3
+    (every truncated input at its pessimistic end); this test only
+    bounds it.
+    """
+    ps = specfun.primes_up_to(specfun.PRIME_CUTOFF).tolist()
+    split = bisect.bisect_right(ps, 10 ** 4)
+    for kind, term in _EULER_TERM.items():
+        with mp.workdps(25):
+            head = mp.fsum(mp.log1p(mp.mpf(num) / den)
+                           for num, den in map(term, ps[:split]))
+            tail = math.fsum(math.log1p(num / den)
+                             for num, den in map(term, ps[split:]))
+            oracle = mp.exp(head + tail)
+            gap = float((specfun._DEFAULT_VALUES[kind] - oracle) / oracle)
+        assert abs(gap) < 1e-14, (kind, gap)
+
+
 def test_euler_product_record_fields():
     rec = specfun.euler_product("P2", 10 ** 4)
     assert rec.kind == "P2"
@@ -311,6 +368,18 @@ def test_delta_r_domain():
     for x, r in ((math.nan, 2), (math.inf, 1)):
         with pytest.raises(DomainError):
             specfun.delta_r(x, r)
+
+
+def test_delta_r_refuses_beyond_step_rule():
+    # _DELTA_X_MAX is the largest X whose step count is below the cap
+    x_max = specfun._DELTA_X_MAX
+    above = math.nextafter(x_max, math.inf)
+    assert specfun._delta_steps(x_max) < specfun._DELTA_STEPS_MAX
+    assert specfun._delta_steps(above) >= specfun._DELTA_STEPS_MAX
+    assert cmath.isfinite(specfun.delta_r(x_max, 1))
+    for x in (above, 1e300):
+        with pytest.raises(DomainError, match="590.36"):
+            specfun.delta_r(x, 2)
 
 
 def test_delta_3_is_integral_of_delta_2():
