@@ -9,11 +9,12 @@ L-functions is bounded below by
 for any A > 1/kappa.  The optimizer locates the stationary A of the
 chosen formula from the analytic derivative, sweeps a theta grid, and
 reports the best (A*, theta*).  The sweep bounds every grid row from
-above with a certified envelope that needs only rho(theta), and runs the
-exact constant chain only on the rows whose bound can still win, so its
-winner is exactly that of the whole grid.  optimize_many does this for
-several N at once, two constant-chain calls for the grid and one per
-refinement pass for all of them, and optimize is its one-element case.
+above with a certified envelope, exact only at the left end of each
+block of rows, and runs the exact constant chain only on the rows whose
+bound can still win, so its winner is exactly that of the whole grid.
+optimize_many does this for several N at once, two constant-chain calls
+for the grid and one per refinement pass for all of them, and optimize
+is its one-element case.
 For every N the stationary A is a certified root of a function proven
 concave beyond an explicit threshold, found by Newton; on the envelope
 rows three Newton steps bracket it, which bounds the row's maximum from
@@ -216,6 +217,7 @@ def _single_certificate(ks, a):
             & (tail < 5.0 * k1 * k1 * k1 * (1.0 - 2.0 ** -20)))
 
 
+@np.errstate(all="ignore")
 def _search_window(N, kappa: float, table: dict[str, np.ndarray]):
     """(single, L, g(L), (g, dg/dln A) at _A_MAX, concave, feasible) per
     row: the formula (single-L for N = 1), the A-search window [L, _A_MAX],
@@ -227,15 +229,15 @@ def _search_window(N, kappa: float, table: dict[str, np.ndarray]):
     q = (8.0 if single else 32.0 * N) * v5 ** 2
     a_lo = np.maximum(_concavity_threshold(q, k1, k3),
                       math.exp(math.log(1.0 / kappa) + 1e-9))
-    with np.errstate(invalid="ignore"):
-        g_lo = _stationarity(a_lo, N, table, single)[0]
-        hi = _stationarity(_A_MAX, N, table, single)
+    g_lo = _stationarity(a_lo, N, table, single)[0]
+    hi = _stationarity(_A_MAX, N, table, single)
     concave = a_lo < _A_MAX
     if single:
         concave &= _single_certificate(table, a_lo)
     return single, a_lo, g_lo, hi, concave, concave & (g_lo > 0.0) & (hi[0] < 0.0)
 
 
+@np.errstate(all="ignore")
 def _optimize_A_vec(N, kappa: float,
                     table: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized stationary-A search across the whole theta grid.
@@ -271,6 +273,8 @@ def _optimize_A_vec(N, kappa: float,
     one root there, and since b' has the sign of g, that root is the last
     maximum of b.  Safeguarded Newton finds it on g/A, which has the sign
     of g and is nearly linear at large A, started at _A_MAX.
+    With numpy's warnings off, a NaN or infinity (at a tiny kappa) fails
+    every comparison and so only drops its row.
     """
     single, a_lo, _, _, _, feasible = _search_window(N, kappa, table)
     ks = {k: np.broadcast_to(table[k], feasible.shape)[feasible]
@@ -284,12 +288,12 @@ def _optimize_A_vec(N, kappa: float,
     a_out = np.full(feasible.shape, np.nan)
     a_out[feasible], _ = roots._newton_vec(neg_h, a_lo[feasible], _A_MAX,
                                            np.full(np.count_nonzero(feasible), _A_MAX))
-    with np.errstate(invalid="ignore", over="ignore"):
-        b_out = _bound_value(a_out, N, table, single)
+    b_out = _bound_value(a_out, N, table, single)
     b_out[~np.isfinite(b_out)] = -np.inf
     return a_out, b_out
 
 
+@np.errstate(all="ignore")                          # as in _optimize_A_vec
 def _b_upper(N, kappa: float, table: dict[str, np.ndarray]) -> np.ndarray:
     """An upper bound per row on the maximum of b over the window
     [L, _A_MAX], +inf on every row where none is certified finite, from
@@ -315,21 +319,20 @@ def _b_upper(N, kappa: float, table: dict[str, np.ndarray]) -> np.ndarray:
     single, l, g_l, (g, slope), concave, feasible = _search_window(N, kappa, table)
     rises = concave & (g_l >= 0.0) & (g >= 0.0)
     (x, r), g_r, s_l = np.full((2, *l.shape), _A_MAX), g.copy(), np.zeros(l.shape)
-    with np.errstate(all="ignore"):                 # infeasible rows are dropped
-        for _ in range(3):
-            x += x * g / (g - slope)                # Newton on -g/A
-            np.copyto(x, 0.5 * (l + r), where=~((x > l) & (x < r)))
-            g, slope = _stationarity(x, N, table, single)
-            left = g >= 0.0
-            for dst, src, at in ((l, x, left), (g_l, g, left), (s_l, slope, left),
-                                 (r, x, ~left), (g_r, g, ~left)):
-                np.copyto(dst, src, where=at)
-        top = _bound_value(l, N, table, single) + np.where(
-            s_l < 0.0, np.pi * g_l * g_l / (-s_l * l ** 3), np.inf)
-        l = np.maximum(l, l + g_l * (r - l) / (g_l - g_r))
-        top = np.fmin(top, _bound_value(r, N, table, single) - (r - l) * TWO_PI * g_r / l ** 4)
-        top = np.where(rises, _bound_value(_A_MAX, N, table, single), top)
-        top += np.abs(top) * cst._ENVELOPE_MARGIN
+    for _ in range(3):
+        x += x * g / (g - slope)                # Newton on -g/A
+        np.copyto(x, 0.5 * (l + r), where=~((x > l) & (x < r)))
+        g, slope = _stationarity(x, N, table, single)
+        left = g >= 0.0
+        for dst, src, at in ((l, x, left), (g_l, g, left), (s_l, slope, left),
+                             (r, x, ~left), (g_r, g, ~left)):
+            np.copyto(dst, src, where=at)
+    top = _bound_value(l, N, table, single) + np.where(
+        s_l < 0.0, np.pi * g_l * g_l / (-s_l * l ** 3), np.inf)
+    l = np.maximum(l, l + g_l * (r - l) / (g_l - g_r))
+    top = np.fmin(top, _bound_value(r, N, table, single) - (r - l) * TWO_PI * g_r / l ** 4)
+    top = np.where(rises, _bound_value(_A_MAX, N, table, single), top)
+    top += np.abs(top) * cst._ENVELOPE_MARGIN
     return np.where((feasible | rises) & np.isfinite(top), top, np.inf)
 
 
@@ -347,19 +350,6 @@ def _searches(Ns, kappa: float, table: dict[str, np.ndarray]) -> tuple[np.ndarra
     return a, b
 
 
-def _contenders(Ns, kappa: float, thetas: np.ndarray, n_rect: int,
-                prime_cutoff: int) -> np.ndarray:
-    """Mask of the rows of thetas whose upper bound U reaches best0 for
-    some N: steps 1 and 2 of optimize_many's pass 0, in a function of
-    their own so that U is freed before the exact call on those rows."""
-    envelope = cst._k_envelope(thetas, kappa, prime_cutoff)
-    upper = np.array([_b_upper(N, kappa, envelope) for N in Ns])
-    seeds = sorted(set(np.argmax(np.where(upper < np.inf, upper, -np.inf), axis=1).tolist()))
-    table = cst._k_table(thetas[seeds], kappa, n_rect, prime_cutoff=prime_cutoff)
-    best0 = _searches(Ns, kappa, table)[1].max(axis=1)
-    return (upper >= best0[:, None]).any(axis=0)
-
-
 def optimize(N: int, kappa: float = 0.125, theta_grid_size: int = 10000,
              n_rect: int = 100, prime_cutoff: int = PRIME_CUTOFF) -> BoundReport:
     """Sweep the theta grid, optimize A at each point, return the best:
@@ -373,25 +363,23 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
 
     Pass 0 finds each N's best row of the theta grid k / theta_grid_size
     by branch and bound, running the exact constant chain only on the
-    rows that can still win:
-      1. An upper bound U[N, row] on every row, from the A-search on
-         constants._k_envelope, which needs only rho(theta) (below).
-      2. One _k_table call on the rows of largest finite U[N] (at most
-         len(Ns)) gives best0[N], the best exact bound among them.
-      3. One _k_table call on the rows, ascending, with U >= best0 for
-         some N; each N's A-search runs on all of them.
-    A row left out has b <= U < best0 <= the best row kept, for every N,
-    and each _k_table row and A-search element depends only on its own
-    theta, so the winner and the smaller-theta tie rule are exactly those
-    of the whole grid.
+    rows that can still win.  constants._k_blocks runs it on the left end
+    of every block of rows, whose best exact bound is best0[N], and gives
+    every row a floor; _b_upper on the floor bounds every row by U[N, row]
+    (below); one _k_table call runs on the rows, ascending, with
+    U >= best0 for some N, and each N's A-search on all of them.  A row
+    left out has b <= U < best0 <= the best row kept, for every N, and
+    each _k_table row and A-search element depends only on its own theta,
+    so the winner and the smaller-theta tie rule are those of the whole
+    grid.
 
-    U.  The envelope row (constants._k_envelope, which proves this) has
+    U.  The floor row (constants._k_blocks, which proves this) has
     c1- <= c1 on A > 1/kappa, so b <= b- pointwise (for N = 1, where b
-    falls as sqrt(c1) grows, this also needs c1- >= 0, which the
-    envelope's own _single_certificate gives on [L, inf)).  L depends
-    only on q, k1 and k3, so the exact and the envelope row share it, and
-    the exact A* lies in [L, _A_MAX].  U is _b_upper's bound on the
-    maximum of b- there, so b(A*) <= b-(A*) <= U.
+    falls as sqrt(c1) grows, this also needs c1- >= 0, which the floor's
+    own _single_certificate gives on [L, inf)).  L depends only on q, k1
+    and k3, so the exact and the floor row share it, and the exact A*
+    lies in [L, _A_MAX].  U is _b_upper's bound on the maximum of b-
+    there, so b(A*) <= b-(A*) <= U.
 
     Each later pass refines every N on its own local grid: 51 points
     centred on its best theta so far, one grid cell either side at first
@@ -413,7 +401,11 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
     cst._check_kappa(kappa)
     cst._check_count("n_rect", n_rect, 1, cst._N_RECT_MAX)
     thetas = np.arange(1, theta_grid_size) / theta_grid_size
-    thetas = thetas[_contenders(Ns, kappa, thetas, n_rect, prime_cutoff)]
+    ends, floor = cst._k_blocks(thetas, kappa, n_rect, prime_cutoff)
+    best0 = _searches(Ns, kappa, ends)[1].max(axis=1)
+    keep = [_b_upper(N, kappa, floor) >= b0 for N, b0 in zip(Ns, best0)]
+    del ends, floor                     # not live across the exact call (peak RSS)
+    thetas = thetas[np.any(keep, axis=0)]
     table = cst._k_table(thetas, kappa, n_rect, prime_cutoff=prime_cutoff)
     best = [(0.0, 0.0, -math.inf)] * len(Ns)           # (theta, A, bound) per N
     step = 1.0 / theta_grid_size

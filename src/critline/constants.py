@@ -18,12 +18,12 @@ right-minus-left gap of int c7 is reported as the quadrature bracket.
 
 Each formula is implemented once, in the _k_table / _c7_profile kernels,
 vectorized over a theta grid with the root grids solved by the
-roots._rho_theta_vec / _rho_lemma_vec Newton kernels.  _k_envelope is
-_k_table's cheap floor, its c7 profile replaced by c7(0) from rho(theta)
-alone, on which the optimizer bounds its 10^4-point theta grid before
-running _k_table on the rows that can still win.  The scalar operations
-(c2 .. c7, integrate_c7, k_constants, c1) are the contract surface and
-are one-row calls into those kernels.
+roots._rho_theta_vec / _rho_lemma_vec Newton kernels.  _k_blocks is
+_k_table's cheap floor, each row's c7 quadratures taken at the left end
+of its block of rows (c7 rises in theta), on which the optimizer bounds
+its theta grid before running _k_table on the rows that can still win.
+The scalar operations (c2 .. c7, integrate_c7, k_constants, c1) are the
+contract surface and are one-row calls into those kernels.
 """
 
 from __future__ import annotations
@@ -56,10 +56,12 @@ _N_RECT_MAX = 10 ** 6
 # before it (A* passes the 1e16 search cap near N = 1e8).
 N_MAX = 10 ** 100
 
-# Relative margin of the theta-grid envelope: _k_envelope lowers its
-# int c7, and bound._b_upper raises its bounds, by this much, far beyond
-# the rounding in either.
+# The theta-grid envelope: _k_blocks takes each row's c7 quadratures at
+# the left end of its block of _FLOOR_BLOCK rows, lowered, and
+# bound._b_upper raises its bounds, by _ENVELOPE_MARGIN relative, far
+# beyond the rounding and rho's second-order effect on c6.
 _ENVELOPE_MARGIN = 2.0 ** -20
+_FLOOR_BLOCK = 64
 
 
 # -------------------------------------------------------------------- Params
@@ -291,10 +293,9 @@ def _c7_profile(thetas: np.ndarray, kappa: float, us: np.ndarray,
     return _c7_from_c6(v6, _c4_closed(thetas)[:, None], kappa, work)
 
 
-def _c7_from_c6(v6, v4, kappa, work=None):
+def _c7_from_c6(v6, v4, kappa, work):
     """(1/2 + 2 kappa) c6^2 + 2 c4 c6 sqrt(kappa), its arrays taken from
-    work (a fresh roots._Workspace when None)."""
-    work = roots._Workspace() if work is None else work
+    work, a roots._Workspace."""
     v7 = np.multiply(0.5 + 2.0 * kappa, v6, out=work.take(v6.shape))
     v7 *= v6
     t = np.multiply(2.0 * v4, v6, out=work.take(v6.shape))
@@ -317,7 +318,6 @@ def integrate_c7(theta: float, kappa: float = 0.125,
     return ks.int_c7, ks.int_vc7, ks.quad_bracket
 
 
-@_finite
 def k_constants(theta: float, kappa: float = 0.125, n_rect: int = 100,
                 prime_cutoff: int = PRIME_CUTOFF) -> ConstantSet:
     """Assemble the four K constants and their ingredients at (theta, kappa).
@@ -337,13 +337,15 @@ def _block_bytes(points: int) -> int:
     return _POINT_BYTES * points + 4096
 
 
+@np.errstate(all="ignore")
 def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
              prime_cutoff: int = PRIME_CUTOFF) -> dict[str, np.ndarray]:
     """The constant chain over a whole theta grid.
 
     Returns arrays keyed like the ConstantSet fields, plus "theta".  Row i
     holds the constants at thetas[i].  P1 and P2 are truncated at
-    prime_cutoff.
+    prime_cutoff.  A column that leaves the doubles in some row raises
+    DomainError naming it, with no numpy warning.
 
     The row stage solves rho(theta) and rho(a_max, theta) once for every
     row (roots._rho_lemma_rows); rho(theta) is also the rho, c5 and c3
@@ -352,27 +354,28 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     in a scope of one roots._Workspace that _k_table allocates and drops
     when it returns.  A block has as many rows as _K_WORK_BYTES holds at
     _POINT_BYTES per point, at least one, so a row larger than the budget
-    is a block of its own.  Each element's root depends only on its
-    (theta, u) and its row's roots, so the result is bit-identical for any
-    block size.
+    is a block of its own.  The arena has that size however few rows
+    there are (untouched pages stay out of memory), so a small call does
+    not raise glibc's mmap threshold above a later, larger arena.  Each
+    element's root depends only on its (theta, u) and its row's roots, so
+    the result is bit-identical for any block size.
     """
-    thetas = _theta_grid(thetas, kappa)
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1 or thetas.size == 0:
+        raise DomainError("theta grid must be a nonempty 1-d array")
+    if float(thetas.min()) <= 0.0 or float(thetas.max()) >= 1.0:
+        raise DomainError("theta grid must lie inside (0,1)")
+    _check_kappa(kappa)
     _check_count("n_rect", n_rect, 1, _N_RECT_MAX)
-    p1 = euler_product("P1", prime_cutoff).value
-    p2 = euler_product("P2", prime_cutoff).value
     hi = 1.0 / kappa
     h = hi / n_rect
     us = np.linspace(0.0, hi, n_rect + 1)
     rho, x_top = roots._rho_lemma_rows(
         float(np.sqrt(math.pi * kappa * us).max()), thetas)
-    size = thetas.size
-    int_c7 = np.empty(size)
-    int_vc7 = np.empty(size)
-    quad_bracket = np.empty(size)
-
-    block = min(max(1, _K_WORK_BYTES // (_POINT_BYTES * us.size)), size)
+    int_c7, int_vc7, quad_bracket = sums = np.empty((3, thetas.size))
+    block = max(1, _K_WORK_BYTES // (_POINT_BYTES * us.size))
     work = roots._Workspace(_block_bytes(us.size * block))
-    for lo in range(0, size, block):
+    for lo in range(0, thetas.size, block):
         rows = slice(lo, lo + block)
         with work.scope():
             prof = _c7_profile(thetas[rows], kappa, us,
@@ -381,54 +384,52 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
             np.subtract(prof[:, -1], prof[:, 0], out=quad_bracket[rows])
             prof[:, 1:] *= us[1:]
             np.sum(prof[:, 1:], axis=1, out=int_vc7[rows])
-    int_c7 *= h
-    quad_bracket *= h
-    int_vc7 *= h
-    return {**_columns(thetas, kappa, rho, int_c7, int_vc7, p1, p2),
-            "quad_bracket": quad_bracket}
+    sums *= h
+    table = {**_columns(thetas, kappa, rho, int_c7, int_vc7, prime_cutoff),
+             "quad_bracket": quad_bracket}
+    finite = np.logical_and.reduce([np.isfinite(v) for v in table.values()])
+    if not finite.all():
+        bad = ", ".join(k for k, v in table.items() if not np.isfinite(v).all())
+        raise DomainError(f"the constant chain at kappa = {kappa!r} is not finite in "
+                          f"{bad}, first at theta = {thetas[~finite][0]!r}")
+    return table
 
 
-def _k_envelope(thetas: np.ndarray, kappa: float = 0.125,
-                prime_cutoff: int = PRIME_CUTOFF) -> dict[str, np.ndarray]:
-    """_k_table's columns with each row's c7 profile replaced by its floor.
+@np.errstate(all="ignore")
+def _k_blocks(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
+              prime_cutoff: int = PRIME_CUTOFF) -> tuple[dict, dict]:
+    """(ends, floor): _k_table on rows 0, B, 2B, ... of thetas (B =
+    _FLOOR_BLOCK), and on every row a floor of _k_table: the row's own
+    rho(theta) columns with its block's left end's int c7 and int v c7,
+    lowered by _ENVELOPE_MARGIN.  On A > 1/kappa its c1 is at most the
+    exact row's: K2 A + K4 is kappa P2 h sum_k (A - u_k) c7(u_k, theta),
+    every A - u_k > 0, plus terms of theta alone, and c7 rises in theta.
 
-    Needs only rho(theta), for any n_rect.  Both right sums run over
-    nodes 0 < u_k <= 1/kappa, and c7 > 0 increases in u, so
-    int v c7 <= int c7 / kappa and int c7 >= I- = c7(0) / kappa, where
-    c7(0) = (1/2 + 2 kappa) c5^2 + 2 c4 c5 sqrt(kappa) (c6(0) = c5).  The
-    envelope row takes int c7 = I- (1 - _ENVELOPE_MARGIN) and
-    int v c7 = int c7 / kappa, so for A > 1/kappa its K2 A + K4 term is
-    kappa P2 (A - 1/kappa) I- and below the exact row's, which is
-    kappa P2 (A int c7 - int v c7) >= kappa P2 (A - 1/kappa) int c7.
-    Every other column is the exact row's: c1 of the envelope is at most
-    the exact c1 on A > 1/kappa.
+    Proof of the rise.  With a = sqrt(pi kappa u), b = Gamma(1/4)/Gamma(3/4)
+    and F(X, theta) = (e^X + e^{theta X}) (a + b sqrt X) / X, c6 is
+    F(rho, theta) / (2 (1 - theta) sqrt(pi kappa)), rho = rho(a, theta).
+    2 X^2 e^{-theta X} dF/dX is exactly the perturbed root equation,
+    negative on (0, 1/2] with one root beyond (roots._rho_lemma_vec), so
+    rho minimises F and c6 = min_X F / (2 (1 - theta) sqrt(pi kappa))
+    rises, as F(X, .) and 1/(1 - theta) do.  Each piece of c4's max/min
+    over 1 - theta rises, and so does 9 (1 + theta^2.5) / (1 - theta), so
+    c4 > 0 and c7 = (1/2 + 2 kappa) c6^2 + 2 c4 c6 sqrt(kappa) rise.  As
+    rho minimises F, its last ulps (3-5) move c6 only to second order; the
+    margin covers that and the rounding.
     """
-    thetas = _theta_grid(thetas, kappa)
+    ends = _k_table(thetas[::_FLOOR_BLOCK], kappa, n_rect, prime_cutoff=prime_cutoff)
+    left = np.arange(thetas.size) // _FLOOR_BLOCK
+    quads = (ends[k][left] * (1.0 - _ENVELOPE_MARGIN) for k in ("int_c7", "int_vc7"))
+    return ends, _columns(thetas, kappa, roots._rho_theta_vec(thetas)[0], *quads,
+                          prime_cutoff)
+
+
+def _columns(thetas, kappa, rho, int_c7, int_vc7, prime_cutoff) -> dict[str, np.ndarray]:
+    """The constants of a theta grid from rho(theta), the two c7
+    quadratures and the Euler products truncated at prime_cutoff, keyed
+    like the ConstantSet fields (but quad_bracket), plus "theta"."""
     p1 = euler_product("P1", prime_cutoff).value
     p2 = euler_product("P2", prime_cutoff).value
-    rho, _ = roots._rho_theta_vec(thetas)
-    v5 = _c5_from_rho(rho, thetas, kappa, gamma_ratio_quarter())
-    int_c7 = _c7_from_c6(v5, _c4_closed(thetas), kappa)
-    int_c7 *= (1.0 - _ENVELOPE_MARGIN) / kappa
-    return _columns(thetas, kappa, rho, int_c7, int_c7 / kappa, p1, p2)
-
-
-def _theta_grid(thetas, kappa) -> np.ndarray:
-    """thetas as a checked nonempty 1-d float array inside (0, 1); kappa
-    checked too."""
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 1 or thetas.size == 0:
-        raise DomainError("theta grid must be a nonempty 1-d array")
-    if float(thetas.min()) <= 0.0 or float(thetas.max()) >= 1.0:
-        raise DomainError("theta grid must lie inside (0,1)")
-    _check_kappa(kappa)
-    return thetas
-
-
-def _columns(thetas, kappa, rho, int_c7, int_vc7, p1, p2) -> dict[str, np.ndarray]:
-    """The constants of a theta grid from rho(theta), the two c7
-    quadratures and the Euler products, keyed like the ConstantSet fields
-    (but quad_bracket), plus "theta"."""
     g = gamma_ratio_quarter()
     c3v = _c3_from_rho(rho, thetas, kappa, g, p1)
     k1, k2, k3, k4 = _k_from_parts(thetas, kappa, int_c7, int_vc7, p1, p2)

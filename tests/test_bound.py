@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from critline import bound as bnd
 from critline import cli
 from critline import constants as cst
+from critline import roots
 from critline.errors import DomainError, OptimizerError, PreconditionError
+from critline.specfun import gamma_ratio_quarter
 
 from reference_values import (
     ASYMPTOTIC,
@@ -159,9 +161,9 @@ def test_optimize_many_matches_optimize(grid):
 
 def test_optimize_many_one_chain_call_per_pass(monkeypatch):
     # The table's N share each constant-chain call.  Pass 0 makes two: one
-    # on the (at most 8) rows of best envelope bound, one on the rows the
-    # envelope cannot rule out (1 448 of the 9 999 measured).  Then one per
-    # refinement pass on the 8 x 51 local grids.
+    # on the left ends of the 64-row blocks (157 of the 9 999 rows), one on
+    # the rows the block floor cannot rule out (183 measured).  Then one
+    # per refinement pass on the 8 x 51 local grids.
     calls = []
     k_table = cst._k_table
 
@@ -172,8 +174,8 @@ def test_optimize_many_one_chain_call_per_pass(monkeypatch):
     monkeypatch.setattr(cst, "_k_table", spy)
     assert cli.main(["table"]) == 0
     assert len(calls) == 2 + bnd._REFINE_PASSES
-    assert 1 <= calls[0] <= len(bnd.DEFAULT_TABLE_N)
-    assert calls[1] <= 2500
+    assert calls[0] == -(-9999 // cst._FLOOR_BLOCK) == 157
+    assert calls[1] <= 200
     assert calls[2:] == [51 * len(bnd.DEFAULT_TABLE_N)] * bnd._REFINE_PASSES
 
 
@@ -181,59 +183,140 @@ GRIDS = [(10000, 0.125, 100), (500, 0.125, 100), (2000, 0.1, 100),
          (1000, 0.125, 1000)]
 
 
+def _floor(table, kappa, n_rect):
+    """_k_blocks' floor on the rows of table, after checking that its
+    block ends are the exact rows at every _FLOOR_BLOCK-th theta."""
+    ends, floor = cst._k_blocks(table["theta"], kappa, n_rect)
+    for key, col in ends.items():
+        assert col.tobytes() == table[key][::cst._FLOOR_BLOCK].tobytes(), key
+    return floor
+
+
 @pytest.mark.parametrize("size, kappa, n_rect", GRIDS)
 def test_envelope_bounds_every_exact_row(size, kappa, n_rect, full_grid):
-    # U >= the exact A-search's bound in every row of the whole grid, for
-    # every table N and N = 10^6; U is finite on almost every row (at
-    # least 99.6 % at N <= 1000 and 96 % at 10^6), so the check is not
-    # empty.
+    # U from the block floor >= the exact A-search's bound in every row of
+    # the whole grid (each ends in a ragged block), for every table N and
+    # N = 10^6; U is finite on almost every row (at least 99.6 % at
+    # N <= 1000 and 96 % at 10^6), so the check is not empty.
     # And U >= b- on 40 points of each finite row's window [L, _A_MAX], so
-    # U bounds the envelope itself, also where no exact row is feasible.
+    # U bounds the floor itself, also where no exact row is feasible.
     table = full_grid(size, kappa, n_rect)
-    envelope = cst._k_envelope(table["theta"], kappa)
+    floor = _floor(table, kappa, n_rect)
     ns = bnd.DEFAULT_TABLE_N + (10 ** 6,)
     for n in ns:
-        u = bnd._b_upper(n, kappa, envelope)
+        u = bnd._b_upper(n, kappa, floor)
         _, b = bnd._optimize_A_vec(n, kappa, table)
         assert (b <= u).all(), n
         assert np.isfinite(u).mean() > 0.9
         rows = np.isfinite(u)
-        a_lo = bnd._search_window(n, kappa, envelope)[1][rows]
+        a_lo = bnd._search_window(n, kappa, floor)[1][rows]
         a = np.exp(np.linspace(np.log(a_lo), math.log(bnd._A_MAX), 40)).T
-        b_env = bnd._bound_value(a, n, {k: v[rows, None] for k, v in envelope.items()},
+        b_env = bnd._bound_value(a, n, {k: v[rows, None] for k, v in floor.items()},
                                  n == 1)
         assert (b_env <= u[rows, None]).all(), n
 
 
-@pytest.mark.parametrize("size", [10000, 500])
-def test_pruned_grid_winners_match_full_grid(size, full_grid, monkeypatch):
+@pytest.mark.parametrize("size, kappa, n_rect", GRIDS)
+def test_pruned_grid_winners_match_full_grid(size, kappa, n_rect, full_grid,
+                                            monkeypatch):
     # With no refinement pass, optimize_many reports its pass-0 winners:
-    # the full grid's argmax (smallest theta among ties), bit for bit.
+    # the full grid's argmax (smallest theta among ties), bit for bit, on
+    # every grid, each of which ends in a ragged block.
     monkeypatch.setattr(bnd, "_REFINE_PASSES", 0)
-    table = full_grid(size)
-    reports = bnd.optimize_many(bnd.DEFAULT_TABLE_N, theta_grid_size=size)
+    assert (size - 1) % cst._FLOOR_BLOCK
+    table = full_grid(size, kappa, n_rect)
+    reports = bnd.optimize_many(bnd.DEFAULT_TABLE_N, kappa, size, n_rect)
     for n, rep in zip(bnd.DEFAULT_TABLE_N, reports):
-        a, b = bnd._optimize_A_vec(n, 0.125, table)
+        a, b = bnd._optimize_A_vec(n, kappa, table)
         i = int(np.argmax(b))
         assert (rep.theta_star, rep.A_star, rep.bound) == (table["theta"][i], a[i], b[i])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.floats(1e-6, 1.0 - 1e-6), st.floats(1e-3, 0.125), st.integers(1, 1000))
-def test_envelope_quadrature_floor(theta, kappa, n_rect):
-    # The lemma behind the envelope, on computed rows: I- <= int c7 and
-    # (A - 1/kappa) I- <= A int c7 - int v c7 on A above 1/kappa, with
-    # int v c7 of the envelope row equal to I- / kappa.
-    row = cst._k_table(np.array([theta]), kappa, n_rect)
-    env = cst._k_envelope(np.array([theta]), kappa)
-    i_lo = env["int_c7"][0]
+@given(st.floats(1e-6, 1.0 - 1e-6), st.floats(0.0, 1.0), st.floats(1e-3, 0.125),
+       st.integers(1, 1000))
+def test_envelope_quadrature_floor(theta, step, kappa, n_rect):
+    # The lemma behind the block floor, on computed rows: a row theta' in
+    # the block of left end theta takes theta's quadratures, lowered, and
+    # then I- <= int c7 and A I- - V- <= A int c7 - int v c7 at theta' on
+    # A above 1/kappa; every other column is the exact row's.
+    theta2 = min(theta + step * (1.0 - theta), 1.0 - 1e-6)
+    thetas = np.array([theta, theta2])
+    _, floor = cst._k_blocks(thetas, kappa, n_rect)
+    row = cst._k_table(thetas[1:], kappa, n_rect)
+    i_lo, v_lo = floor["int_c7"][1], floor["int_vc7"][1]
     assert 0.0 < i_lo <= row["int_c7"][0]
-    assert env["int_vc7"][0] == i_lo / kappa
+    assert v_lo <= row["int_vc7"][0]
     a = (1.0 / kappa) * (1.0 + np.logspace(-9, 12, 50))
-    assert ((a - 1.0 / kappa) * i_lo
-            <= a * row["int_c7"][0] - row["int_vc7"][0]).all()
+    assert (a * i_lo - v_lo <= a * row["int_c7"][0] - row["int_vc7"][0]).all()
     for key in ("rho", "c2", "c3", "c4", "c5", "k1", "k3"):
-        assert env[key][0] == row[key][0], key
+        assert floor[key][1] == row[key][0], key
+
+
+def test_c7_rises_in_theta_symbolic():
+    # The three facts of _k_blocks' proof.  (1) 2 X^2 e^{-theta X} dF/dX is
+    # the perturbed root equation, the same as roots._rho_lemma_fdf's f.
+    x, th, a, b, w = sp.symbols("X theta a b w", positive=True)
+    big_f = (sp.exp(x) + sp.exp(th * x)) * (a + b * sp.sqrt(x)) / x
+    w_x = a + b * sp.sqrt(x)
+    root_eq = (sp.exp((1 - th) * x) * (2 * x * w_x - 2 * a - b * sp.sqrt(x))
+               + 2 * th * x * w_x - 2 * a - b * sp.sqrt(x))
+    assert sp.simplify(2 * x ** 2 * sp.exp(-th * x) * sp.diff(big_f, x) - root_eq) == 0
+    eq = sp.lambdify((x, a, th, b), root_eq)
+    gq = gamma_ratio_quarter()
+    for xv, av, tv in ((0.3, 0.0, 0.5), (0.8, 0.4, 0.011), (1.6, 1.77, 0.97)):
+        code = roots._rho_lemma_fdf(np.array([xv]), av, tv, gq)[0][0]
+        assert code == pytest.approx(eq(xv, av, tv, gq), rel=1e-13, abs=1e-13)
+    # (2) dF/dtheta = e^{theta X} (a + b sqrt X) > 0.
+    d_theta = sp.diff(big_f, th)
+    assert sp.simplify(d_theta - sp.exp(th * x) * w_x) == 0
+    assert d_theta.is_positive
+    # (3) Each piece p of c4's max/min, and 9 (1 + theta^2.5)/5, over
+    # 1 - theta rises: (1 - theta)^2 (p / (1 - theta))' = p' (1 - theta) + p
+    # is a sum of positive terms, with w = 1 - theta.  4 theta - 1 is
+    # max(1, |1 - 4 theta|) on theta >= 1/2, and 1 below it.
+    r = sp.sqrt(th)
+    half = sp.Rational(1, 2)
+    pieces = [
+        (3 * sp.sqrt(1 - th), 3 * half * sp.sqrt(w)),
+        (1 + 3 * th * r, 1 + 3 * th * r + 9 * half * r * w),
+        (4 * th - 1 + 3 * th * r, 3 + 3 * th * r + 9 * half * r * w),
+        (1 - th + 3 * th * sp.sqrt(1 - th), 3 * w * sp.sqrt(w) + 3 * half * th * sp.sqrt(w)),
+        (sp.Rational(9, 5) * (1 + th ** sp.Rational(5, 2)),
+         sp.Rational(9, 5) * (1 + th ** sp.Rational(5, 2)) + 9 * half * th * r * w),
+    ]
+    for piece, positive in pieces:
+        assert positive.is_positive
+        num = sp.diff(piece, th) * (1 - th) + piece
+        assert sp.simplify(num - positive.subs(w, 1 - th)) == 0, piece
+    grid = np.linspace(1e-6, 1.0 - 1e-6, 100001)
+    assert (np.diff(cst._c4_closed(grid)) > 0.0).all()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.floats(1e-6, 1.0 - 1e-6), st.floats(1e-8, 1.0), st.floats(0.0, 1.0),
+       st.floats(1e-3, 0.125))
+def test_c7_rises_in_theta(theta, step, frac, kappa):
+    # The computed c7 does not fall from theta to theta' > theta at any u
+    # in [0, 1/kappa] (its true rise, at least -ln(1 - step), is far above
+    # rounding), and c6 is F(rho) / (2 (1 - theta) sqrt(pi kappa)) within a
+    # few ulp, at a rho where F is no larger a relative 2^-20 either side.
+    theta2 = theta + step * (1.0 - theta)
+    assume(theta2 < 1.0)
+    u = frac / kappa
+    assert cst.c7(u, theta2, kappa) >= cst.c7(u, theta, kappa)
+    a = float(np.sqrt(math.pi * kappa * np.array([u]))[0])
+    rho = roots.rho_lemma_a(a, theta).value
+    gq = gamma_ratio_quarter()
+    with mpmath.workdps(30):
+        def big_f(xv):
+            xv = mpmath.mpf(xv)
+            return ((mpmath.exp(xv) + mpmath.exp(theta * xv)) * (a + gq * mpmath.sqrt(xv))
+                    / xv)
+        want = big_f(rho) / (2 * (1 - mpmath.mpf(theta)) * mpmath.sqrt(mpmath.pi * kappa))
+        assert abs(cst.c6(u, theta, kappa) / want - 1) <= 8 * np.finfo(float).eps
+        for side in (-1, 1):
+            assert big_f(rho) <= big_f(rho * (1 + side * mpmath.mpf(2) ** -20))
 
 
 @pytest.mark.parametrize("Ns", [(), (0,), (True,), (2, 0)])
@@ -447,13 +530,13 @@ def test_a_search_evaluation_counts_on_table_grid(monkeypatch, full_grid):
         assert np.count_nonzero(np.isfinite(bnd._b_upper(n, 0.125, table))) > 9000
         assert sizes == [table["theta"].size, 1] + [table["theta"].size] * 3
     monkeypatch.undo()
-    # The converged search runs on the exact rows only: at most 13 000
-    # Newton elements in one table (12 576 measured, the feasible ones of
-    # the 8 seed rows, the 8 x 1 448 pass-0 rows and the 3 x 408
+    # The converged search runs on the exact rows only: at most 3 700
+    # Newton elements in one table (3 612 measured, the feasible ones of
+    # the 8 x 157 block ends, the 8 x 183 pass-0 rows and the 3 x 408
     # refinement rows), each well inside the cap.
     counts = _record_newton_counts(monkeypatch)
     bnd.optimize_many(bnd.DEFAULT_TABLE_N)
-    assert sum(its.size for its in counts) <= 13000
+    assert sum(its.size for its in counts) <= 3700
     assert max(its.max() for its in counts) <= 12
 
 
@@ -473,7 +556,7 @@ def _record_newton_counts(monkeypatch):
 
 @pytest.mark.parametrize("size, kappa, n_rect", GRIDS)
 def test_upper_bound_holds_converged_bound(size, kappa, n_rect, full_grid, monkeypatch):
-    # On exact and on envelope rows, for every table N and N = 10^6,
+    # On exact and on block-floor rows, for every table N and N = 10^6,
     # _b_upper is finite on every row the converged search finds feasible,
     # and elsewhere only where g >= 0 at both ends of a concave window (b
     # rises), and bounds each feasible row's converged bound from above.
@@ -482,10 +565,10 @@ def test_upper_bound_holds_converged_bound(size, kappa, n_rect, full_grid, monke
     # relative, twice the 2^-20 margin: the pruning relies on this.  The
     # converged search takes at most 12 f-evaluations on every row.
     table = full_grid(size, kappa, n_rect)
-    envelope = cst._k_envelope(table["theta"], kappa)
+    floor = _floor(table, kappa, n_rect)
     counts = _record_newton_counts(monkeypatch)
     for n in bnd.DEFAULT_TABLE_N + (10 ** 6,):
-        for rows in (table, envelope):
+        for rows in (table, floor):
             hi = bnd._b_upper(n, kappa, rows)
             _, b = bnd._optimize_A_vec(n, kappa, rows)
             feasible = b > -np.inf

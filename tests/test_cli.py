@@ -309,6 +309,27 @@ def test_out_of_domain_message_names_cause(capsys, argv, names):
     assert names in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("argv,code,names", [
+    (["optimize", "--N", "5", "--kappa", "1e-100", "--theta-grid", "50"], 3, "in c2"),
+    (["optimize", "--N", "5", "--kappa", "1e-150", "--theta-grid", "50"], 3,
+     "in c2, k4, int_vc7"),
+    (["table", "--kappa", "1e-300"], 3, "in c2, c3, k2, k4, int_c7"),
+    (["optimize", "--N", "5", "--kappa", "1e-90", "--theta-grid", "50"], 4, "N=5"),
+    (["table", "--kappa", "1e-90"], 4, "N=1"),
+], ids=["c2_inf", "k4_inf", "table_1e-300", "search_overflows", "table_1e-90"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_kappa_one_error_line(capsys, argv, code, names):
+    # At a tiny kappa the optimizer ends with one JSON error line and no
+    # numpy warning: a DomainError naming the constant-chain columns that
+    # leave the doubles, or, where the chain is finite but every A-search
+    # overflows, the OptimizerError of an infeasible grid.
+    got, out, err = _run(capsys, argv)
+    assert (got, out, err.count("\n")) == (code, "", 1)
+    diag = json.loads(err)
+    assert diag["error"] == ("DomainError" if code == 3 else "OptimizerError")
+    assert names in diag["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["constants", "--theta", "0.011", "--A", "29056699.107509706"],
     ["asymptotic", "--N", "1e20", "--eps", "0.01"],
