@@ -281,8 +281,8 @@ def _optimize_A_vec(N, kappa: float,
           for k in ("k1", "k2", "k3", "k4", "c5", "c2")}
     n = np.broadcast_to(np.asarray(N, dtype=float), feasible.shape)[feasible]
 
-    def neg_h(a, i):
-        g, slope = _stationarity(a, n[i], {k: v[i] for k, v in ks.items()}, single)
+    def neg_h(a):
+        g, slope = _stationarity(a, n, ks, single)
         return -g / a, (g - slope) / (a * a)
 
     a_out = np.full(feasible.shape, np.nan)
@@ -458,7 +458,7 @@ def asymptotic_constants(eps: float, kappa: float = 0.125,
     c5m = float(cst._c5_from_rho(rho0, 0.0, kappa, g))
     c5p = ((math.exp(rho4) + math.exp(rho4 / 4.0))
            / (2.0 * math.sqrt(math.pi * kappa * rho4)) * g)
-    k1_zero = p1 * (32.0 / 3.0) / math.sqrt(math.pi)
+    k1_zero = cst._k1(0.0, p1)
     lam_m = 128.0 * c5m * c5m * k1_zero
     lam_p = 128.0 * c5p * c5p * k1_zero
     c3p = ((1.0 / (8.0 * kappa) + 1.5)
@@ -501,8 +501,7 @@ def asymptotic_bound(N: float, eps: float, kappa: float = 0.125,
     if n < threshold:
         raise PreconditionError(
             f"N = {n:g} is below the validity threshold max(3, N0/eps^3) = {threshold:g}")
-    p1 = cst.euler_product("P1", prime_cutoff).value
-    k1_zero = p1 * (32.0 / 3.0) / math.sqrt(math.pi)
+    k1_zero = cst._k1(0.0, cst.euler_product("P1", prime_cutoff).value)
     log_n = math.log(n)
     return (TWO_PI / (n * log_n)) * (
         1.0 / (4.0 * ac.lambda_plus * (1.0 + eps) ** 3)

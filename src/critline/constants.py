@@ -198,11 +198,16 @@ def _c4_closed(theta):
             / (3.0 * (1.0 - theta) * _SQRT_PI))
 
 
+def _k1(theta, p1):
+    """K1 = (32/3) P1 / (sqrt(pi) (1 - theta)); scalars and arrays alike."""
+    return p1 * (32.0 / 3.0) / (_SQRT_PI * (1.0 - theta))
+
+
 def _k_from_parts(theta, kappa, int_c7, int_vc7, p1, p2):
     """K1..K4 from the quadratures; works on scalars and arrays alike."""
     one_m = 1.0 - theta
     lk = math.log(kappa)
-    k1 = p1 * (32.0 / 3.0) / (_SQRT_PI * one_m)
+    k1 = _k1(theta, p1)
     k2 = (kappa * p2 * int_c7
           + p1 * (kappa / (0.5 - 2.0 * kappa)
                   + (256.0 / 9.0) / (one_m * one_m * math.pi)

@@ -170,7 +170,10 @@ def _eta_vec(t: np.ndarray, cfg: MollifierConfig) -> np.ndarray:
 
 
 def eta(t: float, cfg: MollifierConfig) -> complex:
-    """Mollifying polynomial sum_{n <= xi} tau_{-1/2}(n) M(n) n^{-1/2-it}."""
+    """Mollifying polynomial sum_{n <= xi} tau_{-1/2}(n) M(n) n^{-1/2-it},
+    for |t| <= 1e6, the validated range of zeta; any other t, NaN
+    included, raises RangeError."""
+    _check_range(t, "eta")
     return complex(_eta_vec(np.array([float(t)]), cfg)[0])
 
 

@@ -16,14 +16,19 @@ the tests rather than special-cased here.
 
 Every root is found by one solver, safeguarded Newton with a bisection
 fallback and per-element convergence (_newton_vec), on a bracket proven
-to hold a sign change.  The _*_fdf functions return each defining
-equation with its closed-form derivative; _rho_theta_vec and
-_rho_lemma_vec solve whole grids, and the public rho_theta and
-rho_lemma_a are one-element calls into them.  The second equation is
-linear in a, so its inverse a(X) is explicit (_a_of_x); _rho_lemma_vec
-interpolates it on a small node grid per theta to start each element
-within a narrow bracket.  A grid solved block by block runs on one
-_Workspace, whose arrays every block reuses.
+to hold a sign change.  It iterates densely, every element on every
+pass until the last one stops: in the table's 29 solves (174 703
+elements), every rho(a, theta) element stops after one or two f
+evaluations and rho(theta) never has fewer than half its elements
+still iterating; only four A-searches do, late and on at most 26
+elements, so packing the live ones would save nothing measurable.  The
+_*_fdf functions return each defining equation with its closed-form
+derivative; _rho_theta_vec and _rho_lemma_vec solve whole grids, and
+the public rho_theta and rho_lemma_a are one-element calls into them.
+The second equation is linear in a, so its inverse a(X) is explicit
+(_a_of_x); _rho_lemma_vec interpolates it on a small node grid per
+theta to start each element within a narrow bracket.  A grid solved
+block by block runs on one _Workspace, whose arrays every block reuses.
 """
 
 from __future__ import annotations
@@ -92,37 +97,35 @@ class _Workspace:
             self._top = top
 
 
-def _newton_vec(fdf: Callable[[np.ndarray, np.ndarray], tuple],
+def _newton_vec(fdf: Callable[[np.ndarray], tuple],
                 lo, hi, x0, work=None) -> tuple[np.ndarray, np.ndarray]:
     """Safeguarded Newton on arrays of brackets (internal).
 
     Requires f(lo_i) <= 0 <= f(hi_i) for every element and x0 inside
-    [lo, hi]; callers with a decreasing f pass (-f, -f').  fdf(x, idx)
-    returns (f, f') at x, idx being the flat indices of x's elements into
-    the broadcast brackets.  Each step shrinks the bracket by the sign of
-    f.  A Newton iterate is replaced by the midpoint when it falls outside
-    the closed bracket, or lands, by more than the stop tolerance, on an
-    end where f is already known (nonzero): from two ends a few ulps apart
-    each Newton step can land exactly on the other, a 2-cycle.  An element
-    stops when f = 0 or its step is at most ~1e-15 |x|; 100 iterations is
-    a safeguard cap, far above the at most 12 that bound's A-search needs.
-    Returns the roots and, beside them, the number of f evaluations each
-    element took.
+    [lo, hi]; callers with a decreasing f pass (-f, -f').  fdf(x) returns
+    (f, f') at x, an array of the brackets' broadcast shape.  Each step
+    shrinks the bracket by the sign of f.  A Newton iterate is replaced by
+    the midpoint when it falls outside the closed bracket, or lands, by
+    more than the stop tolerance, on an end where f is already known
+    (nonzero): from two ends a few ulps apart each Newton step can land
+    exactly on the other, a 2-cycle.  An element stops when f = 0 or its
+    step is at most ~1e-15 |x|; 100 iterations is a safeguard cap, far
+    above the at most 12 that bound's A-search needs.  Returns the roots
+    and, beside them, the number of f evaluations each element took.
 
-    The elements iterate densely: fdf gets all n of them, idx =
-    arange(n), and an element that has stopped keeps its x, is evaluated
-    there with the rest and has every update masked off.  Once at most
-    half of the elements still iterate, those are packed into new arrays
-    and idx shrinks to them.  Every rule acts on each element alone, so
-    its root and count are those of a one-element solve in any layout.
-    With a _Workspace, lo, hi and x0 must be writable C-contiguous float
-    arrays of the full shape: Newton iterates in them, x0 becomes the
-    roots, the counts are taken from work and the rest of the state from
-    a scope of it (fdf may take its arrays from the same workspace).
-    Without one it works on copies.
+    The elements iterate densely to the end: fdf gets all of them on
+    every pass, and an element that has stopped keeps its x, is evaluated
+    there with the rest and has every update masked off.  Every rule acts
+    on each element alone, so its root and count are those of a
+    one-element solve.  A call costs as many passes as its slowest
+    element takes: the rho(a, theta) grids stop after two, and the
+    A-searches after at most 12.  With a _Workspace, lo, hi and x0 must
+    be writable C-contiguous float arrays of the full shape: Newton
+    iterates in them, x0 becomes the roots, the counts are taken from
+    work and the rest of the state from a scope of it (fdf may take its
+    arrays from the same workspace).  Without one it works on copies.
     """
     shape = np.broadcast(lo, hi, x0).shape
-    n = math.prod(shape)
     if work is None:                    # copies, in a workspace of their own
         work = _Workspace()
         copies = [work.take(shape) for _ in range(3)]
@@ -130,40 +133,26 @@ def _newton_vec(fdf: Callable[[np.ndarray, np.ndarray], tuple],
             np.copyto(dst, src)
         lo, hi, x0 = copies
     cap = 100
-    its = work.take(n, np.intp)
+    its = work.take(shape, np.intp)
     its.fill(cap)                       # kept by elements that hit the cap
-    out = x = x0.reshape(-1)
-    lo, hi = lo.reshape(-1), hi.reshape(-1)
+    x = x0
     with work.scope():
-        seen_lo, seen_hi, act = (work.take(n, bool) for _ in range(3))
+        seen_lo, seen_hi, act = (work.take(shape, bool) for _ in range(3))
         seen_lo.fill(False)             # f known at the bracket end
         seen_hi.fill(False)
         act.fill(True)                  # still iterating
-        idx = work.take(n, np.intp)     # arange(n), built in place
-        idx.fill(1)
-        idx[:1] = 0
-        np.cumsum(idx, out=idx)
-        count = its
         for k in range(cap):
-            live = np.count_nonzero(act)
-            if live == 0:
+            if not act.any():
                 break
-            if 2 * live <= idx.size:    # pack the live elements
-                if x is not out:
-                    out[idx], its[idx] = x, count
-                idx, x, lo, hi, seen_lo, seen_hi = (
-                    v[act] for v in (idx, x, lo, hi, seen_lo, seen_hi))
-                count, act = np.full(live, cap), np.ones(live, bool)
-            m = idx.size
             with work.scope():
-                f, df = fdf(x, idx)
-                neg = np.less(f, 0.0, out=work.take(m, bool))
-                pos = np.greater(f, 0.0, out=work.take(m, bool))
+                f, df = fdf(x)
+                neg = np.less(f, 0.0, out=work.take(shape, bool))
+                pos = np.greater(f, 0.0, out=work.take(shape, bool))
                 np.copyto(lo, x, where=neg)
                 np.copyto(hi, x, where=pos)
                 seen_lo |= neg
                 seen_hi |= pos
-                xn = work.take(m)
+                xn = work.take(shape)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     np.divide(f, df, out=xn)
                     np.subtract(x, xn, out=xn)
@@ -174,26 +163,23 @@ def _newton_vec(fdf: Callable[[np.ndarray, np.ndarray], tuple],
                 off &= np.less(xn, hi, out=pos)
                 np.logical_not(off, out=off)
                 off &= act
-                fix = np.flatnonzero(off)
-                if fix.size:
-                    xf, xo, lf, hf = xn[fix], x[fix], lo[fix], hi[fix]
+                if off.any():
+                    xf, xo, lf, hf = xn[off], x[off], lo[off], hi[off]
                     near = np.abs(xf - xo) <= 1e-15 * np.abs(xo)
-                    on_end = (((xf == lf) & (near | ~seen_lo[fix]))
-                              | ((xf == hf) & (near | ~seen_hi[fix])))
-                    xn[fix] = np.where(f[fix] == 0.0, xo,
+                    on_end = (((xf == lf) & (near | ~seen_lo[off]))
+                              | ((xf == hf) & (near | ~seen_hi[off])))
+                    xn[off] = np.where(f[off] == 0.0, xo,
                                        np.where(on_end, xf, 0.5 * (lf + hf)))
-                step = np.subtract(xn, x, out=work.take(m))
+                step = np.subtract(xn, x, out=work.take(shape))
                 np.abs(step, out=step)
-                tol = np.abs(x, out=work.take(m))
+                tol = np.abs(x, out=work.take(shape))
                 tol *= 1e-15
                 done = np.less_equal(step, tol, out=neg)
                 done &= act
-                np.copyto(count, k + 1, where=done)
+                np.copyto(its, k + 1, where=done)
                 np.copyto(x, xn, where=act)
                 act ^= done
-        if x is not out:
-            out[idx], its[idx] = x, count
-    return out.reshape(shape), its.reshape(shape)
+    return x, its
 
 
 # ------------------------------------------------------ defining equations
@@ -255,7 +241,7 @@ def _rho_theta_vec(thetas) -> tuple[np.ndarray, np.ndarray]:
     """
     thetas = np.asarray(thetas, dtype=float)
     lo, hi = _RHO_THETA_BRACKET
-    return _newton_vec(lambda x, i: _rho_theta_fdf(x, thetas[i]),
+    return _newton_vec(lambda x: _rho_theta_fdf(x, thetas),
                        lo, np.full(thetas.shape, hi), hi)
 
 
@@ -286,7 +272,7 @@ def _rho_lemma_rows(a_max: float, thetas) -> tuple[np.ndarray, np.ndarray]:
     b = gamma_ratio_quarter()
     lo_out, hi_out = _RHO_LEMMA_BRACKET
     x_bot, _ = _rho_theta_vec(thetas)
-    x_top, _ = _newton_vec(lambda x, i: _rho_lemma_fdf(x, a_max, thetas[i], b),
+    x_top, _ = _newton_vec(lambda x: _rho_lemma_fdf(x, a_max, thetas, b),
                            lo_out, np.full(thetas.shape, hi_out), 1.0)
     return x_bot, x_top
 
@@ -407,15 +393,8 @@ def _rho_lemma_vec(a, thetas, rows=None,
         x0 += h
         np.clip(x0, lo, hi, out=x0)
 
-    def fdf(x, idx):
-        if x.size == lo.size:           # dense: the whole (theta x a) grid
-            f, df = _rho_lemma_fdf(x.reshape(shape), a, thetas[:, None],
-                                   b, own)
-            return f.reshape(-1), df.reshape(-1)
-        row, col = np.divmod(idx, m)
-        return _rho_lemma_fdf(x, a[col], thetas[row], b)
-
-    return _newton_vec(fdf, lo, hi, x0, own)
+    return _newton_vec(lambda x: _rho_lemma_fdf(x, a, thetas[:, None], b, own),
+                       lo, hi, x0, own)
 
 
 # ------------------------------------------------------------ scalar roots

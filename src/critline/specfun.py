@@ -49,9 +49,19 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 # ------------------------------------------------------------------- primes
 
+# Largest cutoff primes_up_to sieves: about 50 MB of sieve and 46 MB of
+# primes, above the 3.2e7 that tau_z needs at _TAU_N_MAX.
+_PRIME_CUTOFF_MAX = 10 ** 8
+
+
 def primes_up_to(cutoff: int) -> np.ndarray:
-    """All primes <= cutoff (sieve of Eratosthenes, cached per cutoff)."""
-    return _sieve(int(cutoff))
+    """All primes <= cutoff (sieve of Eratosthenes, cached per cutoff); a
+    cutoff above 1e8 raises DomainError before anything is allocated."""
+    cutoff = int(cutoff)
+    if cutoff > _PRIME_CUTOFF_MAX:
+        raise DomainError(f"prime cutoff {cutoff} exceeds the limit "
+                          f"{_PRIME_CUTOFF_MAX:.0e}")
+    return _sieve(cutoff)
 
 
 @lru_cache(maxsize=8)
@@ -229,7 +239,8 @@ def euler_product(kind: str, cutoff: int = PRIME_CUTOFF) -> EulerProductValue:
 
     At cutoff = PRIME_CUTOFF the value is a stored literal, the bits the
     sieve path computes there (the tests regenerate it), so the default
-    chain never sieves; every other cutoff is sieved.
+    chain never sieves; every other cutoff is sieved, up to primes_up_to's
+    limit of 1e8 (DomainError beyond it, as below 2).
 
     The tail bound: g(x) = x^2 term(x) decreases on x > 1 for both kinds
     (checked symbolically; limits 3 and 5), so term(p) <= g(P+1)/p^2 for

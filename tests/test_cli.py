@@ -169,6 +169,20 @@ def test_prime_cutoff_below_two_exit_3(capsys, cutoff):
     assert json.loads(err)["error"] == "DomainError"
 
 
+def test_prime_cutoff_above_limit_exit_3(capsys, monkeypatch):
+    # Refused before the sieve is called, which would allocate 500 GB.
+    def no_sieve(cutoff):
+        raise AssertionError(f"sieved up to {cutoff}")
+
+    monkeypatch.setattr(specfun, "_sieve", no_sieve)
+    code, out, err = _run(capsys, ["constants", "--theta", "0.3",
+                                   "--prime-cutoff", "1000000000000"])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+    assert "limit" in json.loads(err)["message"]
+
+
 # The exact params echo of each subcommand; with --prime-cutoff 1000 each
 # command of the bound chain also has prime_cutoff.
 _ECHO_CASES = {

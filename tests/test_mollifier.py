@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
@@ -131,6 +132,19 @@ def test_eta_against_direct_sum():
                 direct += (specfun.tau_z(n, -0.5) * w
                            * mp.power(n, mp.mpc(-0.5, -t)))
         assert mo.eta(t, CFG) == pytest.approx(complex(direct), abs=tol)
+
+
+def test_eta_range():
+    # The validated range of zeta, |t| <= 1e6: beyond it, and at NaN or an
+    # infinity, eta raises RangeError with no numpy warning (at 1e20 it was
+    # off by 1.2 where |eta| ~ 1); at the ends it is the kernel's value.
+    for t in (1.0e6, -1.0e6):
+        assert mo.eta(t, CFG) == complex(mo._eta_vec(np.array([t]), CFG)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (1.0e6 + 1.0, 1.0e20, math.nan, math.inf, -math.inf):
+            with pytest.raises(RangeError, match="eta"):
+                mo.eta(t, CFG)
 
 
 def test_eta_coefficients_bounded():

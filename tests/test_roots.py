@@ -104,11 +104,23 @@ def test_rho_lemma_inverse_map_on_table_grid():
 def test_rho_lemma_table_grid_evaluation_count():
     # The cubic Hermite starts on 32 nodes leave about two f evaluations
     # per element over the table's (theta, u) grid (a linear start on the
-    # same nodes needs more than three).
+    # same nodes needs more than three).  Newton iterates densely, so a
+    # grid costs its slowest element's count in passes: two, measured.
     thetas = np.arange(1, 10000, 20) / 10000
     a = np.sqrt(math.pi * 0.125 * np.linspace(0.0, 8.0, 101))
     _, its = roots._rho_lemma_vec(a, thetas)
     assert its.mean() <= 2.5
+    assert its.max() <= 2
+
+
+@pytest.mark.parametrize("kappa, n_rect", [(0.1, 1000), (1e-3, 7)])
+def test_k_table_grid_evaluation_count(kappa, n_rect):
+    # The same two passes on _k_table's (theta, u) grids at other kappa
+    # and n_rect, a = sqrt(pi kappa u), with theta near both ends of (0, 1).
+    thetas = np.array([1e-6, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-6])
+    a = np.sqrt(math.pi * kappa * np.linspace(0.0, 1.0 / kappa, n_rect + 1))
+    _, its = roots._rho_lemma_vec(a, thetas)
+    assert its.max() <= 2
 
 
 @pytest.mark.parametrize("a_shape, theta_shape", [
@@ -214,8 +226,8 @@ def test_newton_vec_monotone_cubics(params):
     p = np.array([pp for _, pp in params])
     c = np.array([r ** 3 + pp * r for r, pp in params])
 
-    def fdf(x, i):
-        return x ** 3 + p[i] * x - c[i], 3.0 * x * x + p[i]
+    def fdf(x):
+        return x ** 3 + p * x - c, 3.0 * x * x + p
 
     got, _ = roots._newton_vec(fdf, 0.0, np.full(p.size, 5.0), 5.0)
     assert got == pytest.approx([r for r, _ in params], rel=1e-14)
@@ -229,9 +241,9 @@ def test_newton_vec_shifted_exp(params):
     s = np.array([ss for _, ss in params])
     c = np.exp(np.array([r for r, _ in params]) - s)
 
-    def fdf(x, i):
-        e = np.exp(x - s[i])
-        return e - c[i], e
+    def fdf(x):
+        e = np.exp(x - s)
+        return e - c, e
 
     got, _ = roots._newton_vec(fdf, 0.0, 8.0, np.full(s.size, 8.0))
     assert got == pytest.approx(np.log(c) + s, rel=1e-14)
@@ -242,8 +254,8 @@ def test_newton_vec_arctan_leaves_bracket():
     # [-10, 10]; the midpoint fallback must still converge.
     r = np.array([-3.7, 0.3, 2.5, 7.1])
 
-    def fdf(x, i):
-        d = x - r[i]
+    def fdf(x):
+        d = x - r
         return np.arctan(d), 1.0 / (1.0 + d * d)
 
     got, _ = roots._newton_vec(fdf, -10.0, 10.0, np.full(r.size, 10.0))
@@ -261,10 +273,11 @@ def test_newton_vec_root_on_bracket_end_stays_put(case):
                   "step_onto_lo": (2.0, 3.0, 3.0),
                   "simple_root_at_x0": (1.0, 2.0, 2.0)}[case]
     power = 3 if case == "flat_root_at_x0" else 1
+    first = np.array([True, False])
 
-    def fdf(x, i):
-        f = np.where(i == 0, (x - 2.0) ** power, x * x - 2.0)
-        df = np.where(i == 0, power * (x - 2.0) ** (power - 1), 2.0 * x)
+    def fdf(x):
+        f = np.where(first, (x - 2.0) ** power, x * x - 2.0)
+        df = np.where(first, power * (x - 2.0) ** (power - 1), 2.0 * x)
         return f, df
 
     got, its = roots._newton_vec(fdf, np.array([lo, 0.0]),
@@ -281,12 +294,13 @@ def test_newton_vec_breaks_two_cycle():
     # must break the cycle and hit the root 0.  The second element is an
     # ordinary root beside it.
     h = 2.0 ** -50
+    first = np.array([True, False])
 
-    def fdf(x, i):
+    def fdf(x):
         with np.errstate(divide="ignore"):
             r = np.sqrt(np.abs(x))
-            f = np.where(i == 0, np.sign(x) * r, x * x - 2.0)
-            return f, np.where(i == 0, 0.5 / r, 2.0 * x)
+            f = np.where(first, np.sign(x) * r, x * x - 2.0)
+            return f, np.where(first, 0.5 / r, 2.0 * x)
 
     got, its = roots._newton_vec(fdf, np.array([-1.0, 0.0]),
                                  np.array([1.0, 2.0]), np.array([h, 2.0]))
@@ -297,9 +311,10 @@ def test_newton_vec_breaks_two_cycle():
 
 # ------------------------------------- dense blocks against one-element solves
 
-def _alone(fdf, lo, hi, x0):
-    """Each element of a block solved by itself: roots and counts."""
-    got = [roots._newton_vec(lambda x, i, k=k: fdf(x, np.full(1, k)),
+def _alone(fdf_of, lo, hi, x0):
+    """Each element of a block solved by itself, fdf_of(slice(k, k + 1))
+    building element k's one-element fdf: roots and counts."""
+    got = [roots._newton_vec(fdf_of(slice(k, k + 1)),
                              lo[k:k + 1], hi[k:k + 1], x0[k:k + 1])
            for k in range(x0.size)]
     return (np.concatenate([x for x, _ in got]),
@@ -314,22 +329,24 @@ def test_newton_vec_dense_block_matches_one_element_solves(params):
     # rho(a, theta) on the outer bracket [1e-8, 2].  Element k starts at its
     # root (one evaluation) when k % 3 == 0, 1e-9 away (two) when k % 3 ==
     # 1, and anywhere in the bracket (three or more) otherwise, so the
-    # block stops unevenly and is packed on the way; each element's root
-    # and count must be, bit for bit, those of its solve alone.
+    # block stops unevenly and its stopped elements are evaluated on with
+    # every update masked off; each element's root and count must be, bit
+    # for bit, those of its solve alone.
     a, theta, s = (np.array(v) for v in zip(*params))
     b = gamma_ratio_quarter()
     n = a.size
     lo, hi = np.full(n, 1e-8), np.full(n, 2.0)
 
-    def fdf(x, i):
-        return roots._rho_lemma_fdf(x, a[i], theta[i], b)
+    def fdf_of(k=slice(None)):
+        return lambda x: roots._rho_lemma_fdf(x, a[k], theta[k], b)
 
+    fdf = fdf_of()
     root, _ = roots._newton_vec(fdf, lo, hi, 1e-8 + s * (2.0 - 1e-8))
     x0 = np.where(np.arange(n) % 3 == 0, root,
                   np.where(np.arange(n) % 3 == 1, root * (1.0 + 1e-9),
                            np.clip(s * 2.0, 1e-8, 2.0)))
     dense, its = roots._newton_vec(fdf, lo, hi, x0)
-    alone, its_alone = _alone(fdf, lo, hi, x0)
+    alone, its_alone = _alone(fdf_of, lo, hi, x0)
     assert dense.tobytes() == alone.tobytes()
     assert its.tobytes() == its_alone.tobytes()
     assert its.min() == 1 and 2 in its and its.max() >= 3
@@ -352,21 +369,23 @@ def test_newton_vec_guard_cases_inside_a_dense_block():
     kind, lo, hi, x0, p = zip(*[cases[k] for k in order])
     kind, lo, hi, x0, p = (np.array(v) for v in (kind, lo, hi, x0, p))
 
-    def fdf(x, i):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.sqrt(np.abs(x))
-            d = x - p[i]
-            table = {"cycle": (np.sign(x) * r, 0.5 / r),
-                     "cube": ((x - 2.0) ** 3, 3.0 * (x - 2.0) ** 2),
-                     "line": (x - 2.0, np.ones_like(x)),
-                     "atan": (np.arctan(d), 1.0 / (1.0 + d * d)),
-                     "square": (x * x - p[i], 2.0 * x)}
-        f = np.select([kind[i] == k for k in table], [v[0] for v in table.values()])
-        df = np.select([kind[i] == k for k in table], [v[1] for v in table.values()])
-        return f, df
+    def fdf_of(k=slice(None)):
+        def fdf(x):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r = np.sqrt(np.abs(x))
+                d = x - p[k]
+                table = {"cycle": (np.sign(x) * r, 0.5 / r),
+                         "cube": ((x - 2.0) ** 3, 3.0 * (x - 2.0) ** 2),
+                         "line": (x - 2.0, np.ones_like(x)),
+                         "atan": (np.arctan(d), 1.0 / (1.0 + d * d)),
+                         "square": (x * x - p[k], 2.0 * x)}
+            which = [kind[k] == name for name in table]
+            return (np.select(which, [v[0] for v in table.values()]),
+                    np.select(which, [v[1] for v in table.values()]))
+        return fdf
 
-    dense, its = roots._newton_vec(fdf, lo, hi, x0)
-    alone, its_alone = _alone(fdf, lo, hi, x0)
+    dense, its = roots._newton_vec(fdf_of(), lo, hi, x0)
+    alone, its_alone = _alone(fdf_of, lo, hi, x0)
     assert dense.tobytes() == alone.tobytes()
     assert its.tobytes() == its_alone.tobytes()
     assert (dense[kind == "cycle"] == 0.0).all() and (its[kind == "cycle"] == 3).all()

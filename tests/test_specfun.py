@@ -241,6 +241,19 @@ def test_euler_product_exact_small_cutoffs():
                                                                  rel=1e-15)
 
 
+def test_prime_cutoff_limit_refused_before_sieving(monkeypatch):
+    # A cutoff above 1e8 is refused before the sieve allocates anything
+    # (its odd-only array alone would be 500 GB at 1e12).
+    def no_sieve(cutoff):
+        raise AssertionError(f"sieved up to {cutoff}")
+
+    monkeypatch.setattr(specfun, "_sieve", no_sieve)
+    for call in (lambda: specfun.primes_up_to(10 ** 8 + 1),
+                 lambda: specfun.euler_product("P1", 10 ** 12)):
+        with pytest.raises(DomainError, match="limit 1e"):
+            call()
+
+
 def test_euler_product_frozen_values():
     assert specfun.euler_product("P1", 10 ** 6).value == pytest.approx(
         EULER_P1, rel=1e-13)
