@@ -34,7 +34,7 @@ import numpy as np
 from . import constants as cst
 from . import roots
 from .constants import PRIME_CUTOFF, Params
-from .errors import DomainError, OptimizerError, PreconditionError
+from .errors import DomainError, OptimizerError, PreconditionError, _check_count
 from .specfun import gamma_ratio_quarter
 
 TWO_PI = 2.0 * math.pi
@@ -394,12 +394,12 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
     end to end, and each N's A-search reads only its own 51 rows, so
     each report is bit-identical to optimize(N) alone.
     """
-    cst._check_count("len(Ns)", len(Ns), 1)
+    _check_count("len(Ns)", len(Ns), 1)
     for N in Ns:
         cst._check_N(N)
-    cst._check_count("theta_grid_size", theta_grid_size, 2, _THETA_GRID_MAX)
+    _check_count("theta_grid_size", theta_grid_size, 2, _THETA_GRID_MAX)
     cst._check_kappa(kappa)
-    cst._check_count("n_rect", n_rect, 1, cst._N_RECT_MAX)
+    _check_count("n_rect", n_rect, 1, cst._N_RECT_MAX)
     thetas = np.arange(1, theta_grid_size) / theta_grid_size
     ends, floor = cst._k_blocks(thetas, kappa, n_rect, prime_cutoff)
     best0 = _searches(Ns, kappa, ends)[1].max(axis=1)

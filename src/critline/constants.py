@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from . import roots
-from .errors import DomainError
+from .errors import DomainError, _check_count
 from .specfun import PRIME_CUTOFF, euler_product, gamma_ratio_quarter
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -103,16 +103,6 @@ class ConstantSet:
     int_vc7: float
     quad_bracket: float
     rho: float
-
-
-def _check_count(name: str, value, lo: int, hi: float = math.inf,
-                 hi_name: str = "") -> None:
-    """value must be an integer, not a bool, in [lo, hi]; hi_name, if
-    given, is the constant the message names as the upper limit."""
-    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or not lo <= value <= hi):
-        top = f"{hi_name} = {hi:g}" if hi_name else f"{hi:g}"
-        raise DomainError(f"{name} must be an integer in [{lo}, {top}], got {value!r}")
 
 
 def _check_N(N) -> None:

@@ -151,13 +151,13 @@ def _coefficients(xi: float, theta: float,
                   variant: str) -> Tuple[np.ndarray, np.ndarray]:
     """(ln n, tau_{-1/2}(n) M(n) / sqrt(n)) for 1 <= n <= xi, cached.
 
-    ln n is in np.longdouble, as specfun._dirichlet_rows takes it.  The
+    ln n is specfun._log_n's, as specfun._dirichlet_rows takes it.  The
     arrays are read-only: every caller with the same key shares them.
     """
     n = np.arange(1, int(math.floor(xi)) + 1)
     amp = (specfun._tau_vec(n, -0.5) * _weight_vec(n, xi, theta, variant)
            / np.sqrt(n))
-    logn = np.log(n.astype(np.longdouble))
+    logn = specfun._log_n(n.size)
     logn.setflags(write=False)
     amp.setflags(write=False)
     return logn, amp

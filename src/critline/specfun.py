@@ -25,7 +25,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, _check_count
 
 # ---------------------------------------------------------------- Bernoulli
 
@@ -56,12 +56,12 @@ _PRIME_CUTOFF_MAX = 10 ** 8
 
 def primes_up_to(cutoff: int) -> np.ndarray:
     """All primes <= cutoff (sieve of Eratosthenes, cached per cutoff); a
-    cutoff above 1e8 raises DomainError before anything is allocated."""
-    cutoff = int(cutoff)
+    non-integer or above-1e8 cutoff raises DomainError before allocating."""
+    _check_count("prime cutoff", cutoff, -math.inf)
     if cutoff > _PRIME_CUTOFF_MAX:
         raise DomainError(f"prime cutoff {cutoff} exceeds the limit "
                           f"{_PRIME_CUTOFF_MAX:.0e}")
-    return _sieve(cutoff)
+    return _sieve(int(cutoff))
 
 
 @lru_cache(maxsize=8)
@@ -116,7 +116,10 @@ def _theta_phase_vec(t: np.ndarray) -> np.ndarray:
 
 
 def theta_phase(t: float) -> float:
-    """Continuous phase with theta(0) = 0 making e^{i theta} zeta real."""
+    """Continuous phase with theta(0) = 0 making e^{i theta} zeta real;
+    a t that is not finite raises RangeError."""
+    if not math.isfinite(t):
+        raise RangeError(f"theta_phase needs a finite t, got {t}")
     return float(_theta_phase_vec(np.array([float(t)]))[0])
 
 
@@ -240,7 +243,7 @@ def euler_product(kind: str, cutoff: int = PRIME_CUTOFF) -> EulerProductValue:
     At cutoff = PRIME_CUTOFF the value is a stored literal, the bits the
     sieve path computes there (the tests regenerate it), so the default
     chain never sieves; every other cutoff is sieved, up to primes_up_to's
-    limit of 1e8 (DomainError beyond it, as below 2).
+    limit of 1e8 (DomainError beyond it, below 2, or off the integers).
 
     The tail bound: g(x) = x^2 term(x) decreases on x > 1 for both kinds
     (checked symbolically; limits 3 and 5), so term(p) <= g(P+1)/p^2 for
@@ -249,9 +252,8 @@ def euler_product(kind: str, cutoff: int = PRIME_CUTOFF) -> EulerProductValue:
     """
     if kind not in _TERMS:
         raise DomainError(f"unknown Euler product kind {kind!r}")
+    _check_count("euler_product cutoff", cutoff, 2)
     cutoff = int(cutoff)
-    if cutoff < 2:
-        raise DomainError(f"euler_product needs cutoff >= 2, got {cutoff}")
     if cutoff == PRIME_CUTOFF:
         value = _DEFAULT_VALUES[kind]
     else:
@@ -356,19 +358,25 @@ def _mod_two_pi(phase: np.ndarray) -> np.ndarray:
     return (phase - turns * _TWO_PI_LD).astype(float)
 
 
+def _log_n(size: int) -> np.ndarray:
+    """ln n for n = 1 ... size in np.longdouble, as _dirichlet_rows takes it."""
+    return np.log(np.arange(1, size + 1, dtype=np.longdouble))
+
+
 def _dirichlet_rows(t: np.ndarray, logn: np.ndarray, coef: np.ndarray,
                     n_row: np.ndarray | None = None) -> np.ndarray:
     """sum_{n <= n_row[r]} coef[n-1] n^{-it} at every node t of row r.
 
     t holds ordinates, one node a row, or 2-D rows t[r, 0] + j h with one
-    step h (up to rounding); logn holds ln n in np.longdouble; n_row
-    defaults to every term.  With delta_j = t[0, j] - t[0, 0] and the
-    rounding offset eps = t[r, j] - t[r, 0] - delta_j, n^{-it} =
+    step h (up to rounding); logn holds ln n in np.longdouble (_log_n);
+    n_row defaults to every term.  With delta_j = t[0, j] - t[0, 0] and
+    the rounding offset eps = t[r, j] - t[r, 0] - delta_j, n^{-it} =
     n^{-i t[r, 0]} n^{-i delta_j} (1 - i eps ln n) up to (eps ln n)^2 / 2.
     The row phases t[r, 0] ln n are reduced mod 2 pi in extended
-    precision, all rows share the table n^{-i delta_j}, and each row's
-    sums are a matrix product of their own.  Rows longer than _ROW_NODES
-    are cut into shorter ones.
+    precision and zeroed past each row's n_row, and all rows share the
+    table n^{-i delta_j}: the rows of a phase block are summed by one
+    matrix product (one node a row: by einsum, which stays off BLAS).
+    Rows longer than _ROW_NODES are cut into shorter ones.
     """
     t = np.asarray(t, dtype=float)
     rows = t.reshape(-1, t.shape[-1] if t.ndim == 2 else 1)
@@ -394,32 +402,27 @@ def _dirichlet_rows(t: np.ndarray, logn: np.ndarray, coef: np.ndarray,
     for r in range(0, rows.shape[0], block):
         phase = np.exp(-1j * _mod_two_pi(
             rows[r:r + block, :1].astype(np.longdouble) * logn))
-        terms = n_row[r:r + block]
+        phase[np.arange(size) >= n_row[r:r + block, None]] = 0.0
         if rows.shape[1] == 1:                  # table 1, eps 0
-            phase[np.arange(size) >= terms[:, None]] = 0.0
             out[r:r + block, 0] = np.einsum("rn,n->r", phase, coef)
-            continue
-        for k in sorted(set(terms.tolist())):
-            pick = np.flatnonzero(terms == k)
-            sums = np.matmul(phase[pick, None, :k] * weight[:, :k], table[:k])
-            out[r + pick] = sums[:, 0] - 1j * eps[r + pick] * sums[:, 1]
+        else:
+            sums = np.matmul(phase[:, None] * weight, table)
+            out[r:r + block] = sums[:, 0] - 1j * eps[r:r + block] * sums[:, 1]
     return out.reshape(t.shape)
 
 
-def _zeta_em_vec(t: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin zeta(1/2 + it), t as _dirichlet_rows takes it.
+def _zeta_em_vec(rows: np.ndarray) -> np.ndarray:
+    """Euler-Maclaurin zeta(1/2 + it) on _dirichlet_rows' 2-D rows of nodes.
 
     Each row's truncation length N ~ 3 max|t| / (2 pi) keeps the
     correction-term ratio near 1/9, so twelve Bernoulli terms push the
     remainder far below 1e-10; the cost is O(|t|) per point.
     """
-    t = np.asarray(t, dtype=float)
-    rows = t.reshape(-1, t.shape[-1] if t.ndim == 2 else 1)
     nterms = (3.0 * np.max(np.abs(rows), axis=1, initial=0.0)
               / (2.0 * math.pi)).astype(int) + 12
-    n = np.arange(1, int(nterms.max(initial=12)))
-    acc = _dirichlet_rows(rows, np.log(n.astype(np.longdouble)),
-                          1.0 / np.sqrt(n), nterms - 1)
+    size = int(nterms.max(initial=12)) - 1
+    acc = _dirichlet_rows(rows, _log_n(size),
+                          1.0 / np.sqrt(np.arange(1, size + 1)), nterms - 1)
     # boundary terms at N
     s = 0.5 + 1j * rows
     big = nterms[:, None].astype(float)
@@ -432,40 +435,33 @@ def _zeta_em_vec(t: np.ndarray) -> np.ndarray:
         acc += coef * poly * npow
         poly = poly * (s + (2 * k - 1)) * (s + 2 * k)
         npow = npow / (big * big)
-    return acc.reshape(t.shape)
+    return acc
 
 
-def _riemann_siegel_vec(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Riemann-Siegel Z(t) and theta(t) mod 2 pi for |t| >= T_RS.
+def _riemann_siegel_vec(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Riemann-Siegel Z(t) and theta(t) mod 2 pi on 2-D rows, |t| >= T_RS.
 
     Z(t) = 2 Re(e^{i theta(t)} sum_{n <= m} n^{-1/2 - it})
            + (-1)^{m-1} a^{-1/2} sum_{k=0}^{4} C_k(p) a^{-k},
 
     with a = sqrt(|t| / 2 pi), m = floor(a) and p = a - m: O(sqrt t)
-    terms; Z is even and theta odd.  The terms all nodes of a row share go
-    through _dirichlet_rows, and a node with a larger m adds its own.
-    theta comes from its Stirling series t/2 ln(t/2 pi) - t/2 - pi/8
-    + 1/(48 t) + 7/(5760 t^3), whose next term is below 4e-19 here.
+    terms; Z is even and theta odd.  Each row's sum runs through
+    _dirichlet_rows to the smallest m of the row; a node whose m exceeds
+    it is summed again, to its own m, as a row of one node.  theta comes
+    from its Stirling series t/2 ln(t/2 pi) - t/2 - pi/8 + 1/(48 t)
+    + 7/(5760 t^3), whose next term is below 4e-19 here.
     """
-    t = np.asarray(t, dtype=float)
-    rows = t.reshape(-1, t.shape[-1] if t.ndim == 2 else 1)
     tl = np.abs(rows).astype(np.longdouble)
     theta = np.sign(rows) * _mod_two_pi(
         0.5 * tl * np.log(tl / _TWO_PI_LD) - 0.5 * tl - _PI_LD / 8
         + 1 / (48 * tl) + 7 / (5760 * tl ** 3))
     a = np.sqrt(np.abs(rows) / (2.0 * math.pi))
     m = np.floor(a).astype(int)
-    shared = m.min(axis=1)
-    n = np.arange(1, int(m.max()) + 1)
-    logn = np.log(n.astype(np.longdouble))
-    amp = 1.0 / np.sqrt(n)
-    s = _dirichlet_rows(rows, logn, amp, shared)
-    extra = m - shared[:, None]
-    for d in range(1, int(extra.max()) + 1):
-        node = extra >= d
-        k = np.broadcast_to(shared[:, None] + (d - 1), m.shape)[node]
-        s[node] += amp[k] * np.exp(-1j * _mod_two_pi(
-            rows[node].astype(np.longdouble) * logn[k]))
+    logn = _log_n(int(m.max()))
+    amp = 1.0 / np.sqrt(np.arange(1, logn.size + 1))
+    s = _dirichlet_rows(rows, logn, amp, m.min(axis=1))
+    extra = m > m.min(axis=1, keepdims=True)
+    s[extra] = _dirichlet_rows(rows[extra], logn, amp, m[extra])
     z = 2.0 * (np.cos(theta) * s.real - np.sin(theta) * s.imag)
     x = (a - m - 0.5)[..., None]
     powers = (x * x) ** np.arange(_RS_COEF.shape[0])
@@ -474,13 +470,14 @@ def _riemann_siegel_vec(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     corr = np.sum(ck * a[..., None] ** -np.arange(5.0), axis=-1)
     sign = np.where(m % 2 == 1, 1.0, -1.0)         # (-1)^(m-1)
     z += sign * corr / np.sqrt(a)
-    return z.reshape(t.shape), theta.reshape(t.shape)
+    return z, theta
 
 
 def _zeta_critical_vec(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """zeta(1/2 + it) and the rotated e^{i theta(t)} zeta(1/2 + it).
 
-    t is taken as _dirichlet_rows takes it.  Below |t| = T_RS zeta is the
+    t is taken as _dirichlet_rows takes it, and its rows go as 2-D rows
+    to _zeta_em_vec and _riemann_siegel_vec.  Below |t| = T_RS zeta is the
     Euler-Maclaurin sum and the rotated value is exp(i theta) times it,
     real up to rounding.  From T_RS on, the rotated value is the
     Riemann-Siegel Z(t) itself, exactly real, and zeta = e^{-i theta(t)} Z.

@@ -76,6 +76,8 @@ def test_single_requires_n_equal_one():
 def test_bound_requires_A_above_window():
     with pytest.raises(DomainError):
         bnd.lower_bound_general(cst.Params(N=2, theta=0.01, A=5.0))
+    with pytest.raises(DomainError, match="unset"):
+        bnd.lower_bound_general(cst.Params(N=2, theta=0.01))
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -10,7 +10,7 @@ from critline import cli
 from critline import constants as cst
 from critline import mollifier as mo
 from critline import specfun
-from critline.errors import OptimizerError
+from critline.errors import NumericalConsistencyError, OptimizerError
 
 from reference_values import REFERENCE_TABLE
 
@@ -40,6 +40,15 @@ def test_constants_text(capsys):
                                  "--format", "text"])
     assert code == 0
     assert "constants.k1 = " in out
+
+
+def test_asymptotic_text(capsys):
+    # the scalar bound gets a line of its own beside the dict fields
+    argv = ["asymptotic", "--N", "1e20", "--eps", "0.01"]
+    code, out, _ = _run(capsys, argv + ["--format", "text"])
+    assert code == 0
+    bound = json.loads(_run(capsys, argv)[1])["bound"]
+    assert f"bound = {bound!r}" in out.splitlines()
 
 
 def test_optimize_json(capsys):
@@ -387,6 +396,23 @@ def test_range_error_exit_3(capsys):
         code, out, err = _run(capsys, argv)
         assert (code, out) == (3, "")
         assert json.loads(err)["error"] == "RangeError"
+
+
+def test_imaginary_rotated_value_exit_3(capsys, monkeypatch):
+    # a rotated value whose imaginary part reaches 1e-8 is a numerical
+    # inconsistency, not rounding noise to discard
+    zeta_critical = specfun._zeta_critical_vec
+
+    def tilted(t):
+        zeta, rotated = zeta_critical(t)
+        return zeta, rotated + 1.0e-8j
+
+    monkeypatch.setattr(specfun, "_zeta_critical_vec", tilted)
+    with pytest.raises(NumericalConsistencyError):
+        mo.hardy_x(14.0)
+    code, out, err = _run(capsys, ["detect", "--t-lo", "14", "--t-hi", "15"])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "NumericalConsistencyError"
 
 
 def test_detect_empty_range(capsys):

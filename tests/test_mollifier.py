@@ -225,15 +225,20 @@ def test_full_windows_have_64_simpson_intervals(monkeypatch):
         assert set(nodes) == {65}, (t_lo, H)
 
 
-@pytest.mark.parametrize("t_lo, rel", [
-    (999.5, 1e-12), (10052.6, 1e-12), (-1050.0, 1e-12), (999900.0, 4e-12)])
-def test_scan_rows_match_single_nodes(monkeypatch, t_lo, rel):
+_ROW_CASES = [(999.5, 1e-12, 65), (10052.6, 1e-12, 65), (-1050.0, 1e-12, 65),
+              (999900.0, 4e-12, 65), (50.0, 1e-12, 257), (9900.0, 1e-12, 257)]
+
+
+@pytest.mark.parametrize("t_lo, rel, nodes", _ROW_CASES, ids=[
+    f"{t}-{r}" + ("" if n == 65 else f"-{n}") for t, r, n in _ROW_CASES])
+def test_scan_rows_match_single_nodes(monkeypatch, t_lo, rel, nodes):
     # the seam, m = floor(sqrt(t / 2 pi)) stepping to 40 at 2 pi 40^2 =
     # 10053.1, negative t and the top of the range: X |eta|^2 on the scan's
     # rows of nodes against one node a row, and X against mpmath.  Near
     # t = 1e6 each extended-precision phase t ln n ~ 6e6 is rounded by up
-    # to 1e-12 on either path.
-    cfg = mo.MollifierConfig()
+    # to 1e-12 on either path.  A window of 257 nodes (quad_step H/256) is
+    # cut into rows of specfun._ROW_NODES = 128 and a remainder.
+    cfg = mo.MollifierConfig(quad_step=1.0 / (nodes - 1))
     single = mo._mollified_vec
     rows = []
 
@@ -245,11 +250,18 @@ def test_scan_rows_match_single_nodes(monkeypatch, t_lo, rel):
     monkeypatch.setattr(mo, "_mollified_vec", spy)
     mo._scan(t_lo, t_lo + 2.0, cfg)
     (t, f), = rows
-    assert t.shape == (2, 65)
+    assert t.shape == (2, nodes)
     ref = single(t.ravel(), cfg)[2]
     assert np.all(np.abs(f.ravel() - ref) <= rel * np.maximum(1.0, np.abs(ref)))
-    x = specfun._zeta_critical_vec(t)[1].real.ravel()
-    for node, value in zip(t.ravel()[::16], x[::16]):
+    x = specfun._zeta_critical_vec(t)[1].real
+    # a Riemann-Siegel node past its row's smallest m is summed as a row
+    # of one node, so its X is the single-node X to the bit
+    m = np.floor(np.sqrt(np.abs(t) / (2.0 * math.pi)))
+    past = (m > m.min(axis=1, keepdims=True)) & (np.abs(t) >= specfun._T_RS)
+    assert past.any() == (t_lo == 10052.6)
+    for node, value in zip(t[past], x[past]):
+        assert value == specfun._zeta_critical_vec(np.array([node]))[1].real[0]
+    for node, value in zip(t.ravel()[::16], x.ravel()[::16]):
         assert value == pytest.approx(float(mp.siegelz(node)), abs=1e-10)
 
 

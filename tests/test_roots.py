@@ -209,8 +209,10 @@ def test_rho_lemma_fixed_bracket_large_a(a):
     (lambda: cst.c7(math.nan, 0.3), "c7"),
     (lambda: cst.c6(math.inf, 0.3), "c6"),
     (lambda: cst.c7(-1.0, 0.3), "c7"),
+    (lambda: roots.rho_lemma_a(1.0, -0.1), "rho_lemma_a"),
+    (lambda: roots.rho_lemma_a(1.0, 1.0), "rho_lemma_a"),
 ], ids=["a_nan", "a_inf", "a_minus_inf", "c6_nan", "c7_nan", "c6_inf",
-        "c7_negative"])
+        "c7_negative", "theta_negative", "theta_one"])
 def test_bad_inputs_rejected_by_name(call, name):
     with pytest.raises(DomainError, match=name):
         call()

@@ -11,6 +11,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critline import constants as cst
 from critline import specfun
 from critline.errors import DomainError, RangeError
 
@@ -69,6 +70,10 @@ def test_tau_domain():
     # above the stated limit 10^15, including n that overflow int64
     for n in (10 ** 15 + 1, 2 ** 62, 2 ** 63, 2 ** 64):
         with pytest.raises(DomainError):
+            specfun.tau_z(n, -0.5)
+    # an integer n, not a float or a bool
+    for n in (4.0, 2.5, True):
+        with pytest.raises(DomainError, match="integer"):
             specfun.tau_z(n, -0.5)
 
 
@@ -136,6 +141,14 @@ def test_theta_phase_odd():
             -specfun.theta_phase(t), abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_theta_phase_refuses_non_finite(t):
+    # refused like zeta_critical, hardy_x and eta, with no numpy warning
+    with pytest.raises(RangeError):
+        specfun.theta_phase(t)
+
+
 # --------------------------------------------------------------------- zeta
 
 def test_zeta_critical_against_mpmath():
@@ -182,7 +195,7 @@ def test_riemann_siegel_against_siegelz():
 def test_riemann_siegel_agrees_with_euler_maclaurin():
     t = np.random.default_rng(20231).uniform(specfun._T_RS, 1.0e4, 200)
     rs, _ = specfun._zeta_critical_vec(t)
-    assert np.max(np.abs(rs - specfun._zeta_em_vec(t))) <= 1e-9
+    assert np.max(np.abs(rs - specfun._zeta_em_vec(t[:, None])[:, 0])) <= 1e-9
 
 
 def test_zeta_continuous_across_rs_seam():
@@ -192,10 +205,11 @@ def test_zeta_continuous_across_rs_seam():
     t = np.concatenate([t, -t])
     zeta, rotated = specfun._zeta_critical_vec(t)
     rs = np.abs(t) >= specfun._T_RS
-    z_rs, _ = specfun._riemann_siegel_vec(np.abs(t[rs]))
-    np.testing.assert_array_equal(rotated[rs], z_rs)
-    np.testing.assert_array_equal(zeta[~rs], specfun._zeta_em_vec(t[~rs]))
-    assert np.max(np.abs(zeta - specfun._zeta_em_vec(t))) <= 1e-9
+    z_rs, _ = specfun._riemann_siegel_vec(np.abs(t[rs])[:, None])
+    np.testing.assert_array_equal(rotated[rs], z_rs[:, 0])
+    np.testing.assert_array_equal(zeta[~rs],
+                                  specfun._zeta_em_vec(t[~rs][:, None])[:, 0])
+    assert np.max(np.abs(zeta - specfun._zeta_em_vec(t[:, None])[:, 0])) <= 1e-9
 
 
 def _rs_coefficient_table(degree=50):
@@ -319,6 +333,15 @@ def test_euler_product_domain():
         specfun.euler_product("P3", 100)
     with pytest.raises(DomainError):
         specfun.euler_product("P1", 1)
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf, 2.5])
+def test_prime_cutoff_must_be_an_integer(cutoff):
+    # not int()'s bare ValueError or OverflowError, nor 2.5 truncated to 2
+    with pytest.raises(DomainError, match="integer"):
+        specfun.euler_product("P1", cutoff)
+    with pytest.raises(DomainError, match="integer"):
+        cst.k_constants(0.011, prime_cutoff=cutoff)
 
 
 def test_tail_majorant_decreasing_symbolically():
