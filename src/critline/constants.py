@@ -72,8 +72,8 @@ class Params:
 
     A must be positive and finite.  It must additionally exceed 1/kappa,
     and have a finite cube, wherever a bound is evaluated; those checks
-    belong to the bound evaluators, not the container (A defaults to NaN
-    for optimizer flows that have not chosen it yet).
+    belong to the bound evaluators, not the container (A defaults to NaN,
+    which lower_bound_general and lower_bound_single refuse).
     """
     N: int
     theta: float

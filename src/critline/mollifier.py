@@ -147,44 +147,34 @@ def mollifier_weight(x: float, cfg: MollifierConfig) -> float:
 # --------------------------------------------------------------- polynomial
 
 @lru_cache(maxsize=8)
-def _coefficients(xi: float, theta: float,
-                  variant: str) -> Tuple[np.ndarray, np.ndarray]:
-    """(ln n, tau_{-1/2}(n) M(n) / sqrt(n)) for 1 <= n <= xi, cached.
+def _coefficients(xi: float, theta: float, variant: str) -> np.ndarray:
+    """tau_{-1/2}(n) M(n) / sqrt(n) for 1 <= n <= xi, cached.
 
-    ln n is specfun._log_n's, as specfun._dirichlet_rows takes it.  The
-    arrays are read-only: every caller with the same key shares them.
+    The array is read-only: every caller with the same key shares it.
+    specfun._dirichlet_rows pairs it with its own cached ln n.
     """
     n = np.arange(1, int(math.floor(xi)) + 1)
     amp = (specfun._tau_vec(n, -0.5) * _weight_vec(n, xi, theta, variant)
            / np.sqrt(n))
-    logn = specfun._log_n(n.size)
-    logn.setflags(write=False)
     amp.setflags(write=False)
-    return logn, amp
+    return amp
 
 
 def _eta_vec(t: np.ndarray, cfg: MollifierConfig) -> np.ndarray:
     """eta at 1/2 + it; t as specfun._dirichlet_rows takes it."""
-    logn, amp = _coefficients(cfg.xi, cfg.theta, cfg.variant)
-    return specfun._dirichlet_rows(t, logn, amp)
+    return specfun._dirichlet_rows(
+        t, _coefficients(cfg.xi, cfg.theta, cfg.variant))
 
 
 def eta(t: float, cfg: MollifierConfig) -> complex:
     """Mollifying polynomial sum_{n <= xi} tau_{-1/2}(n) M(n) n^{-1/2-it},
     for |t| <= 1e6, the validated range of zeta; any other t, NaN
     included, raises RangeError."""
-    _check_range(t, "eta")
+    specfun._check_range(t, "eta")
     return complex(_eta_vec(np.array([float(t)]), cfg)[0])
 
 
 # ---------------------------------------------------------- rotated function
-
-def _check_range(t, what: str) -> None:
-    """Refuse t (a number, pair or array) if any ordinate leaves the range."""
-    if not np.all(np.abs(t) <= specfun._ZETA_T_MAX):     # NaN fails too
-        raise RangeError(f"{what} leaves the validated range "
-                         f"|t| <= {specfun._ZETA_T_MAX:g}")
-
 
 def _real_part(rotated: np.ndarray) -> np.ndarray:
     """X from the rotated values, refusing a discarded imaginary part."""
@@ -197,8 +187,7 @@ def _real_part(rotated: np.ndarray) -> np.ndarray:
 
 def _hardy_x_vec(t: np.ndarray) -> np.ndarray:
     """X(t) = exp(i vartheta(t)) zeta(1/2+it) for a vector of ordinates."""
-    t = np.asarray(t, dtype=float)
-    _check_range(t, "rotated function")
+    specfun._check_range(t, "rotated function")
     return _real_part(specfun._zeta_critical_vec(t)[1])
 
 
@@ -295,7 +284,7 @@ def window_integrals(t: float, cfg: MollifierConfig) -> WindowStats:
     """Simpson values of I, J and M over [t, t+H] plus grid sign changes."""
     t = float(t)
     t_hi = t + cfg.H
-    _check_range((t, t_hi), f"window [{t:g}, {t_hi:g}]")
+    specfun._check_range((t, t_hi), f"window [{t:g}, {t_hi:g}]")
     return _scan(t, t_hi, cfg)[0][0]
 
 
@@ -356,7 +345,7 @@ def mollified_scan(t_lo: float, t_hi: float,
     t_hi = float(t_hi)
     if t_hi < t_lo:
         raise RangeError(f"need t_lo <= t_hi, got [{t_lo}, {t_hi}]")
-    _check_range((t_lo, t_hi), "scan range")
+    specfun._check_range((t_lo, t_hi), "scan range")
     if not (t_hi - t_lo) / cfg.H <= _WINDOWS_MAX:
         raise DomainError(f"a scan covers at most {_WINDOWS_MAX:g} windows of length H")
     windows, ends = _scan(t_lo, t_hi, cfg)
@@ -390,7 +379,7 @@ def figure_data(t_lo: float, t_hi: float, step: float,
         raise RangeError(f"step must be > 0, got {step}")
     if t_hi < t_lo:
         raise RangeError(f"need t_lo <= t_hi, got [{t_lo}, {t_hi}]")
-    _check_range((t_lo, t_hi), "grid")
+    specfun._check_range((t_lo, t_hi), "grid")
     span = (t_hi - t_lo) / step + 1.0e-9
     if not span < _FIGURE_ROWS_MAX:
         raise DomainError(f"figure_data emits at most {_FIGURE_ROWS_MAX:g} rows")

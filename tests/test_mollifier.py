@@ -155,8 +155,8 @@ def test_eta_coefficients_bounded():
 
 def test_coefficient_cache_bounded_and_readonly():
     assert mo._coefficients.cache_info().maxsize is not None
-    logn, amp = mo._coefficients(50.0, 0.5, "piecewise")
-    for arr in (logn, amp):
+    amp = mo._coefficients(50.0, 0.5, "piecewise")
+    for arr in (amp, specfun._log_n(50)):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 

@@ -133,6 +133,9 @@ def test_theta_phase_against_mpmath():
     for t in (1.0, 10.0, 100.0, 500.0, 1.0e4):
         oracle = float(mp.siegeltheta(t))
         assert specfun.theta_phase(t) == pytest.approx(oracle, abs=1e-10)
+    # the docstring's figure at the top of the validated range
+    assert specfun.theta_phase(1.0e6) == pytest.approx(
+        float(mp.siegeltheta(1.0e6)), abs=2e-9)
 
 
 def test_theta_phase_odd():
@@ -146,6 +149,14 @@ def test_theta_phase_odd():
 def test_theta_phase_refuses_non_finite(t):
     # refused like zeta_critical, hardy_x and eta, with no numpy warning
     with pytest.raises(RangeError):
+        specfun.theta_phase(t)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1.0e6 + 1.0, 3.0e18, 1.0e20])
+def test_theta_phase_refuses_beyond_validated_range(t):
+    # zeta's validated range |t| <= 1e6, refused with no numpy warning
+    with pytest.raises(RangeError, match="theta_phase"):
         specfun.theta_phase(t)
 
 
@@ -210,6 +221,41 @@ def test_zeta_continuous_across_rs_seam():
     np.testing.assert_array_equal(zeta[~rs],
                                   specfun._zeta_em_vec(t[~rs][:, None])[:, 0])
     assert np.max(np.abs(zeta - specfun._zeta_em_vec(t[:, None])[:, 0])) <= 1e-9
+
+
+def _kernel_cases():
+    # (t, terms, coef size): a count per row, counts stepping up inside
+    # rows, every term, single nodes, and a 257-node row cut at 128
+    t0 = np.array([[14.0], [1000.3], [-2345.6], [98765.4]])
+    rows = t0 + np.arange(9) / 64.0
+    steps = 20 + np.arange(9) // 3 + np.arange(4)[:, None]
+    long = 9876.5 + np.arange(257)[None, :] / 256.0
+    return [(rows, np.array([[30], [5], [40], [1]]), 40),
+            (rows, steps, 40),
+            (rows, None, 40),
+            (rows[:, 0], np.array([7, 40, 1, 33]), 40),
+            (long, 20 + np.arange(257)[None, :] // 100, 30)]
+
+
+@pytest.mark.parametrize("t, terms, size", _kernel_cases(),
+                         ids=["per-row", "per-node", "all", "1-D", "cut"])
+def test_dirichlet_rows_contract(t, terms, size):
+    coef = 1.0 / np.sqrt(np.arange(1, size + 1))
+    got = specfun._dirichlet_rows(t, coef, terms)
+    counts = np.broadcast_to(size if terms is None else terms, t.shape)
+    assert got.shape == t.shape
+    for node, count, value in zip(t.ravel(), counts.ravel(), got.ravel()):
+        exact = mp.fsum(mp.mpf(float(c)) * mp.expj(-mp.mpf(node) * mp.log(n))
+                        for n, c in enumerate(coef[:count], start=1))
+        assert abs(value - complex(exact)) <= 1e-12 * max(1.0, abs(exact))
+    if t.ndim == 2:
+        rows, counts = t.reshape(-1, t.shape[-1]), counts.reshape(-1, t.shape[-1])
+        past = counts > counts.min(axis=1, keepdims=True)
+        assert past.any() == (terms is not None and terms.shape[1] > 1)
+        for node, count, value in zip(rows[past], counts[past], got[past]):
+            alone = specfun._dirichlet_rows(np.array([node]), coef,
+                                            np.array([count]))
+            assert value == alone[0]
 
 
 def _rs_coefficient_table(degree=50):
@@ -399,8 +445,10 @@ def test_delta_r_domain():
         specfun.delta_r(0.0, 1)      # integral diverges at the origin
     with pytest.raises(DomainError):
         specfun.delta_r(-1.0, 2)
-    with pytest.raises(DomainError):
-        specfun.delta_r(1.0, 4)
+    for r in (4, True, 1.0, 2.0):
+        with pytest.raises(DomainError):
+            specfun.delta_r(1.0, r)
+    assert specfun.delta_r(1.0, np.int64(2)) == specfun.delta_r(1.0, 2)
     for x, r in ((math.nan, 2), (math.inf, 1)):
         with pytest.raises(DomainError):
             specfun.delta_r(x, r)
