@@ -8,11 +8,11 @@ the two Euler products P1 and P2 with rigorous tail bounds, the constant
 Gamma(1/4)/Gamma(3/4), the oscillatory integrals Delta_r and the
 composite-Simpson rule they and the mollifier windows integrate with.
 
-All operations are pure; the only module state is three bounded caches
-(read-only prime arrays, Euler products, read-only ln n tables), the
-precomputed Bernoulli and Riemann-Siegel coefficient tables, the stored
-Euler products at the default cutoff, and Gamma(1/4)/Gamma(3/4),
-computed once at import.
+All operations are pure; the only module state is four bounded caches
+(read-only prime arrays, Euler products, read-only ln n tables and
+read-only phase plans), the precomputed Bernoulli and Riemann-Siegel
+coefficient tables, the stored Euler products at the default cutoff, and
+Gamma(1/4)/Gamma(3/4), computed once at import.
 """
 
 from __future__ import annotations
@@ -367,16 +367,89 @@ def _mod_two_pi(phase: np.ndarray) -> np.ndarray:
     return (phase - turns * _TWO_PI_LD).astype(float)
 
 
+# The smallest size _plan caches an ln n table and a phase plan for.
+_PLAN_MIN = 64
+
+
 @lru_cache(maxsize=8)
-def _log_n(size: int) -> np.ndarray:
-    """ln n for n = 1 ... size in np.longdouble, cached and read-only."""
-    logn = np.log(np.arange(1, size + 1, dtype=np.longdouble))
+def _log_n(cap: int) -> np.ndarray:
+    """ln n for n = 1 ... cap in np.longdouble, cached and read-only."""
+    logn = np.log(np.arange(1, cap + 1, dtype=np.longdouble))
     logn.setflags(write=False)
     return logn
 
 
+@lru_cache(maxsize=8)
+def _phase_plan(cap: int) -> Tuple[np.ndarray, ...]:
+    """The order in which n^{-it}, 1 <= n <= cap, is built from its primes.
+
+    n^{-it} is completely multiplicative: with spf(n) the smallest prime
+    factor of n, n^{-it} = spf(n)^{-it} (n / spf(n))^{-it}, one complex
+    product once both factors are known.  Level k holds the n with Omega(n)
+    = k (prime factors with multiplicity), sorted; level 0 is n = 1, level
+    1 the primes, and the cofactor n / spf(n) of level k lies on level
+    k - 1.  Returns, in level order, the indices n - 1, their levels, and
+    the places of spf(n) in the order and of n / spf(n) within its level;
+    cached per cap and read-only.
+    """
+    spf = np.arange(cap + 1)
+    for p in primes_up_to(math.isqrt(cap))[::-1]:     # the smallest p last
+        spf[p * p::p] = p
+    n = np.arange(1, cap + 1)
+    cof = n // spf[1:]
+    omega = (n > 1).astype(np.int64)
+    rest = cof.copy()
+    while (more := rest > 1).any():
+        omega += more
+        rest //= spf[rest]
+    order = np.argsort(omega, kind="stable")
+    starts = np.searchsorted(omega[order], np.arange(omega.max() + 1))
+    rank = np.empty(cap, dtype=np.int64)
+    rank[order] = np.arange(cap) - starts[omega[order]]
+    plan = (order, omega[order], 1 + rank[spf[1:][order] - 1],
+            rank[cof[order] - 1])
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _plan(size: int):
+    """ln n and _phase_plan cut to n <= size: the order of the n, the
+    indices n - 1 of the primes, and per level from 2 on its slice of the
+    order and the places of each n's two factors.
+
+    Both caches are keyed by the next power of two from _PLAN_MIN on, whose
+    entry serves every smaller size: the varying sizes of the
+    Euler-Maclaurin rows and the refinement points share a few entries.
+    """
+    cap = max(_PLAN_MIN, 1 << (size - 1).bit_length())
+    plan = _phase_plan(cap)
+    keep = plan[0] < size
+    order, level, at_p, at_q = (v[keep] for v in plan)
+    start = np.searchsorted(level, np.arange(max(level[-1], 1) + 2))
+    at_q = at_q + start[level - 1]          # level k - 1 starts there
+    steps = [(lo, hi, at_p[lo:hi], at_q[lo:hi])
+             for lo, hi in zip(start[2:-1], start[3:])]
+    return _log_n(cap)[:size], order, order[1:start[2]], steps
+
+
+def _unit_phases(at_primes: np.ndarray, steps, size: int) -> np.ndarray:
+    """e^{-i phase} at every n <= size in _plan's order (first axis), from
+    the real phases at the primes: their cosines and sines, then one
+    complex product per composite."""
+    out = np.empty((size,) + at_primes.shape[1:], dtype=complex)
+    out[0] = 1.0
+    prime = slice(1, 1 + at_primes.shape[0])
+    np.cos(at_primes, out=out.real[prime])
+    np.sin(at_primes, out=out.imag[prime])
+    np.negative(out.imag[prime], out=out.imag[prime])
+    for lo, hi, p, q in steps:
+        np.multiply(out[p], out[q], out=out[lo:hi])
+    return out
+
+
 def _dirichlet_rows(t: np.ndarray, coef: np.ndarray, terms=None) -> np.ndarray:
-    """sum_{n <= terms} coef[n-1] n^{-it} at every node t, ln n from _log_n.
+    """sum_{n <= terms} coef[n-1] n^{-it} at every node t.
 
     t holds ordinates, one node a row, or 2-D rows t[r, 0] + j h with one
     step h (up to rounding); terms, broadcast against t, holds a count per
@@ -384,11 +457,22 @@ def _dirichlet_rows(t: np.ndarray, coef: np.ndarray, terms=None) -> np.ndarray:
     count, and a node past it again as a row of one node.  With delta_j =
     t[0, j] - t[0, 0] and eps = t[r, j] - t[r, 0] - delta_j, n^{-it} =
     n^{-i t[r, 0]} n^{-i delta_j} (1 - i eps ln n) up to (eps ln n)^2 / 2.
-    The row phases t[r, 0] ln n are reduced mod 2 pi in extended
-    precision and zeroed past the row's count, and all rows share the
+    Both phase sets come from the primes p <= coef.size alone
+    (_phase_plan): the row phases t[r, 0] ln p, reduced mod 2 pi in
+    extended precision, and the offsets delta_j ln p in double, each
+    exponentiated once; every composite is then one complex product.  The
+    row phases are zeroed past the row's count, and all rows share the
     table n^{-i delta_j}: the rows of a phase block are summed by one
     matrix product (one node a row: by einsum, which stays off BLAS).
     Rows longer than _ROW_NODES are then cut into shorter ones.
+
+    A composite's phase error is the sum of its prime factors' (each
+    rounded at the size of t ln p, as a direct t ln n is), plus one
+    rounding per product, Omega(n) - 1 <= log2(size) of them.  Against
+    30-digit mpmath, sum_{n <= size} n^{-1/2 - it} for size 50, 399 and
+    1e4 is within 5e-14 at t = 9876.5 and 1e-12 at t = 999999.5, on rows
+    and on single nodes (measured: 8.6e-15 and 2.0e-13, as with direct
+    phases; tests/test_specfun.py).
     """
     t = np.asarray(t, dtype=float)
     rows = t.reshape(-1, t.shape[-1] if t.ndim == 2 else 1)
@@ -409,21 +493,24 @@ def _dirichlet_rows(t: np.ndarray, coef: np.ndarray, terms=None) -> np.ndarray:
         if cut < rows.shape[1]:
             out[:, cut:] = _dirichlet_rows(rows[:, cut:], coef, n_row)
         return out.reshape(t.shape)
-    logn = _log_n(size)
-    ln = logn.astype(float)
-    weight = np.stack([coef, coef * ln])        # the sum and its eps slope
-    delta = rows[:1] - rows[:1, :1]
-    table = np.exp(-1j * np.outer(ln, delta))
-    eps = rows - rows[:, :1] - delta
+    logn, perm, primes, steps = _plan(size)
+    weight = coef[perm]
+    if rows.shape[1] > 1:
+        ln = logn.astype(float)
+        weight = np.stack([weight, weight * ln[perm]])  # the sum, eps slope
+        delta = rows[0] - rows[0, 0]
+        table = _unit_phases(np.outer(ln[primes], delta), steps, size)
+        eps = rows - rows[:, :1] - delta
     block = max(1, _ROW_BLOCK // size)
     for r in range(0, rows.shape[0], block):
-        phase = np.exp(-1j * _mod_two_pi(
-            rows[r:r + block, :1].astype(np.longdouble) * logn))
-        phase[np.arange(size) >= n_row[r:r + block]] = 0.0
-        if rows.shape[1] == 1:                  # table 1, eps 0
-            out[r:r + block, 0] = np.einsum("rn,n->r", phase, coef)
+        phase = _unit_phases(_mod_two_pi(
+            logn[primes, None] * rows[r:r + block, 0].astype(np.longdouble)),
+            steps, size)
+        phase[perm[:, None] >= n_row[r:r + block, 0]] = 0.0
+        if rows.shape[1] == 1:
+            out[r:r + block, 0] = np.einsum("nr,n->r", phase, weight)
         else:
-            sums = np.matmul(phase[:, None] * weight, table)
+            sums = np.matmul(phase.T[:, None] * weight, table)
             out[r:r + block] = sums[:, 0] - 1j * eps[r:r + block] * sums[:, 1]
     return out.reshape(t.shape)
 
@@ -475,13 +562,16 @@ def _riemann_siegel_vec(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     m = np.floor(a).astype(int)
     s = _dirichlet_rows(rows, 1.0 / np.sqrt(np.arange(1, m.max() + 1)), m)
     z = 2.0 * (np.cos(theta) * s.real - np.sin(theta) * s.imag)
-    x = (a - m - 0.5)[..., None]
-    powers = (x * x) ** np.arange(_RS_COEF.shape[0])
-    ck = np.einsum("...j,jk->...k", powers, _RS_COEF)
-    ck[..., 1::2] *= x
-    corr = np.sum(ck * a[..., None] ** -np.arange(5.0), axis=-1)
+    a, m = a.ravel(), m.ravel()
+    x = a - m - 0.5
+    powers = np.vander(x * x, _RS_COEF.shape[0], increasing=True)
+    ck = np.einsum("rj,jk->rk", powers, _RS_COEF)   # off BLAS: bits per node
+    ck[:, 1::2] *= x[:, None]
+    corr = ck[:, 4]
+    for k in range(3, -1, -1):                      # Horner in 1/a
+        corr = corr / a + ck[:, k]
     sign = np.where(m % 2 == 1, 1.0, -1.0)         # (-1)^(m-1)
-    z += sign * corr / np.sqrt(a)
+    z += (sign * corr / np.sqrt(a)).reshape(z.shape)
     return z, theta
 
 
@@ -523,10 +613,12 @@ def zeta_critical(t: float) -> complex:
     |t| >= 1000: Riemann-Siegel with C_0 ... C_4, O(sqrt |t|) terms.  Its
     truncation error is at most 0.017 |t|^(-11/4) (Gabcke 1979, K = 4),
     i.e. 1e-10 at |t| = 1000.  Both sums over n run through
-    _dirichlet_rows, whose phases t ln n are reduced in extended precision
-    (np.longdouble; where that is a plain double, phase rounding grows to
-    ~4e-9 at 1e6).  Measured against mpmath at 70 points in [1e3, 1e6]: at
-    most 3.8e-11, and 1.6e-12 above 1e4; at 40 points in [1, 1000]: 2.3e-14.
+    _dirichlet_rows, which builds n^{-it} from the phases t ln p of the
+    primes, reduced in extended precision (np.longdouble; where that is a
+    plain double, phase rounding grows to ~4e-9 at 1e6).  Measured against
+    mpmath at 70 log-uniform points in [1e3, 1e6]: at most 6.0e-11 (at
+    1037, the C_4 truncation), and 8.3e-13 above 1e4; at 40 points in
+    [1, 1000]: 2.3e-14.
     """
     t = float(t)
     _check_range(t, "zeta_critical")

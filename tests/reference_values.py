@@ -91,6 +91,6 @@ ASYMPTOTIC_BOUND_1E20_EPS001 = -3.405896177148476e-26
 # detect_zeros(t_lo, t_lo + 100) at the default MollifierConfig: the zero
 # count and the sha256 of json.dumps(ordinates), frozen byte for byte.
 DETECT_ANCHORS = {
-    9900.0: (117, "4a89a5e02716f8887fb74b90ed6df2d09a5e5b189820b73acba272150f3dc477"),
-    999900.0: (191, "0b1fddf7420f87e0a075d5b42b55290abef94da452db8dea17d0d5d9313091a8"),
+    9900.0: (117, "08481a3f5e115a33f0f85d525b682aefc624d9066653780eb237f4bd62573276"),
+    999900.0: (191, "25b0b34b6ad4e0b3b2d655b57cf0c109d24bc51f127c23e7237cabf88e92681e"),
 }

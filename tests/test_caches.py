@@ -14,6 +14,6 @@ def test_every_cache_has_a_finite_maxsize():
             if hasattr(obj, "cache_info"):
                 caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
     assert {"specfun._sieve", "specfun.euler_product", "specfun._log_n",
-            "mollifier._coefficients"} <= set(caches)
+            "specfun._phase_plan", "mollifier._coefficients"} <= set(caches)
     unbounded = sorted(name for name, size in caches.items() if size is None)
     assert unbounded == []

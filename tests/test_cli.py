@@ -457,7 +457,7 @@ GOLDEN_STDOUT = {
         "1fb4449a44650a37e54a9afe67f9f790929104893428566fa654829ed3f2075c",
     "mollify": "798803b57705730d0adf908eb5da51fced571a6d37fe0f7868bb5fbe6a45edc0",
     "detect --t-lo 0 --t-hi 100":
-        "f1745136a672aad17157071b9da69b8857af3a6d3ef362e3f4dfece8525a39b7",
+        "c8f53cd215ee0500ceac1f7fcf39f0b98fb49c4c7d09bc28aefb1a796dc23e9a",
     "asymptotic --N 1e20 --eps 0.01":
         "4a01e54cdd9df23df0c95f456c40d8a956f9b303b8a04f285b405b33e5c24293",
 }

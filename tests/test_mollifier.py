@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from critline import mollifier as mo
 from critline import specfun
-from critline.errors import DomainError, RangeError
+from critline.errors import DomainError, NumericalConsistencyError, RangeError
 
 from reference_values import DETECT_ANCHORS, ZETA_HALF
 
@@ -180,6 +180,18 @@ def test_hardy_x_range():
     for t in (1.0e6 + 0.5, math.nan, math.inf, -math.inf):
         with pytest.raises(RangeError):
             mo.hardy_x(t)
+
+
+@pytest.mark.parametrize("value", [complex(math.nan, math.nan),
+                                   complex(math.nan, 0.0),
+                                   complex(0.0, math.nan),
+                                   complex(math.inf, 0.0),
+                                   complex(-1.0, math.inf)])
+def test_real_part_refuses_non_finite(value):
+    # a NaN or an infinity in either part is refused, not passed on as X
+    with pytest.raises(NumericalConsistencyError, match="not finite"):
+        mo._real_part(np.array([0.5, value]))
+    assert np.array_equal(mo._real_part(np.array([0.5 + 1e-9j])), [0.5])
 
 
 # --------------------------------------------------------- window integrals
@@ -370,21 +382,21 @@ def test_detect_matches_raw_sign_changes():
 def _refine_spied(monkeypatch, lo, hi, f_lo, f_hi, f=None):
     """_refine_crossings with every evaluation recorded.
 
-    f, if given, stands in for X*|eta|^2.  Returns the midpoints, the
-    number of evaluation calls and each bracket's last ends, rebuilt from
-    the evaluated points (a only moves right and b only left).
+    f, if given, stands in for X.  Returns the midpoints, the number of
+    evaluation calls and each bracket's last ends, rebuilt from the
+    evaluated points (a only moves right and b only left).
     """
-    real = mo._mollified_vec
+    real = mo._hardy_x_vec
     xs, ys = [], []
 
-    def spy(t, cfg):
-        out = (None, None, f(t)) if f else real(t, cfg)
+    def spy(t):
+        out = f(t) if f else real(t)
         xs.append(np.array(t))
-        ys.append(np.array(out[2]))
+        ys.append(np.array(out))
         return out
 
-    monkeypatch.setattr(mo, "_mollified_vec", spy)
-    mids = mo._refine_crossings(lo, hi, f_lo, f_hi, mo.MollifierConfig())
+    monkeypatch.setattr(mo, "_hardy_x_vec", spy)
+    mids = mo._refine_crossings(lo, hi, f_lo, f_hi)
     x, y = np.concatenate(xs), np.concatenate(ys)
     a, b = lo.copy(), hi.copy()
     for i in range(lo.size):
@@ -438,6 +450,33 @@ def test_refine_evaluation_count(monkeypatch, t_lo):
     assert calls <= 8
     assert np.all(b - a < 1e-9)
     assert np.all(mids == 0.5 * (a + b))
+
+
+def test_refine_work_near_1e6(monkeypatch):
+    # ITP evaluates X alone: no eta term, and per point and step one
+    # extended-precision phase per prime p <= m (78 at m = 398) plus one for
+    # theta, where phases of every n took m + 1 = 399
+    _, ends = mo._scan(999900.0, 1.0e6, mo.MollifierConfig())
+    calls = {"eta": 0, "points": 0, "phases": 0}
+    eta_vec, hardy_x_vec, mod_two_pi = (mo._eta_vec, mo._hardy_x_vec,
+                                        specfun._mod_two_pi)
+
+    def count(key, fn, weight):
+        def spy(*args):
+            calls[key] += weight(args[0])
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(mo, "_eta_vec", count("eta", eta_vec, lambda t: 1))
+    monkeypatch.setattr(mo, "_hardy_x_vec",
+                        count("points", hardy_x_vec, np.size))
+    monkeypatch.setattr(specfun, "_mod_two_pi",
+                        count("phases", mod_two_pi, np.size))
+    mo._refine_crossings(*ends)
+    m = math.isqrt(int(1.0e6 / (2.0 * math.pi)))
+    assert m == 398 and calls["points"] > 0
+    assert calls["eta"] == 0
+    assert calls["phases"] <= (specfun.primes_up_to(m).size + 1) * calls["points"]
 
 
 # -------------------------------------------------------------- figure data

@@ -258,6 +258,57 @@ def test_dirichlet_rows_contract(t, terms, size):
             assert value == alone[0]
 
 
+def test_phase_plan_factors_every_n():
+    # every n <= size once, each composite n the product of its smallest
+    # prime factor and a cofactor one level down; Omega(n) reaches 13 at
+    # 2^13 = 8192, so a size of 1e4 takes 12 levels of products
+    size = 10 ** 4
+    logn, perm, primes, steps = specfun._plan(size)
+    n = perm + 1
+    assert sorted(n.tolist()) == list(range(1, size + 1))
+    np.testing.assert_array_equal(n[1:1 + primes.size], specfun.primes_up_to(size))
+    spf = np.arange(size + 1)
+    for p in specfun.primes_up_to(100)[::-1]:
+        spf[p * p::p] = p
+    done = set(n[:1 + primes.size].tolist())
+    for lo, hi, p, q in steps:
+        assert np.all(n[lo:hi] == n[p] * n[q])
+        assert np.all(n[p] == spf[n[lo:hi]])
+        assert set(n[q].tolist()) <= done
+        done |= set(n[lo:hi].tolist())
+    assert len(steps) == 12
+    assert logn.size == size and logn.dtype == np.longdouble
+
+
+def test_phase_plan_cache_keyed_by_power_of_two():
+    # the sizes 1 ... 64 of, e.g., Euler-Maclaurin rows below t = 100 share
+    # one plan and one ln n table; the cached arrays are read-only
+    specfun._phase_plan.cache_clear()
+    specfun._log_n.cache_clear()
+    for size in range(1, 65):
+        specfun._plan(size)
+    assert specfun._phase_plan.cache_info().misses == 1
+    assert specfun._log_n.cache_info().misses == 1
+    for arr in (*specfun._phase_plan(64), specfun._log_n(64)):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+@pytest.mark.parametrize("size", [50, 399, 10 ** 4])
+@pytest.mark.parametrize("t, tol", [(9876.5, 5e-14), (999999.5, 1e-12)])
+def test_prime_built_sums_against_mpmath(t, tol, size):
+    # the bound in _dirichlet_rows' docstring, on a row of two nodes and on
+    # each node alone
+    coef = 1.0 / np.sqrt(np.arange(1, size + 1))
+    nodes = t + np.array([0.0, 1.0 / 64.0])
+    exact = np.array([complex(mp.fsum(mp.power(n, mp.mpc(-0.5, -node))
+                                      for n in range(1, size + 1)))
+                      for node in nodes])
+    for got in (specfun._dirichlet_rows(nodes[None, :], coef)[0],
+                specfun._dirichlet_rows(nodes, coef)):
+        assert np.max(np.abs(got - exact)) <= tol
+
+
 def _rs_coefficient_table(degree=50):
     """C_0 ... C_4 in powers of p - 1/2 from mpmath, laid out as _RS_COEF."""
     with mp.workdps(50):
