@@ -174,7 +174,8 @@ _COMMANDS = {
     "optimize": (_run_optimize, ("json", "text"), "grid",
                  "best (A, theta) and bound for one N"),
     "table": (_run_table, ("text", "json", "csv"), "grid",
-              "the eight reference rows N = 1,2,3,4,5,10,100,1000"),
+              "the reference rows N = "
+              + ",".join(map(str, bnd.DEFAULT_TABLE_N))),
     "asymptotic": (_run_asymptotic, ("json", "text"), "chain",
                    "large-N constants and explicit bound at (N, eps)"),
     "mollify": (_run_mollify, ("csv", "json"), "scan",
@@ -192,7 +193,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write to this path instead of stdout")
     chain = argparse.ArgumentParser(add_help=False, parents=[output])
     chain.add_argument("--prime-cutoff", type=int, default=None,
-                       help="Euler-product prime cutoff (default 10^6)")
+                       help="Euler-product prime cutoff "
+                            f"(default {cst.PRIME_CUTOFF})")
     chain.add_argument("--kappa", type=float, default=0.125)
     rect = argparse.ArgumentParser(add_help=False, parents=[chain])
     rect.add_argument("--n-rect", type=int, default=100)

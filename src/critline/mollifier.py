@@ -384,7 +384,8 @@ def figure_data(t_lo: float, t_hi: float, step: float,
 
     The third column uses the configured variant, the fourth the selberg
     profile at the same (xi, theta); if the configured variant is already
-    selberg, the two coincide.  Row count is floor((t_hi-t_lo)/step) + 1.
+    selberg, the two coincide.  Row count is floor((t_hi-t_lo)/step) + 1;
+    the rows are evaluated _SCAN_NODES at a time.
     """
     t_lo = float(t_lo)
     t_hi = float(t_hi)
@@ -398,13 +399,13 @@ def figure_data(t_lo: float, t_hi: float, step: float,
     if not span < _FIGURE_ROWS_MAX:
         raise DomainError(f"figure_data emits at most {_FIGURE_ROWS_MAX:g} rows")
     n_rows = int(math.floor(span)) + 1
-    t = t_lo + step * np.arange(n_rows)
-    x = _hardy_x_vec(t)
-    e = _eta_vec(t, cfg)
-    e_sel = _eta_vec(t, replace(cfg, variant="selberg"))
-    return np.column_stack([
-        t,
-        x,
-        x * (e.real ** 2 + e.imag ** 2),
-        x * (e_sel.real ** 2 + e_sel.imag ** 2),
-    ])
+    selberg = replace(cfg, variant="selberg")
+    rows = np.empty((n_rows, 4))
+    rows[:, 0] = t_lo + step * np.arange(n_rows)
+    for lo in range(0, n_rows, _SCAN_NODES):
+        t, x, f, f_sel = rows[lo:lo + _SCAN_NODES].T
+        x[:] = _hardy_x_vec(t)
+        for out, c in ((f, cfg), (f_sel, selberg)):
+            e = _eta_vec(t, c)
+            out[:] = x * (e.real ** 2 + e.imag ** 2)
+    return rows

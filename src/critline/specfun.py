@@ -8,9 +8,9 @@ the two Euler products P1 and P2 with rigorous tail bounds, the constant
 Gamma(1/4)/Gamma(3/4), the oscillatory integrals Delta_r and the
 composite-Simpson rule they and the mollifier windows integrate with.
 
-All operations are pure; the only module state is four bounded caches
-(read-only prime arrays, Euler products, read-only ln n tables and
-read-only phase plans), the precomputed Bernoulli and Riemann-Siegel
+All operations are pure; the only module state is three bounded caches
+(read-only prime arrays, Euler products and read-only phase plans with
+their ln n tables), the precomputed Bernoulli and Riemann-Siegel
 coefficient tables, the stored Euler products at the default cutoff, and
 Gamma(1/4)/Gamma(3/4), computed once at import.
 """
@@ -367,35 +367,25 @@ def _mod_two_pi(phase: np.ndarray) -> np.ndarray:
     return (phase - turns * _TWO_PI_LD).astype(float)
 
 
-# The smallest size _plan caches an ln n table and a phase plan for.
-_PLAN_MIN = 64
-
-
 @lru_cache(maxsize=8)
-def _log_n(cap: int) -> np.ndarray:
-    """ln n for n = 1 ... cap in np.longdouble, cached and read-only."""
-    logn = np.log(np.arange(1, cap + 1, dtype=np.longdouble))
-    logn.setflags(write=False)
-    return logn
-
-
-@lru_cache(maxsize=8)
-def _phase_plan(cap: int) -> Tuple[np.ndarray, ...]:
-    """The order in which n^{-it}, 1 <= n <= cap, is built from its primes.
+def _phase_plan(size: int) -> tuple:
+    """ln n and the order in which n^{-it}, 1 <= n <= size, is built from
+    its primes, cached per size; every array is read-only.
 
     n^{-it} is completely multiplicative: with spf(n) the smallest prime
     factor of n, n^{-it} = spf(n)^{-it} (n / spf(n))^{-it}, one complex
     product once both factors are known.  Level k holds the n with Omega(n)
     = k (prime factors with multiplicity), sorted; level 0 is n = 1, level
     1 the primes, and the cofactor n / spf(n) of level k lies on level
-    k - 1.  Returns, in level order, the indices n - 1, their levels, and
-    the places of spf(n) in the order and of n / spf(n) within its level;
-    cached per cap and read-only.
+    k - 1.  Returns ln n in np.longdouble, the indices n - 1 in level
+    order, those of the primes, and per level from 2 on its slice of the
+    order and the places in it of each n's two factors.  The plan of a
+    size is the n <= size part of every longer one.
     """
-    spf = np.arange(cap + 1)
-    for p in primes_up_to(math.isqrt(cap))[::-1]:     # the smallest p last
+    spf = np.arange(size + 1)
+    for p in primes_up_to(math.isqrt(size))[::-1]:    # the smallest p last
         spf[p * p::p] = p
-    n = np.arange(1, cap + 1)
+    n = np.arange(1, size + 1)
     cof = n // spf[1:]
     omega = (n > 1).astype(np.int64)
     rest = cof.copy()
@@ -403,39 +393,21 @@ def _phase_plan(cap: int) -> Tuple[np.ndarray, ...]:
         omega += more
         rest //= spf[rest]
     order = np.argsort(omega, kind="stable")
-    starts = np.searchsorted(omega[order], np.arange(omega.max() + 1))
-    rank = np.empty(cap, dtype=np.int64)
-    rank[order] = np.arange(cap) - starts[omega[order]]
-    plan = (order, omega[order], 1 + rank[spf[1:][order] - 1],
-            rank[cof[order] - 1])
-    for arr in plan:
+    at = np.empty(size, dtype=np.int64)
+    at[order] = np.arange(size)
+    logn = np.log(n.astype(np.longdouble))
+    p, q = at[spf[1:][order] - 1], at[cof[order] - 1]
+    for arr in (logn, order, p, q):     # before the views below are taken
         arr.setflags(write=False)
-    return plan
-
-
-def _plan(size: int):
-    """ln n and _phase_plan cut to n <= size: the order of the n, the
-    indices n - 1 of the primes, and per level from 2 on its slice of the
-    order and the places of each n's two factors.
-
-    Both caches are keyed by the next power of two from _PLAN_MIN on, whose
-    entry serves every smaller size: the varying sizes of the
-    Euler-Maclaurin rows and the refinement points share a few entries.
-    """
-    cap = max(_PLAN_MIN, 1 << (size - 1).bit_length())
-    plan = _phase_plan(cap)
-    keep = plan[0] < size
-    order, level, at_p, at_q = (v[keep] for v in plan)
-    start = np.searchsorted(level, np.arange(max(level[-1], 1) + 2))
-    at_q = at_q + start[level - 1]          # level k - 1 starts there
-    steps = [(lo, hi, at_p[lo:hi], at_q[lo:hi])
-             for lo, hi in zip(start[2:-1], start[3:])]
-    return _log_n(cap)[:size], order, order[1:start[2]], steps
+    start = np.searchsorted(omega[order], np.arange(max(omega.max(), 1) + 2))
+    steps = tuple((lo, hi, p[lo:hi], q[lo:hi])
+                  for lo, hi in zip(start[2:-1], start[3:]))
+    return logn, order, order[1:start[2]], steps
 
 
 def _unit_phases(at_primes: np.ndarray, steps, size: int) -> np.ndarray:
-    """e^{-i phase} at every n <= size in _plan's order (first axis), from
-    the real phases at the primes: their cosines and sines, then one
+    """e^{-i phase} at every n <= size in _phase_plan's order (first axis),
+    from the real phases at the primes: their cosines and sines, then one
     complex product per composite."""
     out = np.empty((size,) + at_primes.shape[1:], dtype=complex)
     out[0] = 1.0
@@ -493,7 +465,7 @@ def _dirichlet_rows(t: np.ndarray, coef: np.ndarray, terms=None) -> np.ndarray:
         if cut < rows.shape[1]:
             out[:, cut:] = _dirichlet_rows(rows[:, cut:], coef, n_row)
         return out.reshape(t.shape)
-    logn, perm, primes, steps = _plan(size)
+    logn, perm, primes, steps = _phase_plan(size)
     weight = coef[perm]
     if rows.shape[1] > 1:
         ln = logn.astype(float)
@@ -687,16 +659,9 @@ def delta_r(x: float, r: int) -> complex:
     phase = np.exp(-1j * u2) - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         core = phase / u2
-    if r == 1:
-        f = 2.0 * core
-        f[0] = -2.0j
-        lead = -2.0 / math.sqrt(x)
-    elif r == 2:
-        f = 2.0 * (x - u2) * core
-        f[0] = -2.0j * x
-        lead = -4.0 * math.sqrt(x)
-    else:
-        f = (x - u2) ** 2 * core
-        f[0] = -1.0j * x * x
-        lead = -(8.0 / 3.0) * x ** 1.5
+    scale = 2.0 / math.factorial(r - 1)
+    f = scale * (x - u2) ** (r - 1) * core
+    f[0] = -1.0j * scale * x ** (r - 1)
+    lead = (-2.0 / math.sqrt(x), -4.0 * math.sqrt(x),
+            -(8.0 / 3.0) * x ** 1.5)[r - 1]
     return complex(lead + w @ f)

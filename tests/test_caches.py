@@ -13,7 +13,7 @@ def test_every_cache_has_a_finite_maxsize():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info"):
                 caches[f"{info.name}.{name}"] = obj.cache_info().maxsize
-    assert {"specfun._sieve", "specfun.euler_product", "specfun._log_n",
-            "specfun._phase_plan", "mollifier._coefficients"} <= set(caches)
+    assert {"specfun._sieve", "specfun.euler_product", "specfun._phase_plan",
+            "mollifier._coefficients"} <= set(caches)
     unbounded = sorted(name for name, size in caches.items() if size is None)
     assert unbounded == []

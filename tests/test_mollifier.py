@@ -156,7 +156,7 @@ def test_eta_coefficients_bounded():
 def test_coefficient_cache_bounded_and_readonly():
     assert mo._coefficients.cache_info().maxsize is not None
     amp = mo._coefficients(50.0, 0.5, "piecewise")
-    for arr in (amp, specfun._log_n(50)):
+    for arr in (amp, specfun._phase_plan(50)[0]):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -509,6 +509,25 @@ def test_figure_crossing_alignment():
     for col in (2, 3):
         moll = flips(rows[:, col])
         assert all(any(abs(i - j) <= 1 for j in moll) for i in raw)
+
+
+def test_figure_memory_flat_in_rows():
+    # the arrays beside the result are bounded by the chunk of _SCAN_NODES
+    # rows: near t = 1e6 (398 Riemann-Siegel terms) they stay put from 2^13
+    # to 2^15 rows, where one pass over the whole grid grows by ~6 MB
+    step = 2.0 ** -10
+    mo.figure_data(999000.0, 999000.0 + step, step, CFG)     # fill the caches
+    extra = []
+    for rows in (1 << 13, 1 << 15):
+        tracemalloc.start()
+        try:
+            out = mo.figure_data(999000.0, 999000.0 + step * (rows - 1), step, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (rows, 4)
+        extra.append(peak - out.nbytes)
+    assert extra[1] - extra[0] < 2 ** 16
 
 
 def test_figure_errors():

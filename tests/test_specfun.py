@@ -263,7 +263,7 @@ def test_phase_plan_factors_every_n():
     # prime factor and a cofactor one level down; Omega(n) reaches 13 at
     # 2^13 = 8192, so a size of 1e4 takes 12 levels of products
     size = 10 ** 4
-    logn, perm, primes, steps = specfun._plan(size)
+    logn, perm, primes, steps = specfun._phase_plan(size)
     n = perm + 1
     assert sorted(n.tolist()) == list(range(1, size + 1))
     np.testing.assert_array_equal(n[1:1 + primes.size], specfun.primes_up_to(size))
@@ -280,16 +280,19 @@ def test_phase_plan_factors_every_n():
     assert logn.size == size and logn.dtype == np.longdouble
 
 
-def test_phase_plan_cache_keyed_by_power_of_two():
-    # the sizes 1 ... 64 of, e.g., Euler-Maclaurin rows below t = 100 share
-    # one plan and one ln n table; the cached arrays are read-only
+def test_phase_plan_cached_per_size():
+    # the plan of a size is the n <= size part of a longer one, so every sum
+    # keeps its terms and their order; one build per size, all read-only
+    logn, perm, _, _ = specfun._phase_plan(130)
     specfun._phase_plan.cache_clear()
-    specfun._log_n.cache_clear()
-    for size in range(1, 65):
-        specfun._plan(size)
-    assert specfun._phase_plan.cache_info().misses == 1
-    assert specfun._log_n.cache_info().misses == 1
-    for arr in (*specfun._phase_plan(64), specfun._log_n(64)):
+    for size in range(1, 131):
+        got_logn, got_perm, _, _ = specfun._phase_plan(size)
+        assert specfun._phase_plan(size)[1] is got_perm
+        np.testing.assert_array_equal(got_perm, perm[perm < size])
+        np.testing.assert_array_equal(got_logn, logn[:size])
+    assert specfun._phase_plan.cache_info().misses == 130
+    logn, perm, primes, steps = specfun._phase_plan(130)
+    for arr in (logn, perm, primes, *(a for step in steps for a in step[2:])):
         with pytest.raises(ValueError):
             arr[0] = 0
 
