@@ -16,11 +16,12 @@ optimize_many does this for several N at once, two constant-chain calls
 for the grid and one per refinement pass for all of them, and optimize
 is its one-element case.
 For every N the stationary A is a certified root of a function proven
-concave beyond an explicit threshold, found by Newton; on the envelope
-rows three Newton steps bracket it, which bounds the row's maximum from
-above.  The asymptotic machinery packages the same chain into the
-large-N constants (lambda-, lambda+, N0, ...) and evaluates the final
-large-N display.
+concave beyond an explicit threshold, found by Newton in one A-search
+entry, _searches, on a constants.ConstantSet of theta-grid arrays; on
+the envelope rows three Newton steps bracket it, which bounds the row's
+maximum from above.  The asymptotic machinery packages the same chain
+into the large-N constants (lambda-, lambda+, N0, ...) and evaluates the
+final large-N display.
 """
 
 from __future__ import annotations
@@ -89,30 +90,28 @@ class AsymptoticSet:
 
 # ------------------------------------------------------------- evaluators
 
-def _bound_value(A, N, ks, single: bool):
+def _bound_value(A, N, ks: cst.ConstantSet, single: bool):
     """b(A); array-safe.  single=True uses the sharper N=1 combination."""
-    c1v = cst.c1_from_set(A, ks)
-    *_, c2v = cst._unpack(ks)
+    c1v, c2v = cst.c1_from_set(A, ks), ks.c2
     if single:
         quad = (np.sqrt(c1v) + np.sqrt(c2v)) ** 2
         return TWO_PI * (0.5 / A - quad / A ** 3)
     return TWO_PI * (0.5 / A - 4.0 * N * (c1v + c2v) / A ** 3)
 
 
-def _stationarity(A, N, ks, single: bool):
+def _stationarity(A, N, ks: cst.ConstantSet, single: bool):
     """g(A) = A^4 b'(A) / (2 pi), positive left of the maximum, and its
     slope d g / d ln A in closed form."""
     c1v = cst.c1_from_set(A, ks)
     c1p = cst.c1_prime_from_set(A, ks)
-    k1, _k2, k3, _k4, v5, c2v = cst._unpack(ks)
     p = A * c1p                                           # d c1 / d ln A
-    dp = p + 8.0 * v5 ** 2 * (k1 * A - k3)                # d p / d ln A
+    dp = p + 8.0 * ks.c5 ** 2 * (ks.k1 * A - ks.k3)       # d p / d ln A
     if single:
-        ratio = np.sqrt(c2v / c1v)
+        ratio = np.sqrt(ks.c2 / c1v)
         return (-0.5 * A * A - (1.0 + ratio) * c1p * A
-                + 3.0 * (np.sqrt(c1v) + np.sqrt(c2v)) ** 2,
+                + 3.0 * (np.sqrt(c1v) + np.sqrt(ks.c2)) ** 2,
                 -A * A + 0.5 * ratio * p * p / c1v + (1.0 + ratio) * (3.0 * p - dp))
-    return (-0.5 * A * A - 4.0 * N * c1p * A + 12.0 * N * (c1v + c2v),
+    return (-0.5 * A * A - 4.0 * N * c1p * A + 12.0 * N * (c1v + ks.c2),
             -A * A + 4.0 * N * (3.0 * p - dp))
 
 
@@ -156,14 +155,14 @@ def optimize_A(N: int, theta: float, kappa: float = 0.125,
     """Best A at fixed theta: (A_star, bound).
 
     Uses the sharper single-L formula when N = 1 and the general one
-    otherwise, as the table does.  One row of _optimize_A_vec (a certified
-    root for every N); raises OptimizerError where that row is infeasible.
+    otherwise, as the table does.  One row of _searches (a certified root
+    for every N); raises OptimizerError where that row is infeasible.
     """
     cst._check_N(N)
     cst._check_theta(theta)
     cst._check_kappa(kappa)
-    table = cst._k_table(np.array([float(theta)]), kappa, n_rect)
-    a_star, b_star = _optimize_A_vec(N, kappa, table)
+    ks = cst._k_table(np.array([float(theta)]), kappa, n_rect)
+    (a_star,), (b_star,) = _searches((N,), kappa, ks)
     if b_star[0] == -np.inf:
         raise OptimizerError(
             f"no positive stationary point of the bound for N={N} at theta={theta} "
@@ -204,49 +203,47 @@ def _single_cert_coeffs(k1, k2, k3, k4):
     )
 
 
-def _single_certificate(ks, a):
+def _single_certificate(ks: cst.ConstantSet, a):
     """c1(a) > 0, c1'(a) > 0 and the c_ab sum below 5 k1^3 at a > e (the
-    proof is in _optimize_A_vec).  Rounding in the c_ab (at most 6e-16 of
+    proof is in _searches).  Rounding in the c_ab (at most 6e-16 of
     5 k1^3 on the table grid) and the powers is far inside the margin."""
-    k1, k2, k3, k4, _v5, _c2 = cst._unpack(ks)
     pa, pl = ((x * x * x, x * x, x, 1.0) for x in (1.0 / a, 1.0 / np.log(a)))
     tail = sum(np.maximum(c, 0.0) * pa[i] * pl[j]
-               for i, j, c in _single_cert_coeffs(k1, k2, k3, k4))
+               for i, j, c in _single_cert_coeffs(ks.k1, ks.k2, ks.k3, ks.k4))
     return ((cst.c1_from_set(a, ks) > 0.0)
             & (cst.c1_prime_from_set(a, ks) > 0.0)
-            & (tail < 5.0 * k1 * k1 * k1 * (1.0 - 2.0 ** -20)))
+            & (tail < 5.0 * ks.k1 * ks.k1 * ks.k1 * (1.0 - 2.0 ** -20)))
 
 
 @np.errstate(all="ignore")
-def _search_window(N, kappa: float, table: dict[str, np.ndarray]):
+def _search_window(N, kappa: float, ks: cst.ConstantSet):
     """(single, L, g(L), (g, dg/dln A) at _A_MAX, concave, feasible) per
     row: the formula (single-L for N = 1), the A-search window [L, _A_MAX],
     g at its ends, where g is proven concave on it (L < _A_MAX and, for
     N = 1, the single-L certificate), and where the row is feasible:
-    concave with g(L) > 0 > g(_A_MAX) (the proof is in _optimize_A_vec)."""
+    concave with g(L) > 0 > g(_A_MAX) (the proof is in _searches)."""
     single = np.ndim(N) == 0 and N == 1
-    k1, _k2, k3, _k4, v5, _c2 = cst._unpack(table)
-    q = (8.0 if single else 32.0 * N) * v5 ** 2
-    a_lo = np.maximum(_concavity_threshold(q, k1, k3),
+    q = (8.0 if single else 32.0 * N) * ks.c5 ** 2
+    a_lo = np.maximum(_concavity_threshold(q, ks.k1, ks.k3),
                       math.exp(math.log(1.0 / kappa) + 1e-9))
-    g_lo = _stationarity(a_lo, N, table, single)[0]
-    hi = _stationarity(_A_MAX, N, table, single)
+    g_lo = _stationarity(a_lo, N, ks, single)[0]
+    hi = _stationarity(_A_MAX, N, ks, single)
     concave = a_lo < _A_MAX
     if single:
-        concave &= _single_certificate(table, a_lo)
+        concave &= _single_certificate(ks, a_lo)
     return single, a_lo, g_lo, hi, concave, concave & (g_lo > 0.0) & (hi[0] < 0.0)
 
 
 @np.errstate(all="ignore")
-def _optimize_A_vec(N, kappa: float,
-                    table: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized stationary-A search across the whole theta grid.
+def _searches(Ns, kappa: float, ks: cst.ConstantSet) -> tuple[np.ndarray, np.ndarray]:
+    """The stationary-A search for every N in Ns across a theta grid.
 
-    Returns (A_star, bound) arrays, a -inf bound marking infeasible rows
-    (no certified stationary point in (1/kappa, _A_MAX); discarded
-    silently).  A_star is the largest root of g = A^4 b'(A) / (2 pi),
-    found the same way for every N (an int, or an array of one per row
-    for the general formula).
+    ks holds one row of thetas for all N, or one row per N.  Returns
+    (A_star, bound) of shape (len(Ns), rows), a -inf bound marking
+    infeasible rows (no certified stationary point in (1/kappa, _A_MAX);
+    discarded silently).  A_star is the largest root of
+    g = A^4 b'(A) / (2 pi), found the same way for every N: one search on
+    N = 1 and one on the column of the others.
 
     General formula.  With q = 32 N c5^2,
         g = -A^2/2 + q [2 k1 A ln A + (2 k2 - k1) A + 3 k3 ln A + 3 k4 - k3]
@@ -276,32 +273,39 @@ def _optimize_A_vec(N, kappa: float,
     With numpy's warnings off, a NaN or infinity (at a tiny kappa) fails
     every comparison and so only drops its row.
     """
-    single, a_lo, _, _, _, feasible = _search_window(N, kappa, table)
-    ks = {k: np.broadcast_to(table[k], feasible.shape)[feasible]
-          for k in ("k1", "k2", "k3", "k4", "c5", "c2")}
-    n = np.broadcast_to(np.asarray(N, dtype=float), feasible.shape)[feasible]
+    a, b = (np.full((len(Ns), ks.k1.shape[-1]), v) for v in (np.nan, -np.inf))
+    for single in (True, False):
+        js = [j for j, N in enumerate(Ns) if (N == 1) == single]
+        if not js:
+            continue
+        sub = ks if ks.k1.ndim == 1 else ks._map(lambda v: v[js])
+        n = 1 if single else np.array([[float(Ns[j])] for j in js])
+        _, a_lo, _, _, _, feasible = _search_window(n, kappa, sub)
+        rows = sub._map(lambda v: np.broadcast_to(v, feasible.shape)[feasible])
+        n_rows = np.broadcast_to(np.asarray(n, dtype=float), feasible.shape)[feasible]
 
-    def neg_h(a):
-        g, slope = _stationarity(a, n, ks, single)
-        return -g / a, (g - slope) / (a * a)
+        def neg_h(x):
+            g, slope = _stationarity(x, n_rows, rows, single)
+            return -g / x, (g - slope) / (x * x)
 
-    a_out = np.full(feasible.shape, np.nan)
-    a_out[feasible], _ = roots._newton_vec(neg_h, a_lo[feasible], _A_MAX,
-                                           np.full(np.count_nonzero(feasible), _A_MAX))
-    b_out = _bound_value(a_out, N, table, single)
-    b_out[~np.isfinite(b_out)] = -np.inf
-    return a_out, b_out
+        a_js = np.full(feasible.shape, np.nan)
+        a_js[feasible], _ = roots._newton_vec(neg_h, a_lo[feasible], _A_MAX,
+                                              np.full(np.count_nonzero(feasible), _A_MAX))
+        b_js = _bound_value(a_js, n, sub, single)
+        b_js[~np.isfinite(b_js)] = -np.inf
+        a[js], b[js] = a_js, b_js
+    return a, b
 
 
-@np.errstate(all="ignore")                          # as in _optimize_A_vec
-def _b_upper(N, kappa: float, table: dict[str, np.ndarray]) -> np.ndarray:
+@np.errstate(all="ignore")                          # as in _searches
+def _b_upper(N, kappa: float, ks: cst.ConstantSet) -> np.ndarray:
     """An upper bound per row on the maximum of b over the window
     [L, _A_MAX], +inf on every row where none is certified finite, from
     three Newton steps: no root is converged.  On a feasible row that
-    maximum is the bound b* of _optimize_A_vec (same N and table).
+    maximum is the bound b* of _searches (same N and constant set).
 
     Proof.  On a feasible row g is concave on [L, _A_MAX], its one root
-    A* is the last maximum of b, and b' = 2 pi g / A^4 (_optimize_A_vec).
+    A* is the last maximum of b, and b' = 2 pi g / A^4 (_searches).
     Three steps of the same safeguarded Newton on -g/A from _A_MAX, with
     no convergence test, leave l, the last point with g >= 0, and r, the
     last with g < 0: l <= A* < r.  A* is at least the root l' of the
@@ -316,38 +320,24 @@ def _b_upper(N, kappa: float, table: dict[str, np.ndarray]) -> np.ndarray:
     where b is flat): without its 2^-20 relative raise
     (constants._ENVELOPE_MARGIN), it fell up to 1e-15 below b*.
     """
-    single, l, g_l, (g, slope), concave, feasible = _search_window(N, kappa, table)
+    single, l, g_l, (g, slope), concave, feasible = _search_window(N, kappa, ks)
     rises = concave & (g_l >= 0.0) & (g >= 0.0)
     (x, r), g_r, s_l = np.full((2, *l.shape), _A_MAX), g.copy(), np.zeros(l.shape)
     for _ in range(3):
         x += x * g / (g - slope)                # Newton on -g/A
         np.copyto(x, 0.5 * (l + r), where=~((x > l) & (x < r)))
-        g, slope = _stationarity(x, N, table, single)
+        g, slope = _stationarity(x, N, ks, single)
         left = g >= 0.0
         for dst, src, at in ((l, x, left), (g_l, g, left), (s_l, slope, left),
                              (r, x, ~left), (g_r, g, ~left)):
             np.copyto(dst, src, where=at)
-    top = _bound_value(l, N, table, single) + np.where(
+    top = _bound_value(l, N, ks, single) + np.where(
         s_l < 0.0, np.pi * g_l * g_l / (-s_l * l ** 3), np.inf)
     l = np.maximum(l, l + g_l * (r - l) / (g_l - g_r))
-    top = np.fmin(top, _bound_value(r, N, table, single) - (r - l) * TWO_PI * g_r / l ** 4)
-    top = np.where(rises, _bound_value(_A_MAX, N, table, single), top)
+    top = np.fmin(top, _bound_value(r, N, ks, single) - (r - l) * TWO_PI * g_r / l ** 4)
+    top = np.where(rises, _bound_value(_A_MAX, N, ks, single), top)
     top += np.abs(top) * cst._ENVELOPE_MARGIN
     return np.where((feasible | rises) & np.isfinite(top), top, np.inf)
-
-
-def _searches(Ns, kappa: float, table: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """_optimize_A_vec for every N in Ns, one call on N = 1 and one on the
-    column of the others: (A, b) of shape (len(Ns), rows), table's
-    columns one row of thetas for all N or one per N."""
-    a, b = (np.full((len(Ns), table["theta"].shape[-1]), v) for v in (np.nan, -np.inf))
-    for single in (True, False):
-        js = [j for j, N in enumerate(Ns) if (N == 1) == single]
-        if js:
-            sub = table if table["theta"].ndim == 1 else {k: v[js] for k, v in table.items()}
-            n = 1 if single else np.array([[float(Ns[j])] for j in js])
-            a[js], b[js] = _optimize_A_vec(n, kappa, sub)
-    return a, b
 
 
 def optimize(N: int, kappa: float = 0.125, theta_grid_size: int = 10000,
@@ -406,7 +396,7 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
     keep = [_b_upper(N, kappa, floor) >= b0 for N, b0 in zip(Ns, best0)]
     del ends, floor                     # not live across the exact call (peak RSS)
     thetas = thetas[np.any(keep, axis=0)]
-    table = cst._k_table(thetas, kappa, n_rect, prime_cutoff=prime_cutoff)
+    ks = cst._k_table(thetas, kappa, n_rect, prime_cutoff=prime_cutoff)
     best = [(0.0, 0.0, -math.inf)] * len(Ns)           # (theta, A, bound) per N
     step = 1.0 / theta_grid_size
     for pass_ in range(_REFINE_PASSES + 1):
@@ -415,9 +405,9 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
             centres = np.array([[theta] for theta, _, _ in best])
             thetas = centres + step * np.arange(-_REFINE_HALF, _REFINE_HALF + 1)
             thetas = np.where((thetas > 0.0) & (thetas < 1.0), thetas, centres)
-            local = cst._k_table(thetas.ravel(), kappa, n_rect, prime_cutoff=prime_cutoff)
-            table = {k: v.reshape(thetas.shape) for k, v in local.items()}
-        a, b = _searches(Ns, kappa, table)
+            ks = cst._k_table(thetas.ravel(), kappa, n_rect,
+                              prime_cutoff=prime_cutoff)._map(lambda v: v.reshape(thetas.shape))
+        a, b = _searches(Ns, kappa, ks)
         thetas = np.broadcast_to(thetas, b.shape)
         for j, N in enumerate(Ns):
             if not (b[j] > 0.0).any():          # pass 0 only: later grids hold the centre

@@ -69,8 +69,8 @@ def _run_constants(args: argparse.Namespace) -> str:
                          prime_cutoff=_cutoff(args))
     result = dataclasses.asdict(ks)
     if args.A is not None:
-        result["c1"] = cst.c1_from_set(args.A, ks)
-        result["c1_prime"] = cst.c1_prime_from_set(args.A, ks)
+        result["c1"] = float(cst.c1_from_set(args.A, ks))
+        result["c1_prime"] = float(cst.c1_prime_from_set(args.A, ks))
         bad = [key for key in ("c1", "c1_prime")
                if not math.isfinite(result[key])]
         if bad:

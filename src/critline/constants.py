@@ -22,8 +22,10 @@ roots._rho_theta_vec / _rho_lemma_vec Newton kernels.  _k_blocks is
 _k_table's cheap floor, each row's c7 quadratures taken at the left end
 of its block of rows (c7 rises in theta), on which the optimizer bounds
 its theta grid before running _k_table on the rows that can still win.
-The scalar operations (c2 .. c7, integrate_c7, k_constants, c1) are the
-contract surface and are one-row calls into those kernels.
+A constant set is one ConstantSet: arrays, one element per theta, from
+the grid kernels, and floats from k_constants.  The scalar operations
+(c2 .. c7, integrate_c7, k_constants, c1) are the contract surface and
+are one-row calls into those kernels.
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ class Params:
 
 @dataclass(frozen=True)
 class ConstantSet:
-    """Computed constants at one (theta, kappa), with quadrature metadata."""
+    """Computed constants at one (theta, kappa), with quadrature metadata:
+    each field a float (k_constants), or for a theta grid a numpy array,
+    one element per theta and one shape for every field."""
     c2: float
     c3: float
     c4: float
@@ -103,6 +107,10 @@ class ConstantSet:
     int_vc7: float
     quad_bracket: float
     rho: float
+
+    def _map(self, fn) -> ConstantSet:
+        """The set of fn(field) for every field, e.g. a gather of rows."""
+        return ConstantSet(**{f.name: fn(getattr(self, f.name)) for f in fields(self)})
 
 
 def _check_N(N) -> None:
@@ -321,9 +329,8 @@ def k_constants(theta: float, kappa: float = 0.125, n_rect: int = 100,
     prime_cutoff.
     """
     _check_theta(theta)
-    row = _k_table(np.array([float(theta)]), kappa, n_rect,
-                   prime_cutoff=prime_cutoff)
-    return ConstantSet(**{f.name: float(row[f.name][0]) for f in fields(ConstantSet)})
+    return _k_table(np.array([float(theta)]), kappa, n_rect,
+                    prime_cutoff=prime_cutoff)._map(lambda v: float(v[0]))
 
 
 def _block_bytes(points: int) -> int:
@@ -334,13 +341,13 @@ def _block_bytes(points: int) -> int:
 
 @np.errstate(all="ignore")
 def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
-             prime_cutoff: int = PRIME_CUTOFF) -> dict[str, np.ndarray]:
+             prime_cutoff: int = PRIME_CUTOFF) -> ConstantSet:
     """The constant chain over a whole theta grid.
 
-    Returns arrays keyed like the ConstantSet fields, plus "theta".  Row i
-    holds the constants at thetas[i].  P1 and P2 are truncated at
-    prime_cutoff.  A column that leaves the doubles in some row raises
-    DomainError naming it, with no numpy warning.
+    Returns a ConstantSet of arrays whose element i holds the constants at
+    thetas[i].  P1 and P2 are truncated at prime_cutoff.  A column that
+    leaves the doubles in some row raises DomainError naming it, with no
+    numpy warning.
 
     The row stage solves rho(theta) and rho(a_max, theta) once for every
     row (roots._rho_lemma_rows); rho(theta) is also the rho, c5 and c3
@@ -380,25 +387,26 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
             prof[:, 1:] *= us[1:]
             np.sum(prof[:, 1:], axis=1, out=int_vc7[rows])
     sums *= h
-    table = {**_columns(thetas, kappa, rho, int_c7, int_vc7, prime_cutoff),
-             "quad_bracket": quad_bracket}
-    finite = np.logical_and.reduce([np.isfinite(v) for v in table.values()])
-    if not finite.all():
-        bad = ", ".join(k for k, v in table.items() if not np.isfinite(v).all())
+    ks = _columns(thetas, kappa, rho, int_c7, int_vc7, quad_bracket, prime_cutoff)
+    finite = ks._map(np.isfinite)
+    bad = [f.name for f in fields(ks) if not getattr(finite, f.name).all()]
+    if bad:
+        first = ~np.logical_and.reduce([getattr(finite, name) for name in bad])
         raise DomainError(f"the constant chain at kappa = {kappa!r} is not finite in "
-                          f"{bad}, first at theta = {thetas[~finite][0]!r}")
-    return table
+                          f"{', '.join(bad)}, first at theta = {thetas[first][0]!r}")
+    return ks
 
 
 @np.errstate(all="ignore")
 def _k_blocks(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
-              prime_cutoff: int = PRIME_CUTOFF) -> tuple[dict, dict]:
+              prime_cutoff: int = PRIME_CUTOFF) -> tuple[ConstantSet, ConstantSet]:
     """(ends, floor): _k_table on rows 0, B, 2B, ... of thetas (B =
     _FLOOR_BLOCK), and on every row a floor of _k_table: the row's own
-    rho(theta) columns with its block's left end's int c7 and int v c7,
-    lowered by _ENVELOPE_MARGIN.  On A > 1/kappa its c1 is at most the
-    exact row's: K2 A + K4 is kappa P2 h sum_k (A - u_k) c7(u_k, theta),
-    every A - u_k > 0, plus terms of theta alone, and c7 rises in theta.
+    rho(theta) columns with its block's left end's quad_bracket, and int
+    c7 and int v c7 lowered by _ENVELOPE_MARGIN.  On A > 1/kappa its c1
+    is at most the exact row's: K2 A + K4 is kappa P2 h sum_k (A - u_k)
+    c7(u_k, theta), every A - u_k > 0, plus terms of theta alone, and c7
+    rises in theta.
 
     Proof of the rise.  With a = sqrt(pi kappa u), b = Gamma(1/4)/Gamma(3/4)
     and F(X, theta) = (e^X + e^{theta X}) (a + b sqrt X) / X, c6 is
@@ -414,25 +422,24 @@ def _k_blocks(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     """
     ends = _k_table(thetas[::_FLOOR_BLOCK], kappa, n_rect, prime_cutoff=prime_cutoff)
     left = np.arange(thetas.size) // _FLOOR_BLOCK
-    quads = (ends[k][left] * (1.0 - _ENVELOPE_MARGIN) for k in ("int_c7", "int_vc7"))
-    return ends, _columns(thetas, kappa, roots._rho_theta_vec(thetas)[0], *quads,
-                          prime_cutoff)
+    int_c7, int_vc7 = (q[left] * (1.0 - _ENVELOPE_MARGIN) for q in (ends.int_c7, ends.int_vc7))
+    return ends, _columns(thetas, kappa, roots._rho_theta_vec(thetas)[0], int_c7, int_vc7,
+                          ends.quad_bracket[left], prime_cutoff)
 
 
-def _columns(thetas, kappa, rho, int_c7, int_vc7, prime_cutoff) -> dict[str, np.ndarray]:
-    """The constants of a theta grid from rho(theta), the two c7
-    quadratures and the Euler products truncated at prime_cutoff, keyed
-    like the ConstantSet fields (but quad_bracket), plus "theta"."""
+def _columns(thetas, kappa, rho, int_c7, int_vc7, quad_bracket,
+             prime_cutoff) -> ConstantSet:
+    """The constant set of a theta grid from rho(theta), the two c7
+    quadratures, their bracket and the Euler products truncated at
+    prime_cutoff."""
     p1 = euler_product("P1", prime_cutoff).value
     p2 = euler_product("P2", prime_cutoff).value
     g = gamma_ratio_quarter()
     c3v = _c3_from_rho(rho, thetas, kappa, g, p1)
     k1, k2, k3, k4 = _k_from_parts(thetas, kappa, int_c7, int_vc7, p1, p2)
-    return {"theta": thetas, "rho": rho, "c2": _c2_from_c3(c3v, thetas, kappa),
-            "c3": c3v, "c4": _c4_closed(thetas),
-            "c5": _c5_from_rho(rho, thetas, kappa, g),
-            "k1": k1, "k2": k2, "k3": k3, "k4": k4,
-            "int_c7": int_c7, "int_vc7": int_vc7}
+    return ConstantSet(c2=_c2_from_c3(c3v, thetas, kappa), c3=c3v, c4=_c4_closed(thetas),
+                       c5=_c5_from_rho(rho, thetas, kappa, g), k1=k1, k2=k2, k3=k3, k4=k4,
+                       int_c7=int_c7, int_vc7=int_vc7, quad_bracket=quad_bracket, rho=rho)
 
 
 @_finite
@@ -443,23 +450,14 @@ def c1(A: float, theta: float, kappa: float = 0.125, n_rect: int = 100) -> float
     return float(c1_from_set(A, ks))
 
 
-def c1_from_set(A, ks):
-    """c1(A) from precomputed constants (A may be an array; ks a ConstantSet
-    or a dict of grid arrays aligned with A)."""
-    k1, k2, k3, k4, v5, _c2 = _unpack(ks)
+def c1_from_set(A, ks: ConstantSet):
+    """c1(A) from a precomputed constant set (A may be an array aligned
+    with the set's fields)."""
     logA = np.log(A)
-    return 8.0 * v5 ** 2 * (k1 * A * logA + k2 * A + k3 * logA + k4)
+    return 8.0 * ks.c5 ** 2 * (ks.k1 * A * logA + ks.k2 * A + ks.k3 * logA + ks.k4)
 
 
-def c1_prime_from_set(A, ks):
-    """d/dA of c1 from precomputed constants."""
-    k1, k2, k3, _k4, v5, _c2 = _unpack(ks)
+def c1_prime_from_set(A, ks: ConstantSet):
+    """d/dA of c1 from a precomputed constant set."""
     logA = np.log(A)
-    return 8.0 * v5 ** 2 * (k1 * (logA + 1.0) + k2 + k3 / A)
-
-
-def _unpack(ks):
-    """(k1, k2, k3, k4, c5, c2) from a ConstantSet or a _k_table dict."""
-    if isinstance(ks, ConstantSet):
-        return ks.k1, ks.k2, ks.k3, ks.k4, ks.c5, ks.c2
-    return ks["k1"], ks["k2"], ks["k3"], ks["k4"], ks["c5"], ks["c2"]
+    return 8.0 * ks.c5 ** 2 * (ks.k1 * (logA + 1.0) + ks.k2 + ks.k3 / A)

@@ -292,11 +292,15 @@ def _scan(t_lo: float, t_hi: float, cfg: MollifierConfig
 
 
 def window_integrals(t: float, cfg: MollifierConfig) -> WindowStats:
-    """Simpson values of I, J and M over [t, t+H] plus grid sign changes."""
+    """Simpson values of I, J and M over [t, t+H] plus grid sign changes;
+    DomainError where t + H lies within _scan's edge tolerance of t."""
     t = float(t)
     t_hi = t + cfg.H
     specfun._check_range((t, t_hi), f"window [{t:g}, {t_hi:g}]")
-    return _scan(t, t_hi, cfg)[0][0]
+    stats = _scan(t, t_hi, cfg)[0]
+    if not stats:
+        raise DomainError(f"H = {cfg.H!r} lies within the rounding of t = {t!r}: no window")
+    return stats[0]
 
 
 # ------------------------------------------------------------ zero detection

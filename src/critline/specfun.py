@@ -178,13 +178,19 @@ def _tau_vec(n: np.ndarray, z: float) -> np.ndarray:
 def tau_z(n: int, z: float) -> float:
     """z-th divisor coefficient: the Dirichlet coefficient of zeta^z.
 
-    Multiplicative in n; on a prime power p^k it equals C(z+k-1, k).
+    Multiplicative in n; on a prime power p^k it equals C(z+k-1, k).  z
+    and the value must be finite.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"tau_z needs an integer n, got {n!r}")
     if not 1 <= n <= _TAU_N_MAX:
         raise DomainError(f"tau_z needs 1 <= n <= {_TAU_N_MAX:.0e}, got {n}")
-    return float(_tau_vec(np.array([n]), float(z))[0])
+    z = float(z)
+    with np.errstate(all="ignore"):
+        value = float(_tau_vec(np.array([n]), z)[0])
+    if not (math.isfinite(z) and math.isfinite(value)):
+        raise DomainError(f"tau_z needs a finite z and value, got tau_z({n}, {z!r}) = {value}")
+    return value
 
 
 # ------------------------------------------------------------ Euler products

@@ -37,18 +37,28 @@ ROW_2 = REFERENCE_TABLE[1]
 
 @pytest.fixture(scope="module")
 def full_grid():
-    """build(size, kappa, n_rect): the exact constant chain on every row of
-    the theta grid k / size, built once per argument tuple in this module.
-    The oracle for the pruned sweep, which never computes it whole."""
+    """build(size, kappa, n_rect): (thetas, constant set), the exact
+    constant chain on every row of the theta grid k / size, built once
+    per argument tuple in this module.  The oracle for the pruned sweep,
+    which never computes it whole."""
     tables = {}
 
     def build(size, kappa=0.125, n_rect=100):
         if (size, kappa, n_rect) not in tables:
-            tables[size, kappa, n_rect] = cst._k_table(
-                np.arange(1, size) / size, kappa, n_rect)
+            thetas = np.arange(1, size) / size
+            tables[size, kappa, n_rect] = thetas, cst._k_table(thetas, kappa, n_rect)
         return tables[size, kappa, n_rect]
 
     return build
+
+
+_SEARCHES = bnd._searches          # unpatched, for _per_N_searches
+
+
+def _search(n, kappa, ks):
+    """(A_star, bound) rows of the A-search for one N."""
+    a, b = _SEARCHES((n,), kappa, ks)
+    return a[0], b[0]
 
 
 # -------------------------------------------------------- bound evaluation
@@ -137,7 +147,7 @@ def test_optimize_n1_uses_single_formula():
 
 def test_optimize_A_raises_on_infeasible_row():
     table = cst._k_table(np.array([0.998]))
-    assert bnd._optimize_A_vec(2, 0.125, table)[1][0] == -np.inf
+    assert _search(2, 0.125, table)[1][0] == -np.inf
     # The message states the search window's cap.
     with pytest.raises(OptimizerError, match=re.escape(f", {bnd._A_MAX:.3g}]")):
         bnd.optimize_A(2, 0.998)
@@ -147,12 +157,12 @@ def test_optimize_A_raises_on_infeasible_row():
 def test_optimize_refines_grid_winner(n, full_grid):
     # The local theta refinement never loses to the grid and stays within
     # one grid cell of the grid winner.
-    table = full_grid(500)
-    _, b_vec = bnd._optimize_A_vec(n, 0.125, table)
+    thetas, table = full_grid(500)
+    _, b_vec = _search(n, 0.125, table)
     i_best = int(np.argmax(b_vec))
     rep = bnd.optimize(n, theta_grid_size=500)
     assert rep.bound >= b_vec[i_best]
-    assert abs(rep.theta_star - table["theta"][i_best]) <= 1.0 / 500
+    assert abs(rep.theta_star - thetas[i_best]) <= 1.0 / 500
 
 
 @pytest.mark.parametrize("grid", [10000, 500])
@@ -185,12 +195,12 @@ GRIDS = [(10000, 0.125, 100), (500, 0.125, 100), (2000, 0.1, 100),
          (1000, 0.125, 1000)]
 
 
-def _floor(table, kappa, n_rect):
-    """_k_blocks' floor on the rows of table, after checking that its
-    block ends are the exact rows at every _FLOOR_BLOCK-th theta."""
-    ends, floor = cst._k_blocks(table["theta"], kappa, n_rect)
-    for key, col in ends.items():
-        assert col.tobytes() == table[key][::cst._FLOOR_BLOCK].tobytes(), key
+def _floor(thetas, table, kappa, n_rect):
+    """_k_blocks' floor on the rows of table (at thetas), after checking
+    that its block ends are the exact rows at every _FLOOR_BLOCK-th theta."""
+    ends, floor = cst._k_blocks(thetas, kappa, n_rect)
+    assert (ends._map(np.ndarray.tobytes)
+            == table._map(lambda v: v[::cst._FLOOR_BLOCK].tobytes()))
     return floor
 
 
@@ -202,19 +212,18 @@ def test_envelope_bounds_every_exact_row(size, kappa, n_rect, full_grid):
     # N <= 1000 and 96 % at 10^6), so the check is not empty.
     # And U >= b- on 40 points of each finite row's window [L, _A_MAX], so
     # U bounds the floor itself, also where no exact row is feasible.
-    table = full_grid(size, kappa, n_rect)
-    floor = _floor(table, kappa, n_rect)
+    thetas, table = full_grid(size, kappa, n_rect)
+    floor = _floor(thetas, table, kappa, n_rect)
     ns = bnd.DEFAULT_TABLE_N + (10 ** 6,)
     for n in ns:
         u = bnd._b_upper(n, kappa, floor)
-        _, b = bnd._optimize_A_vec(n, kappa, table)
+        _, b = _search(n, kappa, table)
         assert (b <= u).all(), n
         assert np.isfinite(u).mean() > 0.9
         rows = np.isfinite(u)
         a_lo = bnd._search_window(n, kappa, floor)[1][rows]
         a = np.exp(np.linspace(np.log(a_lo), math.log(bnd._A_MAX), 40)).T
-        b_env = bnd._bound_value(a, n, {k: v[rows, None] for k, v in floor.items()},
-                                 n == 1)
+        b_env = bnd._bound_value(a, n, floor._map(lambda v: v[rows, None]), n == 1)
         assert (b_env <= u[rows, None]).all(), n
 
 
@@ -226,12 +235,12 @@ def test_pruned_grid_winners_match_full_grid(size, kappa, n_rect, full_grid,
     # every grid, each of which ends in a ragged block.
     monkeypatch.setattr(bnd, "_REFINE_PASSES", 0)
     assert (size - 1) % cst._FLOOR_BLOCK
-    table = full_grid(size, kappa, n_rect)
+    thetas, table = full_grid(size, kappa, n_rect)
     reports = bnd.optimize_many(bnd.DEFAULT_TABLE_N, kappa, size, n_rect)
     for n, rep in zip(bnd.DEFAULT_TABLE_N, reports):
-        a, b = bnd._optimize_A_vec(n, kappa, table)
+        a, b = _search(n, kappa, table)
         i = int(np.argmax(b))
-        assert (rep.theta_star, rep.A_star, rep.bound) == (table["theta"][i], a[i], b[i])
+        assert (rep.theta_star, rep.A_star, rep.bound) == (thetas[i], a[i], b[i])
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -246,13 +255,13 @@ def test_envelope_quadrature_floor(theta, step, kappa, n_rect):
     thetas = np.array([theta, theta2])
     _, floor = cst._k_blocks(thetas, kappa, n_rect)
     row = cst._k_table(thetas[1:], kappa, n_rect)
-    i_lo, v_lo = floor["int_c7"][1], floor["int_vc7"][1]
-    assert 0.0 < i_lo <= row["int_c7"][0]
-    assert v_lo <= row["int_vc7"][0]
+    i_lo, v_lo = floor.int_c7[1], floor.int_vc7[1]
+    assert 0.0 < i_lo <= row.int_c7[0]
+    assert v_lo <= row.int_vc7[0]
     a = (1.0 / kappa) * (1.0 + np.logspace(-9, 12, 50))
-    assert (a * i_lo - v_lo <= a * row["int_c7"][0] - row["int_vc7"][0]).all()
+    assert (a * i_lo - v_lo <= a * row.int_c7[0] - row.int_vc7[0]).all()
     for key in ("rho", "c2", "c3", "c4", "c5", "k1", "k3"):
-        assert floor[key][1] == row[key][0], key
+        assert getattr(floor, key)[1] == getattr(row, key)[0], key
 
 
 def test_c7_rises_in_theta_symbolic():
@@ -381,14 +390,14 @@ def test_certified_root_matches_scan_oracle(n, full_grid):
     # The rule the certified root replaced, applied here as the oracle:
     # g elementwise on 600 ln A points from just above 1/kappa to 1e16, and
     # the last +/- sign change of each row.
-    table = full_grid(500)
+    _, table = full_grid(500)
     grid = np.linspace(math.log(8.0) + 1e-9, math.log(1e16), 600)
     with np.errstate(invalid="ignore"):
         g, _ = bnd._stationarity(np.exp(grid)[None, :], n,
-                                 {k: v[:, None] for k, v in table.items()}, n == 1)
+                                 table._map(lambda v: v[:, None]), n == 1)
     trans = (g[:, :-1] > 0) & (g[:, 1:] < 0)
     last = np.array([np.nonzero(t)[0][-1] if t.any() else -1 for t in trans])
-    a_star, b_vec = bnd._optimize_A_vec(n, 0.125, table)
+    a_star, b_vec = _search(n, 0.125, table)
     rows = np.nonzero(last >= 0)[0]
     assert np.array_equal(np.nonzero(np.isfinite(b_vec))[0], rows)
     assert rows.size > 400
@@ -396,8 +405,7 @@ def test_certified_root_matches_scan_oracle(n, full_grid):
     assert (np.exp(grid[last[rows]]) <= a).all()
     assert (a <= np.exp(grid[last[rows] + 1])).all()
     # |g(A*)| on the scale of rounding in g's largest term, A^2 / 2
-    g_star, _ = bnd._stationarity(a, n, {k: v[rows] for k, v in table.items()},
-                                  n == 1)
+    g_star, _ = bnd._stationarity(a, n, table._map(lambda v: v[rows]), n == 1)
     assert (np.abs(g_star) <= 8 * np.finfo(float).eps * 0.5 * a * a).all()
 
 
@@ -468,7 +476,8 @@ def test_single_certificate_beyond_threshold(e1, e2, neg2, e3, e4, neg4, es):
     k1, k3, s = 10.0 ** e1, -(10.0 ** e3), 10.0 ** es
     k2, k4 = (-1.0) ** neg2 * 10.0 ** e2, (-1.0) ** neg4 * 10.0 ** e4
 
-    ks = {"k1": k1, "k2": k2, "k3": k3, "k4": k4, "c5": 1.0, "c2": 1.0}
+    unread = cst.ConstantSet(*[math.nan] * len(dataclasses.fields(cst.ConstantSet)))
+    ks = dataclasses.replace(unread, k1=k1, k2=k2, k3=k3, k4=k4, c5=1.0, c2=1.0)
 
     def passes(x):
         return bool(bnd._single_certificate(ks, math.exp(x)))
@@ -500,12 +509,12 @@ def test_concavity_beyond_threshold(q, k1, k3, s):
 
 def test_k_signs_on_table_grid(full_grid):
     # The concavity certificates assume k1 > 0 > k3 in every row.
-    table = full_grid(10000)
-    assert (table["k1"] > 0.0).all()
-    assert (table["k3"] < 0.0).all()
+    _, table = full_grid(10000)
+    assert (table.k1 > 0.0).all()
+    assert (table.k3 < 0.0).all()
     # The N = 1 certificate removes no row that g(L) > 0 > g(1e16) admits.
     a_lo = np.maximum(
-        bnd._concavity_threshold(8.0 * table["c5"] ** 2, table["k1"], table["k3"]),
+        bnd._concavity_threshold(8.0 * table.c5 ** 2, table.k1, table.k3),
         math.exp(math.log(8.0) + 1e-9))
     with np.errstate(invalid="ignore"):
         feasible = ((bnd._stationarity(a_lo, 1, table, True)[0] > 0.0)
@@ -518,7 +527,7 @@ def test_a_search_evaluation_counts_on_table_grid(monkeypatch, full_grid):
     # The envelope's A-search evaluates g at L and _A_MAX on every row (the
     # window), then takes exactly 3 Newton steps on every row, with no
     # convergence test, for each table N; most rows are feasible.
-    table = full_grid(10000)
+    thetas, table = full_grid(10000)
     sizes = []
     stationarity = bnd._stationarity
 
@@ -530,7 +539,7 @@ def test_a_search_evaluation_counts_on_table_grid(monkeypatch, full_grid):
     for n in bnd.DEFAULT_TABLE_N:
         sizes.clear()
         assert np.count_nonzero(np.isfinite(bnd._b_upper(n, 0.125, table))) > 9000
-        assert sizes == [table["theta"].size, 1] + [table["theta"].size] * 3
+        assert sizes == [thetas.size, 1] + [thetas.size] * 3
     monkeypatch.undo()
     # The converged search runs on the exact rows only: at most 3 700
     # Newton elements in one table (3 612 measured, the feasible ones of
@@ -566,13 +575,13 @@ def test_upper_bound_holds_converged_bound(size, kappa, n_rect, full_grid, monke
     # the check is not empty, and the median excess is below 2^-19
     # relative, twice the 2^-20 margin: the pruning relies on this.  The
     # converged search takes at most 12 f-evaluations on every row.
-    table = full_grid(size, kappa, n_rect)
-    floor = _floor(table, kappa, n_rect)
+    thetas, table = full_grid(size, kappa, n_rect)
+    floor = _floor(thetas, table, kappa, n_rect)
     counts = _record_newton_counts(monkeypatch)
     for n in bnd.DEFAULT_TABLE_N + (10 ** 6,):
         for rows in (table, floor):
             hi = bnd._b_upper(n, kappa, rows)
-            _, b = bnd._optimize_A_vec(n, kappa, rows)
+            _, b = _search(n, kappa, rows)
             feasible = b > -np.inf
             assert feasible.mean() > 0.5
             _, _, g_lo, (g_hi, _), concave, _ = bnd._search_window(n, kappa, rows)
@@ -586,10 +595,10 @@ def test_upper_bound_holds_converged_bound(size, kappa, n_rect, full_grid, monke
 
 
 def _per_N_searches(ns, kappa, table):
-    """_searches by one _optimize_A_vec call per N."""
-    rows = [{k: v if v.ndim == 1 else v[j] for k, v in table.items()}
+    """_searches by one call per N."""
+    rows = [table if table.k1.ndim == 1 else table._map(lambda v: v[j])
             for j in range(len(ns))]
-    a, b = zip(*(bnd._optimize_A_vec(n, kappa, t) for n, t in zip(ns, rows)))
+    a, b = zip(*(_search(n, kappa, t) for n, t in zip(ns, rows)))
     return np.array(a), np.array(b)
 
 
@@ -597,13 +606,12 @@ def test_batched_search_matches_per_N_calls():
     # A 51-row local grid whose low end, below theta = 0, holds copies of
     # its centre (exact ties), once for all N and once laid out one row per
     # N as in refinement: one call for N = 1 and one on the column of the
-    # other N give the bits of per-N _optimize_A_vec calls.
+    # other N give the bits of per-N _searches calls.
     ns = bnd.DEFAULT_TABLE_N
     thetas = 0.0012 + 1e-4 * np.arange(-25, 26)
     thetas = np.where(thetas > 0.0, thetas, 0.0012)
     line = cst._k_table(thetas)
-    grid = {k: v.reshape(len(ns), -1)
-            for k, v in cst._k_table(np.tile(thetas, len(ns))).items()}
+    grid = cst._k_table(np.tile(thetas, len(ns)))._map(lambda v: v.reshape(len(ns), -1))
     for table in (line, grid):
         for got, want in zip(bnd._searches(ns, 0.125, table),
                              _per_N_searches(ns, 0.125, table)):

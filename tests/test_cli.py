@@ -455,6 +455,9 @@ GOLDEN_STDOUT = {
         "5b20b939cb1851e1f5c1a6b86b5303919a26b9f1f6c1c642276a5ace14c9a96b",
     "constants --theta 0.011 --A 2.9e7":
         "1fb4449a44650a37e54a9afe67f9f790929104893428566fa654829ed3f2075c",
+    # c1 and c1_prime print as plain floats, not numpy scalar reprs
+    "constants --theta 0.011 --A 2.9e7 --format text":
+        "81bad2af7242cf748332323f1422b48209edf1b93ae511c71497ffde749a49a6",
     "mollify": "798803b57705730d0adf908eb5da51fced571a6d37fe0f7868bb5fbe6a45edc0",
     "detect --t-lo 0 --t-hi 100":
         "c8f53cd215ee0500ceac1f7fcf39f0b98fb49c4c7d09bc28aefb1a796dc23e9a",

@@ -305,6 +305,16 @@ def test_window_range_guard():
             mo.window_integrals(t, CFG)
 
 
+def test_window_shorter_than_rounding_refused():
+    # At t = 1e5, t + H lies within the scan's edge tolerance of t for
+    # these H, so the window is empty: DomainError naming t and H.
+    for h in (1e-11, 3e-11):
+        with pytest.raises(DomainError, match=f"H = {h!r}.*t = 100000.0"):
+            mo.window_integrals(1e5, mo.MollifierConfig(H=h))
+    ws = mo.window_integrals(1e5, mo.MollifierConfig(H=1e-9))
+    assert (ws.t, ws.H) == (1e5, 1e-9)
+
+
 # ----------------------------------------------------------- zero detection
 
 def test_detect_first_zero():

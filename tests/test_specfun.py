@@ -77,6 +77,17 @@ def test_tau_domain():
             specfun.tau_z(n, -0.5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_tau_refuses_nonfinite_z_and_value():
+    # A non-finite z, and a value that overflows, raise DomainError with no
+    # numpy warning (warnings are errors here).
+    for n, z in ((6, math.nan), (6, math.inf), (6, -math.inf), (1, math.nan),
+                 (2 ** 40, 1e308)):
+        with pytest.raises(DomainError, match="finite z and value"):
+            specfun.tau_z(n, z)
+    assert specfun.tau_z(6, 2.0) == 4.0
+
+
 def _tau_oracle(n, z):
     # tau_z(n) = prod over p^k || n of C(z + k - 1, k), exactly in sympy
     out = sp.Integer(1)
