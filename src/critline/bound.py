@@ -35,7 +35,7 @@ import numpy as np
 from . import constants as cst
 from . import roots
 from .constants import PRIME_CUTOFF, Params
-from .errors import DomainError, OptimizerError, PreconditionError, _check_count
+from .errors import DomainError, OptimizerError, PreconditionError, _check_count, _plain
 from .specfun import gamma_ratio_quarter
 
 TWO_PI = 2.0 * math.pi
@@ -102,10 +102,10 @@ def _bound_value(A, N, ks: cst.ConstantSet, single: bool):
 def _stationarity(A, N, ks: cst.ConstantSet, single: bool):
     """g(A) = A^4 b'(A) / (2 pi), positive left of the maximum, and its
     slope d g / d ln A in closed form."""
-    c1v = cst.c1_from_set(A, ks)
-    c1p = cst.c1_prime_from_set(A, ks)
+    log_a, m = cst._c1_factors(A, ks)
+    c1v, c1p = cst._c1(A, ks, log_a, m), cst._c1_prime(A, ks, log_a, m)
     p = A * c1p                                           # d c1 / d ln A
-    dp = p + 8.0 * ks.c5 ** 2 * (ks.k1 * A - ks.k3)       # d p / d ln A
+    dp = p + m * (ks.k1 * A - ks.k3)                      # d p / d ln A
     if single:
         ratio = np.sqrt(ks.c2 / c1v)
         return (-0.5 * A * A - (1.0 + ratio) * c1p * A
@@ -207,11 +207,12 @@ def _single_certificate(ks: cst.ConstantSet, a):
     """c1(a) > 0, c1'(a) > 0 and the c_ab sum below 5 k1^3 at a > e (the
     proof is in _searches).  Rounding in the c_ab (at most 6e-16 of
     5 k1^3 on the table grid) and the powers is far inside the margin."""
-    pa, pl = ((x * x * x, x * x, x, 1.0) for x in (1.0 / a, 1.0 / np.log(a)))
+    log_a, m = cst._c1_factors(a, ks)
+    pa, pl = ((x * x * x, x * x, x, 1.0) for x in (1.0 / a, 1.0 / log_a))
     tail = sum(np.maximum(c, 0.0) * pa[i] * pl[j]
                for i, j, c in _single_cert_coeffs(ks.k1, ks.k2, ks.k3, ks.k4))
-    return ((cst.c1_from_set(a, ks) > 0.0)
-            & (cst.c1_prime_from_set(a, ks) > 0.0)
+    return ((cst._c1(a, ks, log_a, m) > 0.0)
+            & (cst._c1_prime(a, ks, log_a, m) > 0.0)
             & (tail < 5.0 * ks.k1 * ks.k1 * ks.k1 * (1.0 - 2.0 ** -20)))
 
 
@@ -486,7 +487,7 @@ def asymptotic_bound(N: float, eps: float, kappa: float = 0.125,
     ac = asymptotic_constants(eps, kappa, prime_cutoff)
     if eps ** 3 < sys.float_info.min:
         raise DomainError(f"eps^3 = {eps ** 3:g} leaves the normal doubles at "
-                          f"eps = {eps!r}, so the threshold N0/eps^3 cannot be formed")
+                          f"eps = {_plain(eps)!r}, so the threshold N0/eps^3 cannot be formed")
     threshold = max(3.0, ac.n0 / eps ** 3)
     if n < threshold:
         raise PreconditionError(

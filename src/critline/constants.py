@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from . import roots
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_count, _plain
 from .specfun import PRIME_CUTOFF, euler_product, gamma_ratio_quarter
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -120,7 +120,7 @@ def _check_N(N) -> None:
 
 def _check_theta(theta: float) -> None:
     if not 0.0 < theta < 1.0:
-        raise DomainError(f"theta must lie in (0,1), got {theta!r}")
+        raise DomainError(f"theta must lie in (0,1), got {_plain(theta)!r}")
 
 
 def _check_A(A: float) -> float:
@@ -133,7 +133,7 @@ def _check_A(A: float) -> float:
 
 def _check_kappa(kappa: float) -> None:
     if not 0.0 < kappa <= 0.125:
-        raise DomainError(f"kappa must lie in (0, 1/8], got {kappa!r}")
+        raise DomainError(f"kappa must lie in (0, 1/8], got {_plain(kappa)!r}")
 
 
 def _finite(func):
@@ -144,7 +144,8 @@ def _finite(func):
     @functools.wraps(func)
     def checked(*args, **kwargs):
         def refused(what):
-            call = ", ".join([repr(a) for a in args] + [f"{k}={v!r}" for k, v in kwargs.items()])
+            call = ", ".join([repr(_plain(a)) for a in args]
+                             + [f"{k}={_plain(v)!r}" for k, v in kwargs.items()])
             return DomainError(f"{func.__name__}({call}) {what}")
         try:
             with np.errstate(all="ignore"):
@@ -392,8 +393,8 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     bad = [f.name for f in fields(ks) if not getattr(finite, f.name).all()]
     if bad:
         first = ~np.logical_and.reduce([getattr(finite, name) for name in bad])
-        raise DomainError(f"the constant chain at kappa = {kappa!r} is not finite in "
-                          f"{', '.join(bad)}, first at theta = {thetas[first][0]!r}")
+        raise DomainError(f"the constant chain at kappa = {_plain(kappa)!r} is not finite in "
+                          f"{', '.join(bad)}, first at theta = {float(thetas[first][0])!r}")
     return ks
 
 
@@ -453,11 +454,24 @@ def c1(A: float, theta: float, kappa: float = 0.125, n_rect: int = 100) -> float
 def c1_from_set(A, ks: ConstantSet):
     """c1(A) from a precomputed constant set (A may be an array aligned
     with the set's fields)."""
-    logA = np.log(A)
-    return 8.0 * ks.c5 ** 2 * (ks.k1 * A * logA + ks.k2 * A + ks.k3 * logA + ks.k4)
+    return _c1(A, ks, *_c1_factors(A, ks))
 
 
 def c1_prime_from_set(A, ks: ConstantSet):
     """d/dA of c1 from a precomputed constant set."""
-    logA = np.log(A)
-    return 8.0 * ks.c5 ** 2 * (ks.k1 * (logA + 1.0) + ks.k2 + ks.k3 / A)
+    return _c1_prime(A, ks, *_c1_factors(A, ks))
+
+
+def _c1_factors(A, ks: ConstantSet):
+    """(ln A, 8 c5^2), the factors c1 and c1' share: a caller that needs
+    both forms them once and passes them to _c1 and _c1_prime, with the
+    same bits as c1_from_set and c1_prime_from_set."""
+    return np.log(A), 8.0 * ks.c5 ** 2
+
+
+def _c1(A, ks: ConstantSet, log_a, m):
+    return m * (ks.k1 * A * log_a + ks.k2 * A + ks.k3 * log_a + ks.k4)
+
+
+def _c1_prime(A, ks: ConstantSet, log_a, m):
+    return m * (ks.k1 * (log_a + 1.0) + ks.k2 + ks.k3 / A)

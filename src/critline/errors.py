@@ -38,4 +38,11 @@ def _check_count(name: str, value, lo: float, hi: float = np.inf,
     if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
             or not lo <= value <= hi):
         top = f"{hi_name} = {hi:g}" if hi_name else f"{hi:g}"
-        raise DomainError(f"{name} must be an integer in [{lo}, {top}], got {value!r}")
+        raise DomainError(f"{name} must be an integer in [{lo}, {top}], "
+                          f"got {_plain(value)!r}")
+
+
+def _plain(value):
+    """value with a numpy scalar made the Python number it holds, so a
+    message shows 0.5, not np.float64(0.5)."""
+    return value.item() if isinstance(value, np.generic) else value

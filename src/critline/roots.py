@@ -16,12 +16,15 @@ the tests rather than special-cased here.
 
 Every root is found by one solver, safeguarded Newton with a bisection
 fallback and per-element convergence (_newton_vec), on a bracket proven
-to hold a sign change.  It iterates densely, every element on every
-pass until the last one stops: in the table's 29 solves (174 703
-elements), every rho(a, theta) element stops after one or two f
-evaluations and rho(theta) never has fewer than half its elements
-still iterating; only four A-searches do, late and on at most 26
-elements, so packing the live ones would save nothing measurable.  The
+to hold a sign change.  Its off-bracket guard skips every element whose
+Newton step is exactly zero, which the guard would leave in place
+anyway; in the table's solves those were all of the 52 654 elements
+that reached it, so none reaches it now.  It iterates densely, every
+element on every pass until the last one stops: in the table's 29
+solves (174 703 elements), every rho(a, theta) element stops after one
+or two f evaluations and rho(theta) never has fewer than half its
+elements still iterating; only four A-searches do, late and on at most
+26 elements, so packing the live ones would save nothing measurable.  The
 _*_fdf functions return each defining equation with its closed-form
 derivative; _rho_theta_vec and _rho_lemma_vec solve whole grids, and
 the public rho_theta and rho_lemma_a are one-element calls into them.
@@ -108,7 +111,10 @@ def _newton_vec(fdf: Callable[[np.ndarray], tuple],
     the midpoint when it falls outside the closed bracket, or lands, by
     more than the stop tolerance, on an end where f is already known
     (nonzero): from two ends a few ulps apart each Newton step can land
-    exactly on the other, a 2-cycle.  An element stops when f = 0 or its
+    exactly on the other, a 2-cycle.  The guard leaves out an element
+    whose step is exactly zero (xn == x, so not NaN), as it would keep x
+    there: where f = 0 it keeps x, and where f != 0, x is the end just set
+    and the step is near.  An element stops when f = 0 or its
     step is at most ~1e-15 |x|; 100 iterations is a safeguard cap, far
     above the at most 12 that bound's A-search needs.  Returns the roots
     and, beside them, the number of f evaluations each element took.
@@ -158,11 +164,12 @@ def _newton_vec(fdf: Callable[[np.ndarray], tuple],
                     np.subtract(x, xn, out=xn)
                 # Off the open bracket (NaN included): x stays where f = 0,
                 # a step onto an end stays unless it revisits a point, the
-                # rest bisect.
+                # rest bisect.  A zero step is left out: it would stay.
                 off = np.greater(xn, lo, out=neg)
                 off &= np.less(xn, hi, out=pos)
                 np.logical_not(off, out=off)
                 off &= act
+                off &= np.not_equal(xn, x, out=pos)
                 if off.any():
                     xf, xo, lf, hf = xn[off], x[off], lo[off], hi[off]
                     near = np.abs(xf - xo) <= 1e-15 * np.abs(xo)

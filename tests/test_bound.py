@@ -648,6 +648,48 @@ def test_stationarity_slope_matches_difference_quotient():
             pytest.approx(numeric, rel=1e-6)
 
 
+def _stationarity_from_public_c1(A, N, ks, single):
+    # _stationarity's expressions with c1 and c1' from the public functions
+    c1v = cst.c1_from_set(A, ks)
+    c1p = cst.c1_prime_from_set(A, ks)
+    p = A * c1p
+    dp = p + 8.0 * ks.c5 ** 2 * (ks.k1 * A - ks.k3)
+    if single:
+        ratio = np.sqrt(ks.c2 / c1v)
+        return (-0.5 * A * A - (1.0 + ratio) * c1p * A
+                + 3.0 * (np.sqrt(c1v) + np.sqrt(ks.c2)) ** 2,
+                -A * A + 0.5 * ratio * p * p / c1v + (1.0 + ratio) * (3.0 * p - dp))
+    return (-0.5 * A * A - 4.0 * N * c1p * A + 12.0 * N * (c1v + ks.c2),
+            -A * A + 4.0 * N * (3.0 * p - dp))
+
+
+@np.errstate(all="ignore")
+def test_shared_ln_a_keeps_c1_bits(full_grid):
+    # _stationarity and _single_certificate form ln A and 8 c5^2 once for
+    # c1 and c1'; on every row of one GRIDS table, at 40 A log-spaced over
+    # the row's window [L, _A_MAX], both are bit-identical to the same
+    # expressions built from c1_from_set and c1_prime_from_set.
+    size, kappa, n_rect = GRIDS[1]
+    _, table = full_grid(size, kappa, n_rect)
+    for n in (7, 1):
+        single = n == 1
+        a_lo = bnd._search_window(n, kappa, table)[1]
+        rows = a_lo < bnd._A_MAX
+        assert rows.mean() > 0.9
+        a = np.exp(np.linspace(np.log(a_lo[rows]), math.log(bnd._A_MAX), 40)).T
+        ks = table._map(lambda v: v[rows, None])
+        got = bnd._stationarity(a, n, ks, single)
+        want = _stationarity_from_public_c1(a, n, ks, single)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want], n
+    # a and ks are N = 1's window, the certificate's
+    pa, pl = ((x * x * x, x * x, x, 1.0) for x in (1.0 / a, 1.0 / np.log(a)))
+    tail = sum(np.maximum(c, 0.0) * pa[i] * pl[j]
+               for i, j, c in bnd._single_cert_coeffs(ks.k1, ks.k2, ks.k3, ks.k4))
+    want = ((cst.c1_from_set(a, ks) > 0.0) & (cst.c1_prime_from_set(a, ks) > 0.0)
+            & (tail < 5.0 * ks.k1 * ks.k1 * ks.k1 * (1.0 - 2.0 ** -20)))
+    assert bnd._single_certificate(ks, a).tobytes() == want.tobytes()
+
+
 def test_bound_unimodal_in_A():
     # coarse scan over the optimization window for one table row
     ks = cst.k_constants(0.0012)

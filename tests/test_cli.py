@@ -4,13 +4,15 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
+from critline import bound as bnd
 from critline import cli
 from critline import constants as cst
 from critline import mollifier as mo
 from critline import specfun
-from critline.errors import NumericalConsistencyError, OptimizerError
+from critline.errors import DomainError, NumericalConsistencyError, OptimizerError, _check_count
 
 from reference_values import REFERENCE_TABLE
 
@@ -351,6 +353,25 @@ def test_tiny_kappa_one_error_line(capsys, argv, code, names):
     diag = json.loads(err)
     assert diag["error"] == ("DomainError" if code == 3 else "OptimizerError")
     assert names in diag["message"]
+
+
+def test_domain_messages_show_plain_numbers(capsys):
+    # A numpy scalar in a DomainError message reads as the number it holds,
+    # not as np.float64(...): the grid row the CLI reports, each check
+    # handed a numpy scalar, and the calls that name their arguments.
+    _, _, err = _run(capsys, ["optimize", "--N", "1", "--kappa", "1e-300"])
+    message = json.loads(err)["message"]
+    assert message.endswith("first at theta = 0.0001") and "np." not in message
+    for check, want in ((lambda: cst._check_theta(np.float64(2.0)), "got 2.0"),
+                        (lambda: cst._check_kappa(np.float32(0.5)), "got 0.5"),
+                        (lambda: _check_count("n", np.int64(0), 1), "got 0"),
+                        (lambda: cst.c1(np.float64(1e308), np.float64(0.011)),
+                         "c1(1e+308, 0.011) is not finite in value"),
+                        (lambda: bnd.asymptotic_bound(1e20, np.float64(1e-105)),
+                         "at eps = 1e-105, so the threshold N0/eps^3 cannot be formed")):
+        with pytest.raises(DomainError) as info:
+            check()
+        assert want in str(info.value) and "np." not in str(info.value)
 
 
 @pytest.mark.parametrize("argv", [

@@ -357,7 +357,12 @@ def test_newton_vec_dense_block_matches_one_element_solves(params):
 def test_newton_vec_guard_cases_inside_a_dense_block():
     # The 2-cycle, root-on-bracket-end and arctan cases above, each several
     # times, shuffled among ordinary roots x^2 = c: the dense block takes
-    # each guard exactly as a one-element solve does.
+    # each guard exactly as a one-element solve does.  "weak" steps by
+    # 1e-20 (x - 2), exactly zero in double at x0: the guard leaves those
+    # elements out, at f < 0 (x0 = 1.5) and f > 0 (x0 = 2.5), and each
+    # stops at x0 after one evaluation.  "nan" has f = NaN at x0 = 4, so
+    # its NaN step still goes to the guard and bisects to 2.5, from where
+    # Newton finds 1.7.
     h = 2.0 ** -50
     cases = [  # (kind, lo, hi, x0, parameter)
         ("cycle", -1.0, 1.0, h, 0.0),
@@ -366,6 +371,9 @@ def test_newton_vec_guard_cases_inside_a_dense_block():
         ("line", 2.0, 3.0, 3.0, 0.0),
         ("atan", -10.0, 10.0, 10.0, -3.7),
         ("atan", -10.0, 10.0, 10.0, 7.1),
+        ("weak", 1.0, 3.0, 1.5, 0.0),
+        ("weak", 1.0, 3.0, 2.5, 0.0),
+        ("nan", 1.0, 4.0, 4.0, 0.0),
     ] * 4 + [("square", 0.0, 4.0, 4.0, c) for c in np.linspace(0.5, 15.0, 40)]
     order = np.random.default_rng(3).permutation(len(cases))
     kind, lo, hi, x0, p = zip(*[cases[k] for k in order])
@@ -380,7 +388,9 @@ def test_newton_vec_guard_cases_inside_a_dense_block():
                          "cube": ((x - 2.0) ** 3, 3.0 * (x - 2.0) ** 2),
                          "line": (x - 2.0, np.ones_like(x)),
                          "atan": (np.arctan(d), 1.0 / (1.0 + d * d)),
-                         "square": (x * x - p[k], 2.0 * x)}
+                         "square": (x * x - p[k], 2.0 * x),
+                         "weak": (1e-20 * (x - 2.0), np.ones_like(x)),
+                         "nan": (np.where(x < 3.5, x - 1.7, np.nan), np.ones_like(x))}
             which = [kind[k] == name for name in table]
             return (np.select(which, [v[0] for v in table.values()]),
                     np.select(which, [v[1] for v in table.values()]))
@@ -393,5 +403,9 @@ def test_newton_vec_guard_cases_inside_a_dense_block():
     assert (dense[kind == "cycle"] == 0.0).all() and (its[kind == "cycle"] == 3).all()
     assert (dense[kind == "cube"] == 2.0).all() and (its[kind == "cube"] == 1).all()
     assert dense[kind == "atan"] == pytest.approx(p[kind == "atan"], rel=1e-14)
+    weak = kind == "weak"
+    assert (dense[weak] == x0[weak]).all() and (its[weak] == 1).all()
+    assert dense[kind == "nan"] == pytest.approx(1.7, rel=1e-15)
+    assert (its[kind == "nan"] >= 3).all()
     assert dense[kind == "square"] == pytest.approx(np.sqrt(p[kind == "square"]),
                                                     rel=1e-15)
