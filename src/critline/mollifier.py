@@ -153,13 +153,13 @@ def mollifier_weight(x: float, cfg: MollifierConfig) -> float:
 
 @lru_cache(maxsize=8)
 def _coefficients(xi: float, theta: float, variant: str) -> np.ndarray:
-    """tau_{-1/2}(n) M(n) / sqrt(n) for 1 <= n <= xi, cached.
+    """tau_{-1/2}(n) M(n) / sqrt(n) for 1 <= n <= xi, cached read-only.
 
-    The array is read-only: every caller with the same key shares it.
-    specfun._dirichlet_rows pairs it with its own cached ln n.
+    tau_{-1/2} comes from the phase plan that specfun._dirichlet_rows sums
+    these coefficients along, so every n <= xi is factored once.
     """
     n = np.arange(1, int(math.floor(xi)) + 1)
-    amp = (specfun._tau_vec(n, -0.5) * _weight_vec(n, xi, theta, variant)
+    amp = (specfun._tau_table(n.size, -0.5) * _weight_vec(n, xi, theta, variant)
            / np.sqrt(n))
     amp.setflags(write=False)
     return amp

@@ -137,57 +137,57 @@ def gamma_ratio_quarter() -> float:
 
 # ----------------------------------------------------- divisor coefficients
 
-# Entries of the (n x primes) remainder block _tau_vec forms at a time.
-_TAU_BLOCK = 1 << 18
-
 # Largest n tau_z accepts: it sieves the primes up to sqrt(n), 3.2e7 here.
 _TAU_N_MAX = 10 ** 15
 
 
-def _tau_vec(n: np.ndarray, z: float) -> np.ndarray:
-    """tau_z of every entry of an integer array n >= 1, by trial division.
-
-    tau_z is multiplicative, C(z + k - 1, k) on a prime power p^k.  Each
-    n is divided by the primes <= sqrt(max n); what is left is 1 or one
-    prime, which contributes z.  The factors multiply in increasing
-    prime order.
-    """
-    n = np.asarray(n, dtype=np.int64)
-    top = int(n.max())
-    ps = primes_up_to(math.isqrt(top))
+def _prime_powers(z: float, top: int) -> np.ndarray:
+    """C(z + k - 1, k) = tau_z(p^k) for 0 <= k <= log2(top), as a cumprod."""
     j = np.arange(float(top.bit_length()))
-    binom = np.cumprod(np.concatenate(([1.0], (z + j) / (j + 1.0))))
-    out = np.ones(n.shape)
-    rest = n.copy()
-    rows = max(1, _TAU_BLOCK // max(ps.size, 1))
-    for lo in range(0, n.size, rows):
-        row, col = np.nonzero(n[lo:lo + rows, None] % ps == 0)
-        row += lo
-        p = ps[col]
-        m = n[row] // p
-        k = np.ones(row.size, dtype=np.int64)
-        while (more := m % p == 0).any():
-            m[more] //= p[more]
-            k[more] += 1
-        np.multiply.at(out, row, binom[k])
-        np.floor_divide.at(rest, row, p ** k)
-    out[rest > 1] *= z
-    return out
+    return np.cumprod(np.concatenate(([1.0], (z + j) / (j + 1.0))))
+
+
+def _tau_table(size: int, z: float) -> np.ndarray:
+    """tau_z(n) for 1 <= n <= size, at index n - 1, along _phase_plan(size):
+    tau_z(n) = tau_z(p^k) tau_z(n / p^k), p = spf(n) and p^k || n.  The plan
+    visits the cofactor q = n / p first: if p divides q, k is q's k plus one
+    and n / p^k is q's, else k = 1 and n / p^k = q.  At z = -1/2 and size
+    1e6 every value has tau_z's bits (tests pin the table)."""
+    _, perm, primes, steps = _phase_plan(size)
+    column = _prime_powers(z, size)
+    k = np.ones(size, dtype=np.int64)           # in plan order
+    rest = np.zeros(size, dtype=np.int64)       # n / p^k - 1, in plan order
+    tau = np.ones(size)
+    tau[primes] = z
+    for lo, hi, p, q in steps:
+        same = (perm[q] + 1) % (perm[p] + 1) == 0
+        k[lo:hi] = np.where(same, k[q] + 1, 1)
+        rest[lo:hi] = np.where(same, rest[q], perm[q])
+        tau[perm[lo:hi]] = column[k[lo:hi]] * tau[rest[lo:hi]]
+    return tau
 
 
 def tau_z(n: int, z: float) -> float:
-    """z-th divisor coefficient: the Dirichlet coefficient of zeta^z.
-
-    Multiplicative in n; on a prime power p^k it equals C(z+k-1, k).  z
-    and the value must be finite.
-    """
+    """z-th divisor coefficient, the Dirichlet coefficient of zeta^z: on a
+    prime power p^k it is C(z+k-1, k), and it is multiplicative.  By trial
+    division over the primes <= sqrt(n), smallest first.  n must be an
+    integer in [1, 1e15] and z and the value finite, else DomainError."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"tau_z needs an integer n, got {n!r}")
     if not 1 <= n <= _TAU_N_MAX:
         raise DomainError(f"tau_z needs 1 <= n <= {_TAU_N_MAX:.0e}, got {n}")
-    z = float(z)
+    n, z = int(n), float(z)
+    ps = primes_up_to(math.isqrt(n))
     with np.errstate(all="ignore"):
-        value = float(_tau_vec(np.array([n]), z)[0])
+        column = _prime_powers(z, n).tolist()
+    value, rest = 1.0, n
+    for p in ps[n % ps == 0].tolist():
+        k = 0
+        while rest % p == 0:
+            rest, k = rest // p, k + 1
+        value *= column[k]
+    if rest > 1:
+        value *= z
     if not (math.isfinite(z) and math.isfinite(value)):
         raise DomainError(f"tau_z needs a finite z and value, got tau_z({n}, {z!r}) = {value}")
     return value

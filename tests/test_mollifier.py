@@ -161,6 +161,29 @@ def test_coefficient_cache_bounded_and_readonly():
             arr[0] = 1.0
 
 
+def test_first_eta_at_xi_max_memory_and_bits():
+    # _XI_MAX promises one call below 200 MB; from empty caches the first
+    # eta also builds the phase plan and the coefficients (105 MB measured)
+    cfg = mo.MollifierConfig(xi=mo._XI_MAX)
+    mo._coefficients.cache_clear()
+    specfun._phase_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        mo.eta(999999.5, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2 ** 20
+    # sha256 of the float64 bytes, frozen before tau came from the plan
+    for variant, digest in (
+            ("piecewise", "45b87b39c3633c3d8d02d13eb3354a84"
+                          "b0e3ffb7acdc1342d88cb8286a004a45"),
+            ("selberg", "ebbe83a2d696b4560a9cac887879de1a"
+                        "097762753a37ec9e7c9b1a5cbed8756b")):
+        amp = mo._coefficients(mo._XI_MAX, 0.5, variant)
+        assert hashlib.sha256(amp.tobytes()).hexdigest() == digest
+
+
 # ------------------------------------------------------------------ hardy_x
 
 def test_hardy_x_at_zero():

@@ -2,6 +2,7 @@
 
 import bisect
 import cmath
+import hashlib
 import math
 
 import mpmath as mp
@@ -99,15 +100,17 @@ def _tau_oracle(n, z):
 def test_tau_kernel_matches_factorint_oracle():
     # for n <= 500 every tau_{-1/2}(n) is a dyadic rational with a short
     # numerator, so each product the kernel forms is exact
-    table = specfun._tau_vec(np.arange(1, 501), -0.5)
+    table = specfun._tau_table(500, -0.5)
     half = sp.Rational(-1, 2)
     assert table.tolist() == [float(_tau_oracle(n, half))
                               for n in range(1, 501)]
 
 
+_TAU_LARGE_N = [2 ** 40, 10 ** 12 + 39, 999983 ** 2, 223092870]
+
+
 @pytest.mark.parametrize("z", ["-1/2", "1/2", "2"])
-@pytest.mark.parametrize("n", [2 ** 40, 10 ** 12 + 39, 999983 ** 2,
-                               223092870])
+@pytest.mark.parametrize("n", _TAU_LARGE_N)
 def test_tau_large_n_matches_factorint_oracle(n, z):
     # up to 40 factors of the binomial cumprod, each rounded once
     oracle = float(_tau_oracle(n, sp.Rational(z)))
@@ -115,9 +118,55 @@ def test_tau_large_n_matches_factorint_oracle(n, z):
         oracle, rel=1e-14)
 
 
-def test_tau_bounded_by_one():
-    table = specfun._tau_vec(np.arange(1, 5001), -0.5)
-    assert float(np.max(np.abs(table))) <= 1.0
+# float.hex of tau_z(n, z) for the n of the oracle test above, 2^5 3^7,
+# the prime 10^15 - 11 and 2^49, frozen from the trial-division kernel
+# that tau_z and the mollifier shared before the phase-plan table.
+_TAU_Z_HEX = {
+    -0.5: ["-0x1.271664345282cp-10", "-0x1.0000000000000p-1",
+           "-0x1.0000000000000p-3", "-0x1.0000000000000p-9",
+           "0x1.ce00000000000p-12", "-0x1.0000000000000p-1",
+           "-0x1.b2870e84344d8p-11"],
+    0.5: ["0x1.6c3fa3b095d96p-4", "0x1.0000000000000p-1",
+          "0x1.8000000000000p-2", "0x1.0000000000000p-9",
+          "0x1.a64c000000000p-5", "0x1.0000000000000p-1",
+          "0x1.494a59002fa2bp-4"],
+    2.0: ["0x1.4800000000002p+5", "0x1.0000000000000p+1",
+          "0x1.8000000000000p+1", "0x1.0000000000000p+9",
+          "0x1.8000000000000p+5", "0x1.0000000000000p+1",
+          "0x1.9000000000003p+5"],
+}
+
+
+@pytest.mark.parametrize("z", sorted(_TAU_Z_HEX))
+def test_tau_z_frozen_bits(z):
+    ns = _TAU_LARGE_N + [69984, 10 ** 15 - 11, 2 ** 49]
+    assert [specfun.tau_z(n, z).hex() for n in ns] == _TAU_Z_HEX[z]
+
+
+@pytest.fixture(scope="module")
+def tau_table_1e6():
+    return specfun._tau_table(10 ** 6, -0.5)
+
+
+def test_tau_bounded_by_one(tau_table_1e6):
+    assert float(np.max(np.abs(tau_table_1e6))) <= 1.0
+
+
+def test_tau_table_frozen_digest(tau_table_1e6):
+    # sha256 of the float64 bytes of tau_{-1/2}(n), n <= 10^6, frozen from
+    # the trial-division kernel the table replaced
+    assert tau_table_1e6.dtype == np.float64
+    assert hashlib.sha256(tau_table_1e6.tobytes()).hexdigest() == (
+        "97f23f59f50c82d1918cdf8d47ce0d72c0d3b694b6db2cf37e6b1ae0e7b20e50")
+
+
+@pytest.mark.parametrize("n", [69984, 139968, 279936, 349920, 489888, 559872,
+                               699840, 769824, 909792, 979776])
+def test_tau_table_bits_where_one_step_ratio_rounds(tau_table_1e6, n):
+    # tau(n / p) times the one-step ratio (z + k - 1) / k is 1-2 ulp off
+    # here; the table takes tau(p^k) from the cumprod column, as tau_z does
+    oracle = float(_tau_oracle(n, sp.Rational(-1, 2)))
+    assert tau_table_1e6[n - 1] == specfun.tau_z(n, -0.5) == oracle
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
