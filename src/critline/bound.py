@@ -8,20 +8,19 @@ L-functions is bounded below by
 
 for any A > 1/kappa.  The optimizer locates the stationary A of the
 chosen formula from the analytic derivative, sweeps a theta grid, and
-reports the best (A*, theta*).  The sweep bounds every grid row from
-above with a certified envelope, exact only at the left end of each
-block of rows, and runs the exact constant chain only on the rows whose
-bound can still win, so its winner is exactly that of the whole grid.
+reports the best (A*, theta*).  The sweep bounds each block of grid rows
+from above with one certified envelope row, built from the exact row at
+the block's left end, and runs the exact constant chain only on the
+blocks that can still win, so its winner is that of the whole grid.
 optimize_many does this for several N at once, two constant-chain calls
 for the grid and one per refinement pass for all of them, and optimize
-is its one-element case.
-For every N the stationary A is a certified root of a function proven
-concave beyond an explicit threshold, found by Newton in one A-search
-entry, _searches, on a constants.ConstantSet of theta-grid arrays; on
-the envelope rows three Newton steps bracket it, which bounds the row's
-maximum from above.  The asymptotic machinery packages the same chain
-into the large-N constants (lambda-, lambda+, N0, ...) and evaluates the
-final large-N display.
+is its one-element case.  For every N the stationary A is a certified
+root of a function proven concave beyond an explicit threshold, found by
+Newton in one A-search entry, _searches, on a constants.ConstantSet of
+theta-grid arrays; on the envelope rows three Newton steps bracket it,
+which bounds the block's maximum from above.  The asymptotic machinery
+packages the same chain into the large-N constants (lambda-, lambda+,
+N0, ...) and evaluates the final large-N display.
 """
 
 from __future__ import annotations
@@ -320,9 +319,13 @@ def _b_upper(N, kappa: float, ks: cst.ConstantSet) -> np.ndarray:
     by a few ulps of b (g's sign is misjudged only within rounding of A*,
     where b is flat): without its 2^-20 relative raise
     (constants._ENVELOPE_MARGIN), it fell up to 1e-15 below b*.
+
+    U is also +inf where c1(L) > 0 and c1'(L) > 0 do not both hold; they
+    keep c1 > 0 on [L, inf) (_searches), as block floor rows need.
     """
     single, l, g_l, (g, slope), concave, feasible = _search_window(N, kappa, ks)
     rises = concave & (g_l >= 0.0) & (g >= 0.0)
+    positive = (cst.c1_from_set(l, ks) > 0.0) & (cst.c1_prime_from_set(l, ks) > 0.0)
     (x, r), g_r, s_l = np.full((2, *l.shape), _A_MAX), g.copy(), np.zeros(l.shape)
     for _ in range(3):
         x += x * g / (g - slope)                # Newton on -g/A
@@ -338,7 +341,7 @@ def _b_upper(N, kappa: float, ks: cst.ConstantSet) -> np.ndarray:
     top = np.fmin(top, _bound_value(r, N, ks, single) - (r - l) * TWO_PI * g_r / l ** 4)
     top = np.where(rises, _bound_value(_A_MAX, N, ks, single), top)
     top += np.abs(top) * cst._ENVELOPE_MARGIN
-    return np.where((feasible | rises) & np.isfinite(top), top, np.inf)
+    return np.where((feasible | rises) & positive & np.isfinite(top), top, np.inf)
 
 
 def optimize(N: int, kappa: float = 0.125, theta_grid_size: int = 10000,
@@ -353,24 +356,21 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
     """optimize for every N in Ns, sharing each constant-chain call.
 
     Pass 0 finds each N's best row of the theta grid k / theta_grid_size
-    by branch and bound, running the exact constant chain only on the
-    rows that can still win.  constants._k_blocks runs it on the left end
-    of every block of rows, whose best exact bound is best0[N], and gives
-    every row a floor; _b_upper on the floor bounds every row by U[N, row]
-    (below); one _k_table call runs on the rows, ascending, with
-    U >= best0 for some N, and each N's A-search on all of them.  A row
-    left out has b <= U < best0 <= the best row kept, for every N, and
-    each _k_table row and A-search element depends only on its own theta,
-    so the winner and the smaller-theta tie rule are those of the whole
-    grid.
+    by branch and bound.  constants._k_blocks runs the exact constant
+    chain on the left end of every block of rows, whose best exact bound
+    is best0[N], and gives every block a floor row; _b_upper on it bounds
+    every row of the block by U[N, block] (below); one _k_table call runs
+    on the rows, ascending, of the blocks with U >= best0 for some N, and
+    each N's A-search on all of them.  A row left out has b <= U < best0
+    <= the best row kept, for every N, and each _k_table row and A-search
+    element depends only on its own theta, so the winner and the
+    smaller-theta tie rule are those of the whole grid.
 
-    U.  The floor row (constants._k_blocks, which proves this) has
-    c1- <= c1 on A > 1/kappa, so b <= b- pointwise (for N = 1, where b
-    falls as sqrt(c1) grows, this also needs c1- >= 0, which the floor's
-    own _single_certificate gives on [L, inf)).  L depends only on q, k1
-    and k3, so the exact and the floor row share it, and the exact A*
-    lies in [L, _A_MAX].  U is _b_upper's bound on the maximum of b-
-    there, so b(A*) <= b-(A*) <= U.
+    U.  For a row of the block, constants._k_blocks proves c2- <= c2,
+    c1- <= c1 wherever c1- >= 0, and L- <= L.  U is finite only where
+    c1- > 0 on [L-, inf), so on the row's window [L, _A_MAX], which holds
+    its A*, b <= b- (b falls in c1 and c2; for N = 1 through sqrt(c1-)).
+    U bounds the maximum of b- over [L-, _A_MAX]: b(A*) <= b-(A*) <= U.
 
     Each later pass refines every N on its own local grid: 51 points
     centred on its best theta so far, one grid cell either side at first
@@ -394,9 +394,8 @@ def optimize_many(Ns, kappa: float = 0.125, theta_grid_size: int = 10000,
     thetas = np.arange(1, theta_grid_size) / theta_grid_size
     ends, floor = cst._k_blocks(thetas, kappa, n_rect, prime_cutoff)
     best0 = _searches(Ns, kappa, ends)[1].max(axis=1)
-    keep = [_b_upper(N, kappa, floor) >= b0 for N, b0 in zip(Ns, best0)]
-    del ends, floor                     # not live across the exact call (peak RSS)
-    thetas = thetas[np.any(keep, axis=0)]
+    keep = np.any([_b_upper(N, kappa, floor) >= b0 for N, b0 in zip(Ns, best0)], axis=0)
+    thetas = thetas[np.repeat(keep, cst._FLOOR_BLOCK)[:thetas.size]]
     ks = cst._k_table(thetas, kappa, n_rect, prime_cutoff=prime_cutoff)
     best = [(0.0, 0.0, -math.inf)] * len(Ns)           # (theta, A, bound) per N
     step = 1.0 / theta_grid_size

@@ -18,21 +18,19 @@ right-minus-left gap of int c7 is reported as the quadrature bracket.
 
 Each formula is implemented once, in the _k_table / _c7_profile kernels,
 vectorized over a theta grid with the root grids solved by the
-roots._rho_theta_vec / _rho_lemma_vec Newton kernels.  _k_blocks is
-_k_table's cheap floor, each row's c7 quadratures taken at the left end
-of its block of rows (c7 rises in theta), on which the optimizer bounds
-its theta grid before running _k_table on the rows that can still win.
-A constant set is one ConstantSet: arrays, one element per theta, from
-the grid kernels, and floats from k_constants.  The scalar operations
-(c2 .. c7, integrate_c7, k_constants, c1) are the contract surface and
-are one-row calls into those kernels.
+roots._rho_theta_vec / _rho_lemma_vec Newton kernels; _k_blocks is its
+cheap floor, one lowered exact row per block of theta rows.  A constant
+set is one ConstantSet: arrays, one element per theta, from the grid
+kernels, and floats from k_constants.  The scalar operations (c2 .. c7,
+integrate_c7, k_constants, c1) are the contract surface and are one-row
+calls into those kernels.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -58,10 +56,9 @@ _N_RECT_MAX = 10 ** 6
 # before it (A* passes the 1e16 search cap near N = 1e8).
 N_MAX = 10 ** 100
 
-# The theta-grid envelope: _k_blocks takes each row's c7 quadratures at
-# the left end of its block of _FLOOR_BLOCK rows, lowered, and
-# bound._b_upper raises its bounds, by _ENVELOPE_MARGIN relative, far
-# beyond the rounding and rho's second-order effect on c6.
+# The theta-grid envelope has one floor row per block of _FLOOR_BLOCK rows:
+# _k_blocks lowers its c7 quadratures, and bound._b_upper raises its bounds,
+# by _ENVELOPE_MARGIN relative, far beyond rounding and rho's ulps in c6.
 _ENVELOPE_MARGIN = 2.0 ** -20
 _FLOOR_BLOCK = 64
 
@@ -290,16 +287,11 @@ def _c6_profile(thetas: np.ndarray, kappa: float, us: np.ndarray,
 
 def _c7_profile(thetas: np.ndarray, kappa: float, us: np.ndarray,
                 rows=None, work=None) -> np.ndarray:
-    """c7 on a grid of u values, one row per theta (rows and work as in
-    _c6_profile)."""
+    """c7 = (1/2 + 2 kappa) c6^2 + 2 c4 c6 sqrt(kappa) on a grid of u
+    values, one row per theta (rows and work as in _c6_profile)."""
     work = roots._Workspace() if work is None else work
     v6 = _c6_profile(thetas, kappa, us, rows, work)
-    return _c7_from_c6(v6, _c4_closed(thetas)[:, None], kappa, work)
-
-
-def _c7_from_c6(v6, v4, kappa, work):
-    """(1/2 + 2 kappa) c6^2 + 2 c4 c6 sqrt(kappa), its arrays taken from
-    work, a roots._Workspace."""
+    v4 = _c4_closed(thetas)[:, None]
     v7 = np.multiply(0.5 + 2.0 * kappa, v6, out=work.take(v6.shape))
     v7 *= v6
     t = np.multiply(2.0 * v4, v6, out=work.take(v6.shape))
@@ -355,7 +347,7 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
     columns.  The c7 profile, about two Newton f evaluations per (theta, u)
     point, then runs in blocks of rows on the caller's thread, each block
     in a scope of one roots._Workspace that _k_table allocates and drops
-    when it returns.  A block has as many rows as _K_WORK_BYTES holds at
+    before the columns.  A block has as many rows as _K_WORK_BYTES holds at
     _POINT_BYTES per point, at least one, so a row larger than the budget
     is a block of its own.  The arena has that size however few rows
     there are (untouched pages stay out of memory), so a small call does
@@ -387,12 +379,18 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
             np.subtract(prof[:, -1], prof[:, 0], out=quad_bracket[rows])
             prof[:, 1:] *= us[1:]
             np.sum(prof[:, 1:], axis=1, out=int_vc7[rows])
+    del work, prof              # the columns must not pin the freed arena (peak RSS)
     sums *= h
-    ks = _columns(thetas, kappa, rho, int_c7, int_vc7, quad_bracket, prime_cutoff)
-    finite = ks._map(np.isfinite)
-    bad = [f.name for f in fields(ks) if not getattr(finite, f.name).all()]
+    p1, p2 = (euler_product(kind, prime_cutoff).value for kind in ("P1", "P2"))
+    g = gamma_ratio_quarter()
+    c3v = _c3_from_rho(rho, thetas, kappa, g, p1)
+    k1, k2, k3, k4 = _k_from_parts(thetas, kappa, int_c7, int_vc7, p1, p2)
+    ks = ConstantSet(c2=_c2_from_c3(c3v, thetas, kappa), c3=c3v, c4=_c4_closed(thetas),
+                     c5=_c5_from_rho(rho, thetas, kappa, g), k1=k1, k2=k2, k3=k3, k4=k4,
+                     int_c7=int_c7, int_vc7=int_vc7, quad_bracket=quad_bracket, rho=rho)
+    bad = [f.name for f in fields(ks) if not np.isfinite(getattr(ks, f.name)).all()]
     if bad:
-        first = ~np.logical_and.reduce([getattr(finite, name) for name in bad])
+        first = ~np.logical_and.reduce([np.isfinite(getattr(ks, name)) for name in bad])
         raise DomainError(f"the constant chain at kappa = {_plain(kappa)!r} is not finite in "
                           f"{', '.join(bad)}, first at theta = {float(thetas[first][0])!r}")
     return ks
@@ -401,46 +399,49 @@ def _k_table(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
 @np.errstate(all="ignore")
 def _k_blocks(thetas: np.ndarray, kappa: float = 0.125, n_rect: int = 100,
               prime_cutoff: int = PRIME_CUTOFF) -> tuple[ConstantSet, ConstantSet]:
-    """(ends, floor): _k_table on rows 0, B, 2B, ... of thetas (B =
-    _FLOOR_BLOCK), and on every row a floor of _k_table: the row's own
-    rho(theta) columns with its block's left end's quad_bracket, and int
-    c7 and int v c7 lowered by _ENVELOPE_MARGIN.  On A > 1/kappa its c1
-    is at most the exact row's: K2 A + K4 is kappa P2 h sum_k (A - u_k)
-    c7(u_k, theta), every A - u_k > 0, plus terms of theta alone, and c7
-    rises in theta.
+    """(ends, floor), one row per block of _FLOOR_BLOCK rows of thetas:
+    ends is _k_table at each block's left end theta_a, and floor is ends
+    with int c7 and int v c7 lowered by _ENVELOPE_MARGIN (K2, K4 follow)
+    and c2 formed at the block's right end theta_b.  For every row theta'
+    of a block and A > 1/kappa, floor has c2- <= c2(theta'), c1-(A) <=
+    c1(A; theta') where c1-(A) >= 0 (bound._b_upper certifies that on its
+    window) and window start L- <= L(theta') (bound._search_window).
 
-    Proof of the rise.  With a = sqrt(pi kappa u), b = Gamma(1/4)/Gamma(3/4)
-    and F(X, theta) = (e^X + e^{theta X}) (a + b sqrt X) / X, c6 is
-    F(rho, theta) / (2 (1 - theta) sqrt(pi kappa)), rho = rho(a, theta).
+    Proof.  With x = 1/(1 - theta), c1 / (8 c5^2) = P = K1 A ln A + K2 A
+    + K3 ln A + K4 is, up to terms free of theta,
+        P1 [(32/(3 sqrt pi)) x (A ln(A kappa) - A kappa + 1/kappa)
+            + (256/(9 pi)) x^2 (A kappa - ln(A kappa) - 1) / kappa]
+        + kappa P2 h sum_k (A - u_k) c7(u_k, theta),  u_k = k h <= 1/kappa.
+    At y = A kappa >= 1 the brackets times kappa, y ln y - kappa y + 1 and
+    y - ln y - 1, are >= 0 at y = 1 and rise (kappa <= 1/8), and c7 rises
+    in theta (below), so P rises and the lowered quadratures lower it.
+    c5 is c6 at u = 0, so it rises (below), and where P- >= 0, c1- =
+    8 c5(theta_a)^2 P- <= c1(theta').  c3 = (1/(8 kappa) + 3/2) 16 kappa^2
+    P1 c5^4 rises, so c2 = 6 (c3 + 1 + 2 sqrt(c3)) / (theta kappa)^2 >= c2-.
+    L = max(A_c, e^{1e-9} / kappa) rises, as A_c = q k1 + sqrt(q^2 k1^2 -
+    3 q k3) rises with q = 32 N c5^2 (8 c5^2 at N = 1), K1 and -K3, which
+    all rise in theta.  The margin also covers these terms' rounding.
+
+    c7 rises.  With a = sqrt(pi kappa u), b = Gamma(1/4)/Gamma(3/4) and
+    F(X, theta) = (e^X + e^{theta X}) (a + b sqrt X) / X, c6 is F(rho,
+    theta) / (2 (1 - theta) sqrt(pi kappa)), rho = rho(a, theta), and
     2 X^2 e^{-theta X} dF/dX is exactly the perturbed root equation,
     negative on (0, 1/2] with one root beyond (roots._rho_lemma_vec), so
     rho minimises F and c6 = min_X F / (2 (1 - theta) sqrt(pi kappa))
     rises, as F(X, .) and 1/(1 - theta) do.  Each piece of c4's max/min
     over 1 - theta rises, and so does 9 (1 + theta^2.5) / (1 - theta), so
-    c4 > 0 and c7 = (1/2 + 2 kappa) c6^2 + 2 c4 c6 sqrt(kappa) rise.  As
-    rho minimises F, its last ulps (3-5) move c6 only to second order; the
-    margin covers that and the rounding.
+    c4 > 0 and c7 = (1/2 + 2 kappa) c6^2 + 2 c4 c6 sqrt(kappa) rise.  The
+    last ulps (3-5) of rho move c6 only to second order; the margin
+    covers that and the rounding.
     """
-    ends = _k_table(thetas[::_FLOOR_BLOCK], kappa, n_rect, prime_cutoff=prime_cutoff)
-    left = np.arange(thetas.size) // _FLOOR_BLOCK
-    int_c7, int_vc7 = (q[left] * (1.0 - _ENVELOPE_MARGIN) for q in (ends.int_c7, ends.int_vc7))
-    return ends, _columns(thetas, kappa, roots._rho_theta_vec(thetas)[0], int_c7, int_vc7,
-                          ends.quad_bracket[left], prime_cutoff)
-
-
-def _columns(thetas, kappa, rho, int_c7, int_vc7, quad_bracket,
-             prime_cutoff) -> ConstantSet:
-    """The constant set of a theta grid from rho(theta), the two c7
-    quadratures, their bracket and the Euler products truncated at
-    prime_cutoff."""
-    p1 = euler_product("P1", prime_cutoff).value
-    p2 = euler_product("P2", prime_cutoff).value
-    g = gamma_ratio_quarter()
-    c3v = _c3_from_rho(rho, thetas, kappa, g, p1)
-    k1, k2, k3, k4 = _k_from_parts(thetas, kappa, int_c7, int_vc7, p1, p2)
-    return ConstantSet(c2=_c2_from_c3(c3v, thetas, kappa), c3=c3v, c4=_c4_closed(thetas),
-                       c5=_c5_from_rho(rho, thetas, kappa, g), k1=k1, k2=k2, k3=k3, k4=k4,
-                       int_c7=int_c7, int_vc7=int_vc7, quad_bracket=quad_bracket, rho=rho)
+    left = thetas[::_FLOOR_BLOCK]
+    ends = _k_table(left, kappa, n_rect, prime_cutoff=prime_cutoff)
+    right = thetas[np.minimum(np.arange(1, left.size + 1) * _FLOOR_BLOCK, thetas.size) - 1]
+    int_c7, int_vc7 = (q * (1.0 - _ENVELOPE_MARGIN) for q in (ends.int_c7, ends.int_vc7))
+    p1, p2 = (euler_product(kind, prime_cutoff).value for kind in ("P1", "P2"))
+    _, k2, _, k4 = _k_from_parts(left, kappa, int_c7, int_vc7, p1, p2)
+    return ends, replace(ends, c2=_c2_from_c3(ends.c3, right, kappa), k2=k2, k4=k4,
+                         int_c7=int_c7, int_vc7=int_vc7)
 
 
 @_finite

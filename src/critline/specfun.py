@@ -168,16 +168,16 @@ def _tau_table(size: int, z: float) -> np.ndarray:
 
 
 def tau_z(n: int, z: float) -> float:
-    """z-th divisor coefficient, the Dirichlet coefficient of zeta^z: on a
-    prime power p^k it is C(z+k-1, k), and it is multiplicative.  By trial
-    division over the primes <= sqrt(n), smallest first.  n must be an
-    integer in [1, 1e15] and z and the value finite, else DomainError."""
+    """tau_z(n), the Dirichlet coefficient of zeta^z: C(z+k-1, k) on a prime
+    power p^k, and multiplicative.  Trial division, smallest first, by the
+    primes up to the power of two >= sqrt(n) (one sieve for nearby n).  n
+    an integer in [1, 1e15], z and the value finite, else DomainError."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DomainError(f"tau_z needs an integer n, got {n!r}")
     if not 1 <= n <= _TAU_N_MAX:
         raise DomainError(f"tau_z needs 1 <= n <= {_TAU_N_MAX:.0e}, got {n}")
     n, z = int(n), float(z)
-    ps = primes_up_to(math.isqrt(n))
+    ps = primes_up_to(1 << (math.isqrt(n) - 1).bit_length())
     with np.errstate(all="ignore"):
         column = _prime_powers(z, n).tolist()
     value, rest = 1.0, n

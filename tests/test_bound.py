@@ -174,52 +174,75 @@ def test_optimize_many_matches_optimize(grid):
 def test_optimize_many_one_chain_call_per_pass(monkeypatch):
     # The table's N share each constant-chain call.  Pass 0 makes two: one
     # on the left ends of the 64-row blocks (157 of the 9 999 rows), one on
-    # the rows the block floor cannot rule out (183 measured).  Then one
-    # per refinement pass on the 8 x 51 local grids.
-    calls = []
-    k_table = cst._k_table
+    # every row of the blocks the block floor cannot rule out (at most 4
+    # blocks; 207 rows measured, blocks 0, 1, 2 and 156).  Then one per
+    # refinement pass on the 8 x 51 local grids.  The envelope A-search
+    # sees one floor row per block for each N, 8 x 157 rows in all.
+    calls, rows = [], []
+    k_table, b_upper = cst._k_table, bnd._b_upper
 
     def spy(thetas, *args, **kwargs):
         calls.append(np.size(thetas))
         return k_table(thetas, *args, **kwargs)
 
+    def spy_upper(n, kappa, ks):
+        rows.append(ks.k1.size)
+        return b_upper(n, kappa, ks)
+
     monkeypatch.setattr(cst, "_k_table", spy)
+    monkeypatch.setattr(bnd, "_b_upper", spy_upper)
     assert cli.main(["table"]) == 0
     assert len(calls) == 2 + bnd._REFINE_PASSES
     assert calls[0] == -(-9999 // cst._FLOOR_BLOCK) == 157
-    assert calls[1] <= 200
+    assert calls[1] <= 4 * cst._FLOOR_BLOCK
     assert calls[2:] == [51 * len(bnd.DEFAULT_TABLE_N)] * bnd._REFINE_PASSES
+    assert rows == [157] * len(bnd.DEFAULT_TABLE_N)
 
 
 GRIDS = [(10000, 0.125, 100), (500, 0.125, 100), (2000, 0.1, 100),
          (1000, 0.125, 1000)]
 
 
-def _floor(thetas, table, kappa, n_rect):
-    """_k_blocks' floor on the rows of table (at thetas), after checking
-    that its block ends are the exact rows at every _FLOOR_BLOCK-th theta."""
-    ends, floor = cst._k_blocks(thetas, kappa, n_rect)
-    assert (ends._map(np.ndarray.tobytes)
-            == table._map(lambda v: v[::cst._FLOOR_BLOCK].tobytes()))
+def _floor(thetas, table, kappa, n_rect, monkeypatch):
+    """_k_blocks' floor, one row per block of thetas, with its block ends
+    sliced from table (the exact rows at thetas) instead of a second
+    chain call: the ends it asks for are the rows at every
+    _FLOOR_BLOCK-th theta, and it returns those rows as they are."""
+    rows = table._map(lambda v: v[::cst._FLOOR_BLOCK])
+
+    def sliced(grid, *args, **kwargs):
+        assert grid.tobytes() == thetas[::cst._FLOOR_BLOCK].tobytes()
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cst, "_k_table", sliced)
+        ends, floor = cst._k_blocks(thetas, kappa, n_rect)
+    assert ends is rows
     return floor
 
 
+def _per_row(u, size):
+    """The block values u spread to the size - 1 rows of the grid."""
+    return np.repeat(u, cst._FLOOR_BLOCK)[:size - 1]
+
+
 @pytest.mark.parametrize("size, kappa, n_rect", GRIDS)
-def test_envelope_bounds_every_exact_row(size, kappa, n_rect, full_grid):
-    # U from the block floor >= the exact A-search's bound in every row of
-    # the whole grid (each ends in a ragged block), for every table N and
-    # N = 10^6; U is finite on almost every row (at least 99.6 % at
-    # N <= 1000 and 96 % at 10^6), so the check is not empty.
-    # And U >= b- on 40 points of each finite row's window [L, _A_MAX], so
-    # U bounds the floor itself, also where no exact row is feasible.
+def test_envelope_bounds_every_exact_row(size, kappa, n_rect, full_grid, monkeypatch):
+    # U from each block's floor row >= the exact A-search's bound in every
+    # row of that block, on the whole grid (each ends in a ragged block),
+    # for every table N and N = 10^6; U is finite on almost every row (at
+    # least 99.8 % at N <= 1000 and 96 % at 10^6), so the check is not
+    # empty.  And U >= b- on 40 points of each finite floor row's window
+    # [L, _A_MAX], so U bounds the floor itself, also where no exact row
+    # of its block is feasible.
     thetas, table = full_grid(size, kappa, n_rect)
-    floor = _floor(thetas, table, kappa, n_rect)
+    floor = _floor(thetas, table, kappa, n_rect, monkeypatch)
     ns = bnd.DEFAULT_TABLE_N + (10 ** 6,)
     for n in ns:
         u = bnd._b_upper(n, kappa, floor)
         _, b = _search(n, kappa, table)
-        assert (b <= u).all(), n
-        assert np.isfinite(u).mean() > 0.9
+        assert (b <= _per_row(u, size)).all(), n
+        assert np.isfinite(_per_row(u, size)).mean() > 0.9
         rows = np.isfinite(u)
         a_lo = bnd._search_window(n, kappa, floor)[1][rows]
         a = np.exp(np.linspace(np.log(a_lo), math.log(bnd._A_MAX), 40)).T
@@ -244,24 +267,70 @@ def test_pruned_grid_winners_match_full_grid(size, kappa, n_rect, full_grid,
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.floats(1e-6, 1.0 - 1e-6), st.floats(0.0, 1.0), st.floats(1e-3, 0.125),
+@given(st.floats(1e-6, 1.0 - 2e-6), st.floats(1e-8, 1.0), st.floats(1e-3, 0.125),
        st.integers(1, 1000))
-def test_envelope_quadrature_floor(theta, step, kappa, n_rect):
-    # The lemma behind the block floor, on computed rows: a row theta' in
-    # the block of left end theta takes theta's quadratures, lowered, and
-    # then I- <= int c7 and A I- - V- <= A int c7 - int v c7 at theta' on
-    # A above 1/kappa; every other column is the exact row's.
-    theta2 = min(theta + step * (1.0 - theta), 1.0 - 1e-6)
-    thetas = np.array([theta, theta2])
-    _, floor = cst._k_blocks(thetas, kappa, n_rect)
-    row = cst._k_table(thetas[1:], kappa, n_rect)
-    i_lo, v_lo = floor.int_c7[1], floor.int_vc7[1]
-    assert 0.0 < i_lo <= row.int_c7[0]
-    assert v_lo <= row.int_vc7[0]
+def test_block_floor_bounds_every_later_row(theta, step, kappa, n_rect):
+    # The lemma behind the block floor, on computed rows: the floor row of
+    # a block with left end theta and right end theta' > theta has
+    # lowered c7 quadratures, c2- <= c2(theta'), a window start
+    # L- <= L(theta') for N = 1, 2 and 1000, and c1-(A) <= c1(A; theta')
+    # wherever c1-(A) >= 0 (where _b_upper certifies it), on a log grid of
+    # A > 1/kappa.
+    theta2 = theta + step * (1.0 - 1e-6 - theta)
+    _, floor = cst._k_blocks(np.array([theta, theta2]), kappa, n_rect)
+    row = cst._k_table(np.array([theta2]), kappa, n_rect)
+    assert 0.0 < floor.int_c7[0] <= row.int_c7[0]
+    assert floor.int_vc7[0] <= row.int_vc7[0]
+    assert floor.c2[0] <= row.c2[0]
+    for n in (1, 2, 1000):
+        assert bnd._search_window(n, kappa, floor)[1] <= bnd._search_window(n, kappa, row)[1]
     a = (1.0 / kappa) * (1.0 + np.logspace(-9, 12, 50))
-    assert (a * i_lo - v_lo <= a * row.int_c7[0] - row.int_vc7[0]).all()
-    for key in ("rho", "c2", "c3", "c4", "c5", "k1", "k3"):
-        assert getattr(floor, key)[1] == getattr(row, key)[0], key
+    c1_lo, c1_row = cst.c1_from_set(a, floor), cst.c1_from_set(a, row)
+    assert (c1_lo >= 0.0).any()
+    assert (c1_lo <= c1_row)[c1_lo >= 0.0].all()
+
+
+def test_block_floor_lemma_symbolic():
+    # The algebra of _k_blocks' proof.  (1) With x = 1/(1 - theta) and the
+    # c7 quadratures held fixed, P = K1 A ln A + K2 A + K3 ln A + K4 is
+    # P1 (c_x x + c_xx x^2) plus terms free of theta, at three kappa.
+    a, x, kap, y, s = sp.symbols("A x kappa y s", positive=True)
+    c_x = 32 / (3 * sp.sqrt(sp.pi)) * (a * sp.log(a * kap) - a * kap + 1 / kap)
+    c_xx = 256 / (9 * sp.pi) * (a * kap - sp.log(a * kap) - 1) / kap
+    p1 = 1.7
+    for kv in (0.125, 0.1, 1e-3):
+        k1, k2, k3, k4 = cst._k_from_parts(1 - 1 / x, kv, 0.0, 0.0, p1, 2.3)
+        p = sp.expand(k1 * a * sp.log(a) + k2 * a + k3 * sp.log(a) + k4)
+        assert sp.Poly(p, x).degree() == 2
+        for av in (2.0 / kv, 30.0 / kv, 1e9):
+            for power, want in ((1, c_x), (2, c_xx)):
+                got = float(p.coeff(x, power).subs(a, av))
+                assert got == pytest.approx(p1 * float(want.subs({a: av, kap: kv})),
+                                            rel=1e-12), (kv, av, power)
+    # Both coefficients are >= 0 for A kappa = y >= 1 and kappa <= 1/8,
+    # kappa = 1/(8 + t), t >= 0: times a positive factor each is a
+    # function f of y that is >= 0 at y = 1 and has a slope >= 0 beyond.
+    t = sp.Symbol("t", nonnegative=True)
+    for coeff, factor, f in ((c_x, 3 * sp.sqrt(sp.pi) * kap / 32, y * sp.log(y) - kap * y + 1),
+                             (c_xx, 9 * sp.pi * kap / 256, y - sp.log(y) - 1)):
+        assert sp.simplify(sp.expand_log(coeff * factor - f.subs(y, a * kap), force=True)) == 0
+        for end in (f.subs(y, 1), sp.diff(f, y).subs(y, 1 + s)):
+            num, den = sp.fraction(sp.together(end.subs(kap, 1 / (8 + t))))
+            assert sp.expand(num).is_nonnegative and den.is_positive, end
+    # (2) c3 = (1/(8 kappa) + 3/2) [(e^rho + e^{rho theta}) G / ((1 - theta)
+    # sqrt(rho pi))]^4 P1 is (1/(8 kappa) + 3/2) 16 kappa^2 P1 c5^4, c5 =
+    # (e^rho + e^{rho theta}) G / ((1 - theta) 2 sqrt(pi kappa rho)), so
+    # it rises with c5; and the code's columns keep that ratio.
+    rho, th, g, q = sp.symbols("rho theta G P1", positive=True)
+    lift = sp.exp(rho) + sp.exp(rho * th)
+    c5 = lift * g / ((1 - th) * 2 * sp.sqrt(sp.pi * kap * rho))
+    c3 = (1 / (8 * kap) + sp.Rational(3, 2)) * (lift * g / ((1 - th) * sp.sqrt(rho * sp.pi))) ** 4 * q
+    const = (1 / (8 * kap) + sp.Rational(3, 2)) * 16 * kap ** 2 * q
+    assert sp.simplify(c3 - const * c5 ** 4) == 0
+    for kv in (0.125, 1e-3):
+        table = cst._k_table(np.linspace(0.01, 0.99, 9), kv)
+        want = float(const.subs({kap: kv, q: cst.euler_product("P1", cst.PRIME_CUTOFF).value}))
+        assert table.c3 / table.c5 ** 4 == pytest.approx(want, rel=1e-13)
 
 
 def test_c7_rises_in_theta_symbolic():
@@ -526,7 +595,8 @@ def test_k_signs_on_table_grid(full_grid):
 def test_a_search_evaluation_counts_on_table_grid(monkeypatch, full_grid):
     # The envelope's A-search evaluates g at L and _A_MAX on every row (the
     # window), then takes exactly 3 Newton steps on every row, with no
-    # convergence test, for each table N; most rows are feasible.
+    # convergence test, for each table N; most rows are feasible.  (Pass 0
+    # runs it on block floor rows; here it runs on every exact row.)
     thetas, table = full_grid(10000)
     sizes = []
     stationarity = bnd._stationarity
@@ -541,13 +611,13 @@ def test_a_search_evaluation_counts_on_table_grid(monkeypatch, full_grid):
         assert np.count_nonzero(np.isfinite(bnd._b_upper(n, 0.125, table))) > 9000
         assert sizes == [thetas.size, 1] + [thetas.size] * 3
     monkeypatch.undo()
-    # The converged search runs on the exact rows only: at most 3 700
-    # Newton elements in one table (3 612 measured, the feasible ones of
-    # the 8 x 157 block ends, the 8 x 183 pass-0 rows and the 3 x 408
+    # The converged search runs on the exact rows only: at most 4 100
+    # Newton elements in one table (3 980 measured, the feasible ones of
+    # the 8 x 157 block ends, the 8 x 207 pass-0 rows and the 3 x 408
     # refinement rows), each well inside the cap.
     counts = _record_newton_counts(monkeypatch)
     bnd.optimize_many(bnd.DEFAULT_TABLE_N)
-    assert sum(its.size for its in counts) <= 3700
+    assert sum(its.size for its in counts) <= 4100
     assert max(its.max() for its in counts) <= 12
 
 
@@ -576,7 +646,7 @@ def test_upper_bound_holds_converged_bound(size, kappa, n_rect, full_grid, monke
     # relative, twice the 2^-20 margin: the pruning relies on this.  The
     # converged search takes at most 12 f-evaluations on every row.
     thetas, table = full_grid(size, kappa, n_rect)
-    floor = _floor(thetas, table, kappa, n_rect)
+    floor = _floor(thetas, table, kappa, n_rect, monkeypatch)
     counts = _record_newton_counts(monkeypatch)
     for n in bnd.DEFAULT_TABLE_N + (10 ** 6,):
         for rows in (table, floor):

@@ -143,6 +143,32 @@ def test_tau_z_frozen_bits(z):
     assert [specfun.tau_z(n, z).hex() for n in ns] == _TAU_Z_HEX[z]
 
 
+# float.hex of tau_z(n, z) at z = -1/2, 1/2 and 2 for n near 10^15 whose
+# square roots share one power-of-two sieve bound, 2^25, frozen from the
+# sieve to floor(sqrt(n)).
+_TAU_SHARED_SIEVE = {
+    10 ** 15 - 11: ["-0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p+1"],
+    9 * 10 ** 14 + 7: ["0x1.0000000000000p-4", "0x1.0000000000000p-4", "0x1.0000000000000p+4"],
+    8 * 10 ** 14 + 9: ["0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p+2"],
+    7 * 10 ** 14 + 3: ["-0x1.0000000000000p-3", "0x1.0000000000000p-3", "0x1.0000000000000p+3"],
+    31499989 * 31700017: ["0x1.0000000000000p-2", "0x1.0000000000000p-2", "0x1.0000000000000p+2"],
+}
+
+
+def test_tau_z_nearby_n_share_one_sieve():
+    # One sieve for all five n (about 15 MB each when every floor(sqrt(n))
+    # had its own), with the same values.  The last n's factor 31700017
+    # lies between sqrt(n) and the sieve bound, as 7 does for n = 35, so
+    # the loop, not the leftover cofactor, takes it; on n <= 3000 tau_z
+    # keeps the bits of the phase-plan table.
+    specfun._sieve.cache_clear()
+    for n, want in _TAU_SHARED_SIEVE.items():
+        assert [specfun.tau_z(n, z).hex() for z in (-0.5, 0.5, 2.0)] == want, n
+    assert specfun._sieve.cache_info().misses == 1
+    table = specfun._tau_table(3000, -0.5)
+    assert [specfun.tau_z(n, -0.5) for n in range(1, 3001)] == table.tolist()
+
+
 @pytest.fixture(scope="module")
 def tau_table_1e6():
     return specfun._tau_table(10 ** 6, -0.5)
